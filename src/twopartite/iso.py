@@ -9,12 +9,16 @@ The search kernel is a backtracking completion over vertex assignments,
 pruned by an iteratively refined colour invariant built from the
 (outdegree, indegree, perp-degree) triple.  Colours only prune; every
 candidate assignment is still verified pairwise, so the kernel is exact.
+The homogeneity decider runs it once, to enumerate the automorphism
+group, and then decides every partial isomorphism by looking up the
+restrictions of the automorphisms to its domain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .core import (
@@ -26,7 +30,7 @@ from .core import (
     UndirectedBipartiteGraph,
     orient_all,
 )
-from .errors import AutGroupTooLarge, InvalidPartialMap
+from .errors import AutGroupTooLarge, InvalidPartialMap, ValidationError
 
 DEFAULT_AUT_CAP = 10 ** 6
 
@@ -199,19 +203,15 @@ def canonical_form(digraph: TwoPartiteDigraph) -> CanonicalForm:
 
 
 def _search_maps(view1: _View, view2: _View, initial: dict[str, str],
-                 limit: int | None, col1: dict[str, tuple] | None = None,
-                 col2: dict[str, tuple] | None = None) -> Iterator[dict[str, str]]:
+                 limit: int | None) -> Iterator[dict[str, str]]:
     """Backtracking enumeration of total side-preserving bijections
     view1 -> view2 that preserve all pair states and extend ``initial``.
     ``initial`` must already be consistent.  Yields at most ``limit``
-    maps when limit is not None.  Precomputed colour tables can be passed
-    in when the caller issues many searches over the same views."""
+    maps when limit is not None."""
     if len(view1.left) != len(view2.left) or len(view1.right) != len(view2.right):
         return
-    if col1 is None:
-        col1 = _refined_colors(view1)
-    if col2 is None:
-        col2 = col1 if view2 is view1 else _refined_colors(view2)
+    col1 = _refined_colors(view1)
+    col2 = col1 if view2 is view1 else _refined_colors(view2)
     if sorted(col1[v] for v in view1.left) != sorted(col2[v] for v in view2.left):
         return
     if sorted(col1[v] for v in view1.right) != sorted(col2[v] for v in view2.right):
@@ -284,19 +284,25 @@ def are_isomorphic(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph) -> PartialMap |
     return None
 
 
+def _automorphism_maps(view: _View, cap: int) -> Iterator[dict[str, str]]:
+    """The side-preserving automorphisms of ``view`` as vertex maps;
+    raises AutGroupTooLarge instead of yielding a map past ``cap``."""
+    if cap < 0:
+        raise ValidationError(f"automorphism cap must be non-negative, got {cap}")
+    for count, mapping in enumerate(_search_maps(view, view, {}, limit=cap + 1)):
+        if count == cap:
+            raise AutGroupTooLarge(cap)
+        yield mapping
+
+
 def automorphisms(digraph: TwoPartiteDigraph,
                   cap: int = DEFAULT_AUT_CAP) -> list[PartialMap]:
     """All side-preserving automorphisms, identity included.
 
-    Raises AutGroupTooLarge when more than ``cap`` maps exist.
+    Raises AutGroupTooLarge when more than ``cap`` maps exist, and
+    ValidationError when ``cap`` is negative.
     """
-    view = _View(digraph)
-    out = []
-    for mapping in _search_maps(view, view, {}, limit=cap + 1):
-        out.append(PartialMap.from_dict(mapping))
-        if len(out) > cap:
-            raise AutGroupTooLarge(cap)
-    return out
+    return [PartialMap.from_dict(m) for m in _automorphism_maps(_View(digraph), cap)]
 
 
 def is_valid_partial_iso(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph,
@@ -344,77 +350,58 @@ def extends_to_automorphism(digraph: TwoPartiteDigraph, pmap: PartialMap) -> boo
 
 
 def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
-                   orbit_threshold: int = 8,
                    aut_cap: int = DEFAULT_AUT_CAP) -> HomogeneityVerdict:
     """Exact homogeneity up to domain size ``k`` (default: all sizes).
 
     Every isomorphism between induced substructures on at most ``k``
-    vertices must extend to a side-preserving automorphism.  Domains are
-    enumerated smallest first, so a failing verdict carries a smallest
-    counterexample.  Above ``orbit_threshold`` vertices, domain subsets
-    are reduced to orbit representatives under the automorphism group
-    (which may raise AutGroupTooLarge); below it the search is unreduced.
+    vertices must extend to a side-preserving automorphism.  The
+    automorphism group is enumerated once, so memory grows with the
+    group, which is bounded by ``aut_cap`` (AutGroupTooLarge beyond
+    it).  A partial isomorphism out of a domain S extends exactly when
+    it is the restriction g|S of some automorphism g, so each one is
+    decided by a set lookup.  Domains are enumerated smallest first and
+    reduced to one per automorphism orbit, so a failing verdict carries
+    a smallest counterexample.  A negative ``k`` or ``aut_cap`` raises
+    ValidationError.
     """
+    if k is not None and k < 0:
+        raise ValidationError(f"domain size bound must be non-negative, got {k}")
     vertices = digraph.vertices()
-    if k is None:
-        k = len(vertices)
+    m, n = len(digraph.left), len(digraph.right)
     view = _View(digraph)
-    on_left = set(digraph.left)
-    mat = view.mat
-    lidx, ridx = view.lidx, view.ridx
+    # vertices are numbered by position in ``vertices``: left 0..m-1,
+    # right m..m+n-1; automorphisms become tuples of positions
+    pos = {v: p for p, v in enumerate(vertices)}
+    auts = [tuple(pos[g[v]] for v in vertices) for g in _automorphism_maps(view, aut_cap)]
+    column = {m + j: tuple(row[j] for row in view.mat) for j in range(n)}
 
-    col = _refined_colors(view)
-    use_orbits = len(vertices) > orbit_threshold
-    auts: list[dict[str, str]] | None = None
-    if use_orbits:
-        auts = []
-        for mapping in _search_maps(view, view, {}, limit=aut_cap + 1,
-                                    col1=col, col2=col):
-            auts.append(mapping)
-            if len(auts) > aut_cap:
-                raise AutGroupTooLarge(aut_cap)
-
-    # No colour filtering here: a map between induced substructures only
-    # has to preserve the induced structure, and maps that break ambient
-    # invariants are precisely the counterexample candidates.  Colours
-    # prune the extension search alone.
-    def images(source: tuple[str, ...], pool: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
-        return permutations(pool, len(source))
-
-    seen_orbits: set[frozenset[str]] = set()
-    for size in range(1, k + 1):
-        for subset in combinations(vertices, size):
-            if use_orbits:
-                # the first subset of each automorphism orbit stands for all
-                if frozenset(subset) in seen_orbits:
-                    continue
-                for aut in auts:
-                    seen_orbits.add(frozenset(aut[v] for v in subset))
-            s_left = tuple(v for v in subset if v in on_left)
-            s_right = tuple(v for v in subset if v not in on_left)
-            for img_l in images(s_left, digraph.left):
-                for img_r in images(s_right, digraph.right):
-                    if img_l == s_left and img_r == s_right:
-                        continue  # identity always extends
-                    ok = True
-                    for u, iu in zip(s_left, img_l):
-                        for w, iw in zip(s_right, img_r):
-                            if mat[lidx[u]][ridx[w]] != mat[lidx[iu]][ridx[iw]]:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        continue
-                    phi = dict(zip(s_left, img_l))
-                    phi.update(zip(s_right, img_r))
-                    extends = False
-                    for _ in _search_maps(view, view, phi, limit=1,
-                                          col1=col, col2=col):
-                        extends = True
-                        break
-                    if not extends:
-                        return HomogeneityVerdict(False, PartialMap.from_dict(phi))
+    seen: set[frozenset[int]] = set()
+    for size in range(1, (m + n if k is None else k) + 1):
+        for subset in combinations(range(m + n), size):
+            # a domain fails exactly when every domain in its orbit does,
+            # so the first of each orbit in this order stands for them all
+            if frozenset(subset) in seen:
+                continue
+            restrict = itemgetter(*subset)
+            if size == 1:
+                restrictions = {(restrict(g),) for g in auts}
+            else:
+                restrictions = set(map(restrict, auts))
+            seen.update(map(frozenset, restrictions))
+            a = sum(1 for p in subset if p < m)
+            want = [tuple(column[j][i] for i in subset[:a]) for j in subset[a:]]
+            # Images are not filtered by colour: a map between induced
+            # substructures only has to preserve the induced structure,
+            # and maps that break ambient invariants are precisely the
+            # counterexample candidates.
+            for img_l in permutations(range(m), a):
+                # pair states are preserved iff each right image's column
+                # over the left images equals its source's column
+                key = {j: tuple(col[i] for i in img_l) for j, col in column.items()}
+                for img_r in permutations(range(m, m + n), size - a):
+                    if [key[j] for j in img_r] == want and img_l + img_r not in restrictions:
+                        return HomogeneityVerdict(False, PartialMap.from_dict(
+                            {vertices[p]: vertices[q] for p, q in zip(subset, img_l + img_r)}))
     return HomogeneityVerdict(True, None)
 
 

@@ -2,7 +2,9 @@
 
 The oracles here deliberately reimplement decisions by brute force over
 raw sets and permutations, sharing no code with the package internals,
-so checker/decider agreement is a real cross-check.
+so checker/decider agreement is a real cross-check.  The exception is
+``search_homogeneous``, the decider that the restriction lookup in
+``iso.is_homogeneous`` replaced; it shares the map-search kernel.
 """
 
 from itertools import combinations, permutations
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 
 from twopartite import build
 from twopartite.core import TwoPartiteDigraph, UndirectedBipartiteGraph
+from twopartite.errors import AutGroupTooLarge
+from twopartite.iso import DEFAULT_AUT_CAP, HomogeneityVerdict, PartialMap, _View, _search_maps
 
 settings.register_profile("repro", derandomize=True, max_examples=60)
 settings.load_profile("repro")
@@ -92,6 +96,69 @@ def naive_homogeneous(digraph: TwoPartiteDigraph) -> bool:
                     if not any(all(a[u] == phi[u] for u in dom) for a in auts):
                         return False
     return True
+
+
+def search_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
+                       orbit_threshold: int = 8,
+                       aut_cap: int = DEFAULT_AUT_CAP) -> HomogeneityVerdict:
+    """The earlier decider: one backtracking completion search per
+    candidate partial map.  Above ``orbit_threshold`` vertices, domain
+    subsets are reduced to orbit representatives under the automorphism
+    group; below it the search is unreduced."""
+    vertices = digraph.vertices()
+    if k is None:
+        k = len(vertices)
+    view = _View(digraph)
+    on_left = set(digraph.left)
+    mat = view.mat
+    lidx, ridx = view.lidx, view.ridx
+
+    use_orbits = len(vertices) > orbit_threshold
+    auts: list[dict[str, str]] | None = None
+    if use_orbits:
+        auts = []
+        for mapping in _search_maps(view, view, {}, limit=aut_cap + 1):
+            auts.append(mapping)
+            if len(auts) > aut_cap:
+                raise AutGroupTooLarge(aut_cap)
+
+    def images(source, pool):
+        return permutations(pool, len(source))
+
+    seen_orbits: set[frozenset[str]] = set()
+    for size in range(1, k + 1):
+        for subset in combinations(vertices, size):
+            if use_orbits:
+                # the first subset of each automorphism orbit stands for all
+                if frozenset(subset) in seen_orbits:
+                    continue
+                for aut in auts:
+                    seen_orbits.add(frozenset(aut[v] for v in subset))
+            s_left = tuple(v for v in subset if v in on_left)
+            s_right = tuple(v for v in subset if v not in on_left)
+            for img_l in images(s_left, digraph.left):
+                for img_r in images(s_right, digraph.right):
+                    if img_l == s_left and img_r == s_right:
+                        continue  # identity always extends
+                    ok = True
+                    for u, iu in zip(s_left, img_l):
+                        for w, iw in zip(s_right, img_r):
+                            if mat[lidx[u]][ridx[w]] != mat[lidx[iu]][ridx[iw]]:
+                                ok = False
+                                break
+                        if not ok:
+                            break
+                    if not ok:
+                        continue
+                    phi = dict(zip(s_left, img_l))
+                    phi.update(zip(s_right, img_r))
+                    extends = False
+                    for _ in _search_maps(view, view, phi, limit=1):
+                        extends = True
+                        break
+                    if not extends:
+                        return HomogeneityVerdict(False, PartialMap.from_dict(phi))
+    return HomogeneityVerdict(True, None)
 
 
 # -- orbit counting -----------------------------------------------------------

@@ -113,6 +113,13 @@ class TestVerdictCommands:
         code, out, _ = cli("aut", "--in", path)
         assert code == 0 and json.loads(out)["count"] == 6
 
+    def test_negative_bounds_exit_two(self, tmp_path):
+        path = write(tmp_path, "m.json", matching_digraph(2))
+        for argv in (["check-hom", "--in", path, "--k", "-1"],
+                     ["aut", "--in", path, "--cap", "-1"]):
+            code, out, err = cli(*argv)
+            assert code == 2 and out == "" and "non-negative" in err, argv
+
 
 class TestBafEnumVerify:
     def test_baf_success_trace(self):

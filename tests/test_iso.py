@@ -12,7 +12,7 @@ from twopartite.catalog import (
     Direction,
 )
 from twopartite.census import enumerate_all
-from twopartite.errors import AutGroupTooLarge, InvalidPartialMap
+from twopartite.errors import AutGroupTooLarge, InvalidPartialMap, ValidationError
 from twopartite.iso import (
     PartialMap,
     are_isomorphic,
@@ -24,7 +24,7 @@ from twopartite.iso import (
     is_valid_partial_iso,
 )
 
-from conftest import naive_automorphisms, naive_homogeneous, random_digraph
+from conftest import naive_automorphisms, naive_homogeneous, random_digraph, search_homogeneous
 
 R2L = Direction.RIGHT_TO_LEFT
 
@@ -139,6 +139,11 @@ class TestAutomorphisms:
     def test_cap(self):
         with pytest.raises(AutGroupTooLarge):
             automorphisms(empty_digraph(4, 4), cap=100)
+        assert len(automorphisms(empty_digraph(2, 2), cap=4)) == 4
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValidationError):
+            automorphisms(matching_digraph(2), cap=-1)
 
 
 class TestExtendsToAutomorphism:
@@ -204,21 +209,37 @@ class TestHomogeneity:
         ks = [k for k in range(1, 4) if not is_homogeneous(d, k).holds]
         assert ks == list(range(min(ks), 4))
 
-    def test_orbit_reduction_agrees_with_unreduced(self):
+    def test_matches_per_map_search(self, census33):
+        # verdicts and counterexamples, unbounded and k-bounded, against the
+        # decider that ran one completion search per candidate map
+        structures = [e.representative for e in census33] + list(enumerate_all(2, 4))
         rng = random.Random(55)
-        for _ in range(6):
-            d = random_digraph(rng, max_side=3, min_side=1)
-            reduced = is_homogeneous(d, orbit_threshold=0)
-            plain = is_homogeneous(d, orbit_threshold=10 ** 9)
-            assert reduced.holds == plain.holds
+        structures += [random_digraph(rng, max_side=3, min_side=1) for _ in range(30)]
+        for d in structures:
+            assert is_homogeneous(d) == search_homogeneous(d)
+        for d in structures[-10:]:
+            for k in range(len(d.vertices()) + 1):
+                verdict = is_homogeneous(d, k)
+                assert verdict == search_homogeneous(d, k)
+                assert verdict == search_homogeneous(d, k, orbit_threshold=0)
 
     def test_empty_structure_vacuous(self):
         assert is_homogeneous(empty_digraph(0, 0)).holds
 
     def test_orbit_reduction_propagates_group_cap(self):
-        # ten vertices trips orbit reduction; a tiny cap then surfaces
+        # the group is enumerated before any domain is checked, at every
+        # size, so a cap below its order surfaces
         with pytest.raises(AutGroupTooLarge):
             is_homogeneous(empty_digraph(5, 5), aut_cap=100)
+        with pytest.raises(AutGroupTooLarge):
+            is_homogeneous(empty_digraph(2, 2), aut_cap=1)
+
+    def test_negative_arguments_rejected(self):
+        d = matching_digraph(2)
+        with pytest.raises(ValidationError):
+            is_homogeneous(d, -1)
+        with pytest.raises(ValidationError):
+            is_homogeneous(d, aut_cap=-1)
 
 
 class TestUndirectedHomogeneity:
