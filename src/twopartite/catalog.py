@@ -31,9 +31,9 @@ from .genericity import (
     Requirement,
     achieved_level,
     brute_witness_scan,
-    first_defect,
     iter_requirements,
     requirement_sort_key,
+    validate_level,
 )
 
 MAX_BUILD_ATTEMPTS = 32
@@ -58,20 +58,29 @@ def _oriented(x: str, y: str, direction: Direction) -> tuple[str, str]:
     return (x, y) if direction is Direction.LEFT_TO_RIGHT else (y, x)
 
 
+def _check_sizes(*sizes: int) -> None:
+    for size in sizes:
+        if size < 0:
+            raise InvalidSpec(f"side size must be non-negative, got {size}")
+
+
 def complete_bipartite_digraph(m: int, n: int,
                                direction: Direction = Direction.LEFT_TO_RIGHT) -> TwoPartiteDigraph:
     """All m*n edges present, all in one direction."""
+    _check_sizes(m, n)
     left, right = _ids("x", m), _ids("y", n)
     return build(left, right, [_oriented(x, y, direction) for x in left for y in right])
 
 
 def empty_digraph(m: int, n: int) -> TwoPartiteDigraph:
     """No edges at all."""
+    _check_sizes(m, n)
     return build(_ids("x", m), _ids("y", n), [])
 
 
 def matching_digraph(n: int, direction: Direction = Direction.LEFT_TO_RIGHT) -> TwoPartiteDigraph:
     """A perfect matching x_i ~ y_i, oriented one way."""
+    _check_sizes(n)
     left, right = _ids("x", n), _ids("y", n)
     return build(left, right, [_oriented(left[i], right[i], direction) for i in range(n)])
 
@@ -125,19 +134,22 @@ class ApproximantSpec:
             raise InvalidSpec("growth_cap must be positive")
 
 
-def _randomized_build(spec: ApproximantSpec, mode: Mode, draw, verify):
-    """Shared retry loop: ``draw(rng)`` produces a candidate, ``verify``
-    returns a passing report or None.  All attempts consume one seeded
-    stream, so identical specs reproduce identical outputs."""
+def _randomized_build(spec: ApproximantSpec, mode: Mode, draw):
+    """Shared retry loop: ``draw(rng)`` produces a candidate, and one
+    level scan per attempt both accepts it and records how far it got.
+    In BIPARTITE mode the scan reads the underlying graph.  All attempts
+    consume one seeded stream, so identical specs reproduce identical
+    outputs."""
     rng = random.Random(spec.seed)
     best = -1
     for _ in range(MAX_BUILD_ATTEMPTS):
         candidate = draw(rng)
-        if verify(candidate):
-            return candidate
-        best = max(best, achieved_level(
+        reached = achieved_level(
             candidate.underlying_bipartite() if mode is Mode.BIPARTITE else candidate,
-            mode, spec.level))
+            mode, spec.level)
+        if reached == spec.level:
+            return candidate
+        best = max(best, reached)
     raise ApproximantNotFound(
         f"no attempt out of {MAX_BUILD_ATTEMPTS} reached level {spec.level} "
         f"at side size {spec.side_size} (best level achieved: {best})", best)
@@ -156,11 +168,7 @@ def generic_bipartite_approx(spec: ApproximantSpec,
                  for x in left for y in right if rng.getrandbits(1)]
         return build(left, right, edges)
 
-    def verify(candidate: TwoPartiteDigraph) -> bool:
-        graph = candidate.underlying_bipartite()
-        return first_defect(graph, spec.level, Mode.BIPARTITE) is None
-
-    return _randomized_build(spec, Mode.BIPARTITE, draw, verify)
+    return _randomized_build(spec, Mode.BIPARTITE, draw)
 
 
 def generic_2partite_approx(spec: ApproximantSpec) -> TwoPartiteDigraph:
@@ -174,10 +182,7 @@ def generic_2partite_approx(spec: ApproximantSpec) -> TwoPartiteDigraph:
                  for x in left for y in right]
         return build(left, right, edges)
 
-    def verify(candidate: TwoPartiteDigraph) -> bool:
-        return first_defect(candidate, spec.level, Mode.TWO_PARTITE) is None
-
-    return _randomized_build(spec, Mode.TWO_PARTITE, draw, verify)
+    return _randomized_build(spec, Mode.TWO_PARTITE, draw)
 
 
 def generic_orientation_approx(spec: ApproximantSpec) -> TwoPartiteDigraph:
@@ -197,10 +202,7 @@ def generic_orientation_approx(spec: ApproximantSpec) -> TwoPartiteDigraph:
                     edges.append((y, x))
         return build(left, right, edges)
 
-    def verify(candidate: TwoPartiteDigraph) -> bool:
-        return first_defect(candidate, spec.level, Mode.ORIENTATION) is None
-
-    return _randomized_build(spec, Mode.ORIENTATION, draw, verify)
+    return _randomized_build(spec, Mode.ORIENTATION, draw)
 
 
 def _fresh_names(taken: set[str], count: int) -> list[str]:
@@ -226,8 +228,10 @@ def witness_closure(digraph: TwoPartiteDigraph, mode: Mode, level: int,
     not constrain oriented left-to-right.  In the other modes
     unconstrained pairs stay non-adjacent.  Raises CapExceeded (carrying
     the partial structure and the remaining defects) when more than
-    ``cap`` vertices would be needed.
+    ``cap`` vertices would be needed, and ValidationError for a negative
+    ``level``.
     """
+    validate_level(level)
     if mode is Mode.BIPARTITE and not digraph.is_bipartite_digraph():
         raise InvalidSpec("bipartite-mode closure needs a one-direction input")
     bip_direction = Direction.LEFT_TO_RIGHT

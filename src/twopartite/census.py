@@ -32,7 +32,7 @@ from .catalog import (
 )
 from .classify import ClassCase, ClassLabel, classify_exact
 from .core import TwoPartiteDigraph, build
-from .errors import EnumerationBudgetExceeded
+from .errors import EnumerationBudgetExceeded, ValidationError
 from .iso import CanonicalForm, HomogeneityVerdict, canonical_form
 
 DEFAULT_PAIR_BUDGET = 12
@@ -93,6 +93,8 @@ def _entry(digraph: TwoPartiteDigraph) -> CensusEntry:
 
 def _census_all(max_left: int, max_right: int, force: bool = False,
                 jobs: int = 1) -> list[CensusEntry]:
+    if jobs < 1:
+        raise ValidationError(f"worker count must be at least 1, got {jobs}")
     # refuse the whole range up front rather than partway through
     _check_budget(max_left, max_right, force)
     entries: list[CensusEntry] = []

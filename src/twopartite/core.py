@@ -84,10 +84,13 @@ def build(left: Iterable[str], right: Iterable[str],
             u, v = e
         except (TypeError, ValueError):
             raise MalformedInput(f"edge {e!r} is not a pair")
-        if u not in pos:
-            raise UnknownEndpoint(f"edge ({u!r}, {v!r}): unknown endpoint {u!r}")
-        if v not in pos:
-            raise UnknownEndpoint(f"edge ({u!r}, {v!r}): unknown endpoint {v!r}")
+        try:
+            if u not in pos:
+                raise UnknownEndpoint(f"edge ({u!r}, {v!r}): unknown endpoint {u!r}")
+            if v not in pos:
+                raise UnknownEndpoint(f"edge ({u!r}, {v!r}): unknown endpoint {v!r}")
+        except TypeError:  # an unhashable endpoint, such as a JSON list
+            raise MalformedInput(f"edge ({u!r}, {v!r}) has an unhashable endpoint") from None
         if (u in on_left) == (v in on_left):
             raise SameSideEdge(f"edge ({u!r}, {v!r}) joins vertices of the same side")
         if (v, u) in edge_set:
@@ -249,9 +252,12 @@ def build_bipartite(left: Iterable[str], right: Iterable[str],
             u, v = e
         except (TypeError, ValueError):
             raise MalformedInput(f"edge {e!r} is not a pair")
-        for w in (u, v):
-            if w not in on_left and w not in on_right:
-                raise UnknownEndpoint(f"edge ({u!r}, {v!r}): unknown endpoint {w!r}")
+        try:
+            for w in (u, v):
+                if w not in on_left and w not in on_right:
+                    raise UnknownEndpoint(f"edge ({u!r}, {v!r}): unknown endpoint {w!r}")
+        except TypeError:  # an unhashable endpoint
+            raise MalformedInput(f"edge ({u!r}, {v!r}) has an unhashable endpoint") from None
         if (u in on_left) == (v in on_left):
             raise SameSideEdge(f"edge ({u!r}, {v!r}) joins vertices of the same side")
         pairs.add((u, v) if u in on_left else (v, u))

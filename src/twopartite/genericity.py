@@ -17,6 +17,16 @@ The checkers enumerate the requirement space exhaustively (they serve
 as oracles, so no sampling) and report every unwitnessed requirement.
 Finite structures can only certify a finite level, never genuine
 genericity.
+
+One kernel, ``_scan_size``, serves all three modes and every size.  It
+reads two bitmap tables built from one pass over the pair states: per
+element, the witnesses that accept it in each slot, and per witness
+(the opposite side's table), the elements it accepts.  It walks
+requirement prefixes, keeping the witnesses that survive each prefix,
+and finds the failing last demands of a prefix by OR-ing the columns of
+its survivors.  ``achieved_level`` scans one size at a time across both
+sides, so one call both accepts a build attempt and reports how far a
+failed attempt got.
 """
 
 from __future__ import annotations
@@ -28,13 +38,12 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import (
     PAIR_LR,
-    PAIR_NONE,
     PAIR_RL,
     Side,
     TwoPartiteDigraph,
     UndirectedBipartiteGraph,
 )
-from .errors import InvalidRequirement
+from .errors import InvalidRequirement, ValidationError
 
 from enum import Enum
 
@@ -173,166 +182,162 @@ def iter_requirements(left_pool: Sequence[str], right_pool: Sequence[str],
 #
 # For requirements on a given side, witnesses live on the opposite side.
 # For each element index i of the requirement side, three bitmaps over
-# witness indices say which witnesses would accept i in a / b / c.
+# witness indices say which witnesses would accept i in a / b / c.  The
+# opposite side's bitmaps are the transpose: over element indices, they
+# say which elements a witness accepts, with a and b exchanged in the
+# directed modes (y in N+(x) exactly when x in N-(y)).
 
-def _digraph_tables(digraph: TwoPartiteDigraph, side: Side):
-    mat = digraph.pair_states()
+def _digraph_tables_by_side(digraph: TwoPartiteDigraph):
     m, n = len(digraph.left), len(digraph.right)
-    if side is Side.LEFT:
-        pool, wit = digraph.left, digraph.right
-        w_a = [0] * m
-        w_b = [0] * m
-        w_c = [0] * m
-        for i in range(m):
-            row = mat[i]
-            for j in range(n):
-                s = row[j]
-                if s == PAIR_RL:      # y_j -> x_i : x_i in N+(y_j)
-                    w_a[i] |= 1 << j
-                elif s == PAIR_LR:    # x_i -> y_j : x_i in N-(y_j)
-                    w_b[i] |= 1 << j
-                else:
-                    w_c[i] |= 1 << j
-    else:
-        pool, wit = digraph.right, digraph.left
-        w_a = [0] * n
-        w_b = [0] * n
-        w_c = [0] * n
-        for j in range(n):
-            for i in range(m):
-                s = mat[i][j]
-                if s == PAIR_LR:      # x_i -> y_j : y_j in N+(x_i)
-                    w_a[j] |= 1 << i
-                elif s == PAIR_RL:
-                    w_b[j] |= 1 << i
-                else:
-                    w_c[j] |= 1 << i
-    return pool, wit, w_a, w_b, w_c
+    l_a, l_b, l_c = [0] * m, [0] * m, [0] * m
+    r_a, r_b, r_c = [0] * n, [0] * n, [0] * n
+    for i, row in enumerate(digraph.pair_states()):
+        x_bit = 1 << i
+        for j, s in enumerate(row):
+            if s == PAIR_RL:      # y_j -> x_i: x_i in N+(y_j), y_j in N-(x_i)
+                l_a[i] |= 1 << j
+                r_b[j] |= x_bit
+            elif s == PAIR_LR:    # x_i -> y_j: x_i in N-(y_j), y_j in N+(x_i)
+                l_b[i] |= 1 << j
+                r_a[j] |= x_bit
+            else:
+                l_c[i] |= 1 << j
+                r_c[j] |= x_bit
+    return {Side.LEFT: (digraph.left, digraph.right, l_a, l_b, l_c),
+            Side.RIGHT: (digraph.right, digraph.left, r_a, r_b, r_c)}
 
 
-def _bipartite_tables(graph: UndirectedBipartiteGraph, side: Side):
-    eset = set(graph.edges)
-    if side is Side.LEFT:
-        pool, wit = graph.left, graph.right
-        w_a = [0] * len(pool)
-        for i, x in enumerate(pool):
-            for j, y in enumerate(wit):
-                if (x, y) in eset:
-                    w_a[i] |= 1 << j
-    else:
-        pool, wit = graph.right, graph.left
-        w_a = [0] * len(pool)
-        for j, y in enumerate(pool):
-            for i, x in enumerate(wit):
-                if (x, y) in eset:
-                    w_a[j] |= 1 << i
-    full = (1 << len(wit)) - 1
-    w_c = [full & ~bits for bits in w_a]
-    w_b = [0] * len(pool)  # unused in undirected mode
-    return pool, wit, w_a, w_b, w_c
+def _bipartite_tables_by_side(graph: UndirectedBipartiteGraph):
+    m, n = len(graph.left), len(graph.right)
+    lpos = {x: i for i, x in enumerate(graph.left)}
+    rpos = {y: j for j, y in enumerate(graph.right)}
+    l_a, r_a = [0] * m, [0] * n
+    for (x, y) in graph.edges:
+        i, j = lpos[x], rpos[y]
+        l_a[i] |= 1 << j
+        r_a[j] |= 1 << i
+    # b stays empty in undirected mode
+    l_c = [((1 << n) - 1) & ~bits for bits in l_a]
+    r_c = [((1 << m) - 1) & ~bits for bits in r_a]
+    return {Side.LEFT: (graph.left, graph.right, l_a, [0] * m, l_c),
+            Side.RIGHT: (graph.right, graph.left, r_a, [0] * n, r_c)}
 
 
+def _tables_by_side(structure, mode: Mode):
+    if mode is Mode.BIPARTITE:
+        return _bipartite_tables_by_side(structure)
+    return _digraph_tables_by_side(structure)
+
+
+# Per mode: the demand slots, and for each the slot of the opposite
+# side's table that holds its transpose.
 _SLOTS = {
     Mode.TWO_PARTITE: ("a", "b"),
     Mode.BIPARTITE: ("a", "c"),
     Mode.ORIENTATION: ("a", "b", "c"),
 }
+_COLUMN_SLOTS = {
+    Mode.TWO_PARTITE: ("b", "a"),
+    Mode.BIPARTITE: ("a", "c"),
+    Mode.ORIENTATION: ("b", "a", "c"),
+}
 
 
-def _scan_size(slot_masks: list[list[int]], pool_size: int, wit_count: int,
-               size: int, limit: int | None) -> list[tuple]:
+def _scan_size(rows: list[list[int]], cols: list[list[int]], pool_size: int,
+               wit_count: int, size: int, limit: int | None) -> list[tuple]:
     """Unwitnessed requirements of exactly ``size`` demands, as tuples of
     (element index, slot index) assignments.
 
-    Each subset of ``size`` elements combines with every per-element slot
-    assignment; the requirement fails when the AND of the chosen witness
-    bitmaps is empty.  Sizes up to 3 dominate in practice and get
-    dedicated loops; larger sizes recurse.
+    ``rows[t][i]`` is the bitmap of witnesses that accept element ``i`` in
+    slot ``t``, and ``cols[t][w]`` its transpose: the bitmap of elements
+    that witness ``w`` accepts in slot ``t``.  The scan walks requirement
+    prefixes of ``size - 1`` demands and keeps ``pm``, the bitmap of
+    witnesses that satisfy the prefix.  A last demand puts an element
+    above the prefix into slot ``t``; it fails for exactly the elements in
+    ``above & ~OR(cols[t][w] for w in pm)``, and the OR stops once it
+    covers ``above``.  A prefix with many surviving witnesses therefore
+    costs a few column reads instead of one AND per element.
+
+    Defects come out in a fixed order, which ``limit`` truncates: for
+    sizes up to 3 by element tuple, then slot tuple; for larger sizes by
+    ``(i, ti, j, tj, ...)``.
     """
     full = (1 << wit_count) - 1
-    k = len(slot_masks)
-    slots = range(k)
+    if size == 0:
+        return [()] if full == 0 else []
+    slots = range(len(rows))
+    everyone = (1 << pool_size) - 1
+    by_element = size <= 3
     defects: list[tuple] = []
 
-    def done() -> bool:
-        return limit is not None and len(defects) >= limit
+    def close(group: list, start: int) -> bool:
+        # group: (assignment so far, pm) for each slot assignment of one
+        # element prefix; returns True once ``limit`` defects are collected
+        above = everyone >> start << start
+        fails = []
+        hit = 0
+        for _, pm in group:
+            for col in cols:
+                rem, ws = above, pm
+                while ws and rem:
+                    low = ws & -ws
+                    rem &= ~col[low.bit_length() - 1]
+                    ws ^= low
+                fails.append(rem)
+                hit |= rem
+        while hit:
+            low = hit & -hit
+            hit ^= low
+            last = low.bit_length() - 1
+            k = 0
+            for assigned, _ in group:
+                for t in slots:
+                    if fails[k] & low:
+                        defects.append(assigned + ((last, t),))
+                        if len(defects) == limit:
+                            return True
+                    k += 1
+        return False
 
-    if size == 0:
-        if full == 0:
-            defects.append(())
-        return defects
-
-    if size == 1:
-        for i in range(pool_size):
-            for t in slots:
-                if slot_masks[t][i] == 0:
-                    defects.append(((i, t),))
-                    if done():
-                        return defects
-        return defects
-
-    if size == 2:
-        for i in range(pool_size):
-            mi = [slot_masks[t][i] for t in slots]
-            for j in range(i + 1, pool_size):
-                for ti in slots:
-                    a = mi[ti]
-                    col = slot_masks
-                    for tj in slots:
-                        if a & col[tj][j] == 0:
-                            defects.append(((i, ti), (j, tj)))
-                            if done():
-                                return defects
-        return defects
-
-    if size == 3:
-        for i in range(pool_size):
-            mi = [slot_masks[t][i] for t in slots]
-            for j in range(i + 1, pool_size):
-                pair = [(ti, tj, mi[ti] & slot_masks[tj][j])
-                        for ti in slots for tj in slots]
-                for l in range(j + 1, pool_size):
-                    ml = [slot_masks[t][l] for t in slots]
-                    for (ti, tj, pm) in pair:
-                        for tl in slots:
-                            if pm & ml[tl] == 0:
-                                defects.append(((i, ti), (j, tj), (l, tl)))
-                                if done():
-                                    return defects
-        return defects
-
-    def rec(start: int, depth: int, mask: int, chosen: tuple) -> None:
-        if done():
-            return
-        if depth == size:
-            if mask == 0:
-                defects.append(chosen)
-            return
+    def walk(group: list, depth: int, start: int) -> bool:
+        if depth == size - 1:
+            return close(group, start)
         for i in range(start, pool_size):
-            for t in slots:
-                rec(i + 1, depth + 1, mask & slot_masks[t][i], chosen + ((i, t),))
+            grown = [(assigned + ((i, t),), pm & rows[t][i])
+                     for assigned, pm in group for t in slots]
+            groups = (grown,) if by_element else ([state] for state in grown)
+            if any(walk(g, depth + 1, i + 1) for g in groups):
+                return True
+        return False
 
-    rec(0, 0, full, ())
+    walk([((), full)], 0, 0)
     return defects
 
 
+def _kernel_tables(tables_by_side, side: Side, mode: Mode):
+    """Pool, witnesses, and the kernel's row and column bitmaps for
+    requirements on ``side``."""
+    pool, wit, *masks = tables_by_side[side]
+    own = dict(zip("abc", masks))
+    opposite = dict(zip("abc", tables_by_side[side.opposite][2:]))
+    return (pool, wit, [own[name] for name in _SLOTS[mode]],
+            [opposite[name] for name in _COLUMN_SLOTS[mode]])
+
+
 def _scan_task(args):
-    slot_masks, pool_size, wit_count, size = args
-    return _scan_size(slot_masks, pool_size, wit_count, size, None)
+    return _scan_size(*args, limit=None)
 
 
 def _collect_defects(tables_by_side, level: int, mode: Mode,
                      jobs: int = 1, limit: int | None = None,
                      only_total: int | None = None) -> list[Requirement]:
     slot_names = _SLOTS[mode]
+    sizes = (only_total,) if only_total is not None else tuple(range(level + 1))
     tasks = []
     for side in (Side.LEFT, Side.RIGHT):
-        pool, wit, w_a, w_b, w_c = tables_by_side[side]
-        by_name = {"a": w_a, "b": w_b, "c": w_c}
-        slot_masks = [by_name[name] for name in slot_names]
-        sizes = (only_total,) if only_total is not None else tuple(range(level + 1))
+        pool, wit, rows, cols = _kernel_tables(tables_by_side, side, mode)
         for size in sizes:
-            tasks.append((side, pool, (slot_masks, len(pool), len(wit), size)))
+            tasks.append((side, pool, (rows, cols, len(pool), len(wit), size)))
 
     defects: list[Requirement] = []
 
@@ -361,8 +366,13 @@ def _collect_defects(tables_by_side, level: int, mode: Mode,
     return defects
 
 
-def _digraph_tables_by_side(digraph: TwoPartiteDigraph):
-    return {side: _digraph_tables(digraph, side) for side in (Side.LEFT, Side.RIGHT)}
+def validate_level(level: int, jobs: int = 1) -> None:
+    """Raise ValidationError for a negative level or a worker count
+    below 1."""
+    if level < 0:
+        raise ValidationError(f"extension level must be non-negative, got {level}")
+    if jobs < 1:
+        raise ValidationError(f"worker count must be at least 1, got {jobs}")
 
 
 def check_generic_2partite(digraph: TwoPartiteDigraph, level: int,
@@ -370,17 +380,12 @@ def check_generic_2partite(digraph: TwoPartiteDigraph, level: int,
     """Extension property with successor/predecessor demands.  Also
     requires the underlying graph to be complete; a missing adjacency is
     reported via ``nonadjacent`` and makes the verdict fail."""
-    nonadj = None
-    mat = digraph.pair_states()
-    for i, x in enumerate(digraph.left):
-        for j, y in enumerate(digraph.right):
-            if mat[i][j] == PAIR_NONE:
-                nonadj = (x, y)
-                break
-        if nonadj:
-            break
-    defects = _collect_defects(_digraph_tables_by_side(digraph), level,
-                               Mode.TWO_PARTITE, jobs=jobs)
+    validate_level(level, jobs)
+    tables = _digraph_tables_by_side(digraph)
+    left, right, _, _, perps = tables[Side.LEFT]
+    nonadj = next(((left[i], right[(bits & -bits).bit_length() - 1])
+                   for i, bits in enumerate(perps) if bits), None)
+    defects = _collect_defects(tables, level, Mode.TWO_PARTITE, jobs=jobs)
     holds = not defects and nonadj is None
     return GenericityReport(Mode.TWO_PARTITE, level, holds, tuple(defects), nonadj)
 
@@ -388,6 +393,7 @@ def check_generic_2partite(digraph: TwoPartiteDigraph, level: int,
 def check_generic_orientation(digraph: TwoPartiteDigraph, level: int,
                               jobs: int = 1) -> GenericityReport:
     """Extension property with successor/predecessor/non-neighbour demands."""
+    validate_level(level, jobs)
     defects = _collect_defects(_digraph_tables_by_side(digraph), level,
                                Mode.ORIENTATION, jobs=jobs)
     return GenericityReport(Mode.ORIENTATION, level, not defects, tuple(defects))
@@ -396,8 +402,9 @@ def check_generic_orientation(digraph: TwoPartiteDigraph, level: int,
 def check_generic_bipartite(graph: UndirectedBipartiteGraph, level: int,
                             jobs: int = 1) -> GenericityReport:
     """Undirected extension property: adjacency/non-adjacency demands."""
-    tables = {side: _bipartite_tables(graph, side) for side in (Side.LEFT, Side.RIGHT)}
-    defects = _collect_defects(tables, level, Mode.BIPARTITE, jobs=jobs)
+    validate_level(level, jobs)
+    defects = _collect_defects(_bipartite_tables_by_side(graph), level,
+                               Mode.BIPARTITE, jobs=jobs)
     return GenericityReport(Mode.BIPARTITE, level, not defects, tuple(defects))
 
 
@@ -405,26 +412,19 @@ def first_defect(structure, level: int, mode: Mode) -> Requirement | None:
     """Cheapest evidence that a level check would fail: the first defect
     in scan order, or None when the level holds.  In TWO_PARTITE mode
     the structural completeness clause is not consulted here."""
-    if mode is Mode.BIPARTITE:
-        tables = {side: _bipartite_tables(structure, side) for side in (Side.LEFT, Side.RIGHT)}
-    else:
-        tables = _digraph_tables_by_side(structure)
-    defects = _collect_defects(tables, level, mode, limit=1)
+    validate_level(level)
+    defects = _collect_defects(_tables_by_side(structure, mode), level, mode, limit=1)
     return defects[0] if defects else None
 
 
 def achieved_level(structure, mode: Mode, max_level: int) -> int:
     """Largest level ``t <= max_level`` at which the extension property
     holds (structural completeness clause included for TWO_PARTITE), or
-    -1 when even level 0 fails."""
-    if mode is Mode.TWO_PARTITE:
-        und = structure.underlying_bipartite()
-        if not und.is_complete():
-            return -1
-    if mode is Mode.BIPARTITE:
-        tables = {side: _bipartite_tables(structure, side) for side in (Side.LEFT, Side.RIGHT)}
-    else:
-        tables = _digraph_tables_by_side(structure)
+    -1 when even level 0 fails.  One table build serves every level."""
+    validate_level(max_level)
+    tables = _tables_by_side(structure, mode)
+    if mode is Mode.TWO_PARTITE and any(tables[Side.LEFT][4]):
+        return -1  # a non-adjacent pair
     for total in range(0, max_level + 1):
         if _collect_defects(tables, max_level, mode, limit=1, only_total=total):
             return total - 1

@@ -2,9 +2,12 @@
 
 The oracles here deliberately reimplement decisions by brute force over
 raw sets and permutations, sharing no code with the package internals,
-so checker/decider agreement is a real cross-check.  The exception is
+so checker/decider agreement is a real cross-check.  Two exceptions
+are earlier production paths kept as differential oracles:
 ``search_homogeneous``, the decider that the restriction lookup in
-``iso.is_homogeneous`` replaced; it shares the map-search kernel.
+``iso.is_homogeneous`` replaced (it shares the map-search kernel), and
+``unrolled_scan``, the row-wise extension scan that the transposed
+kernel ``genericity._scan_size`` replaced.
 """
 
 from itertools import combinations, permutations
@@ -159,6 +162,85 @@ def search_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
                     if not extends:
                         return HomogeneityVerdict(False, PartialMap.from_dict(phi))
     return HomogeneityVerdict(True, None)
+
+
+# -- unrolled extension scan -----------------------------------------------
+
+def unrolled_scan(slot_masks: list[list[int]], pool_size: int, wit_count: int,
+                  size: int, limit: int | None) -> list[tuple]:
+    """Unwitnessed requirements of exactly ``size`` demands, as tuples of
+    (element index, slot index) assignments.
+
+    Each subset of ``size`` elements combines with every per-element slot
+    assignment; the requirement fails when the AND of the chosen witness
+    bitmaps is empty.  Sizes up to 3 dominate in practice and get
+    dedicated loops; larger sizes recurse.
+    """
+    full = (1 << wit_count) - 1
+    k = len(slot_masks)
+    slots = range(k)
+    defects: list[tuple] = []
+
+    def done() -> bool:
+        return limit is not None and len(defects) >= limit
+
+    if size == 0:
+        if full == 0:
+            defects.append(())
+        return defects
+
+    if size == 1:
+        for i in range(pool_size):
+            for t in slots:
+                if slot_masks[t][i] == 0:
+                    defects.append(((i, t),))
+                    if done():
+                        return defects
+        return defects
+
+    if size == 2:
+        for i in range(pool_size):
+            mi = [slot_masks[t][i] for t in slots]
+            for j in range(i + 1, pool_size):
+                for ti in slots:
+                    a = mi[ti]
+                    col = slot_masks
+                    for tj in slots:
+                        if a & col[tj][j] == 0:
+                            defects.append(((i, ti), (j, tj)))
+                            if done():
+                                return defects
+        return defects
+
+    if size == 3:
+        for i in range(pool_size):
+            mi = [slot_masks[t][i] for t in slots]
+            for j in range(i + 1, pool_size):
+                pair = [(ti, tj, mi[ti] & slot_masks[tj][j])
+                        for ti in slots for tj in slots]
+                for l in range(j + 1, pool_size):
+                    ml = [slot_masks[t][l] for t in slots]
+                    for (ti, tj, pm) in pair:
+                        for tl in slots:
+                            if pm & ml[tl] == 0:
+                                defects.append(((i, ti), (j, tj), (l, tl)))
+                                if done():
+                                    return defects
+        return defects
+
+    def rec(start: int, depth: int, mask: int, chosen: tuple) -> None:
+        if done():
+            return
+        if depth == size:
+            if mask == 0:
+                defects.append(chosen)
+            return
+        for i in range(start, pool_size):
+            for t in slots:
+                rec(i + 1, depth + 1, mask & slot_masks[t][i], chosen + ((i, t),))
+
+    rec(0, 0, full, ())
+    return defects
 
 
 # -- orbit counting -----------------------------------------------------------

@@ -59,6 +59,15 @@ class TestFixedConstructors:
         with pytest.raises(InvalidSpec):
             complement_matching_digraph(0)
 
+    def test_negative_sizes_rejected(self):
+        for call in (lambda: complete_bipartite_digraph(-2, 1),
+                     lambda: complete_bipartite_digraph(1, -1),
+                     lambda: empty_digraph(0, -1),
+                     lambda: matching_digraph(-3),
+                     lambda: complement_matching_digraph(-1)):
+            with pytest.raises(InvalidSpec):
+                call()
+
 
 class TestMatchingComplementPair:
     def test_size_too_small(self):

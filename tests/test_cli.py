@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from twopartite import from_json_text, to_json_text
 from twopartite.catalog import matching_complement_pair, matching_digraph, Direction
 from twopartite.cli import run
@@ -49,6 +51,14 @@ class TestGen:
         assert code == 1
         payload = json.loads(out)
         assert payload["built"] is False and "best_level" in payload
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "matching", "--size", "-3"],
+        ["gen", "complete", "--m", "-2"],
+    ])
+    def test_negative_size_exits_two(self, argv):
+        code, out, err = cli(*argv)
+        assert code == 2 and out == "" and "non-negative" in err
 
     def test_closure(self, tmp_path):
         base = write(tmp_path, "base.json", matching_complement_pair(2))
@@ -119,6 +129,24 @@ class TestVerdictCommands:
                      ["aut", "--in", path, "--cap", "-1"]):
             code, out, err = cli(*argv)
             assert code == 2 and out == "" and "non-negative" in err, argv
+
+    def test_negative_level_exits_two(self, tmp_path):
+        path = write(tmp_path, "m.json", matching_digraph(2))
+        code, out, err = cli("check-generic", "--in", path, "--mode", "orientation",
+                             "--level", "-1")
+        assert code == 2 and out == "" and "non-negative" in err
+
+    @pytest.mark.parametrize("command", [
+        ["check-generic", "--mode", "2partite", "--level", "1"],
+        ["enum", "--max-x", "1", "--max-y", "1"],
+        ["verify", "--max-x", "1", "--max-y", "1"],
+    ])
+    def test_jobs_below_one_exits_two(self, tmp_path, command):
+        if command[0] == "check-generic":
+            command = command + ["--in", write(tmp_path, "m.json", matching_digraph(2))]
+        for jobs in ("0", "-1"):
+            code, out, err = cli(*command, "--jobs", jobs)
+            assert code == 2 and out == "" and "at least 1" in err, jobs
 
 
 class TestBafEnumVerify:
@@ -191,6 +219,13 @@ class TestConvertAndErrors:
         bad.write_text('{"x": ["a"], "y": ["a"], "edges": []}', encoding="utf-8")
         code, _, err = cli("check-hom", "--in", str(bad))
         assert code == 2 and "overlap.json" in err
+
+    def test_unhashable_endpoint(self, tmp_path):
+        bad = tmp_path / "list.json"
+        bad.write_text('{"x":["a"],"y":["b"],"edges":[[["a"],"b"]]}', encoding="utf-8")
+        code, out, err = cli("convert", "--in", str(bad))
+        assert code == 2 and out == ""
+        assert "unhashable" in err and "Traceback" not in err
 
     def test_missing_file(self):
         code, _, err = cli("classify", "--in", "/no/such/file.json")

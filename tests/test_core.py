@@ -56,6 +56,13 @@ class TestBuild:
         with pytest.raises(UnknownEndpoint):
             build(["x1"], ["y1"], [("x1", "zz")])
 
+    def test_unhashable_endpoint(self):
+        for edge in ((["x1"], "y1"), ("x1", {"y": 1})):
+            with pytest.raises(MalformedInput, match="unhashable"):
+                build(["x1"], ["y1"], [edge])
+            with pytest.raises(MalformedInput, match="unhashable"):
+                build_bipartite(["x1"], ["y1"], [edge])
+
     def test_edge_order_irrelevant(self):
         a = build(["x1", "x2"], ["y1"], [("x1", "y1"), ("y1", "x2")])
         b = build(["x1", "x2"], ["y1"], [("y1", "x2"), ("x1", "y1")])

@@ -1,29 +1,36 @@
+import hashlib
 import random
 
 import pytest
 
+from twopartite import genericity
 from twopartite.catalog import (
     ApproximantSpec,
+    Direction,
     complete_bipartite_digraph,
     empty_digraph,
     generic_2partite_approx,
+    generic_bipartite_approx,
     generic_orientation_approx,
     matching_complement_pair,
+    witness_closure,
 )
-from twopartite.core import Side
-from twopartite.errors import InvalidRequirement
+from twopartite.core import Side, build, to_json_text
+from twopartite.errors import ApproximantNotFound, InvalidRequirement, ValidationError
 from twopartite.genericity import (
     Mode,
+    achieved_level,
     brute_witness_scan,
     check_generic_2partite,
     check_generic_bipartite,
     check_generic_orientation,
+    first_defect,
     iter_requirements,
     requirement,
     requirement_sort_key,
 )
 
-from conftest import naive_witness, random_digraph
+from conftest import naive_witness, random_digraph, unrolled_scan
 
 
 class TestWitnessScan:
@@ -200,3 +207,147 @@ class TestReportProperties:
         seq = check_generic_orientation(d, 2)
         par = check_generic_orientation(d, 2, jobs=2)
         assert seq == par
+
+
+# -- the transposed kernel against the unrolled scan it replaced --------------
+
+def _unrolled_kernel(rows, cols, pool_size, wit_count, size, limit):
+    return unrolled_scan(rows, pool_size, wit_count, size, limit)
+
+
+def _with_unrolled(fn, *args, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(genericity, "_scan_size", _unrolled_kernel)
+        return fn(*args, **kwargs)
+
+
+def _skewed_digraph(rng, max_side=7):
+    """Random structure whose non-adjacency rate varies between draws, so
+    that both dense and sparse defect sets occur."""
+    m, n = rng.randint(0, max_side), rng.randint(0, max_side)
+    p_none = rng.choice((0.0, 0.0, 0.1, 1 / 3, 0.7))
+    left = [f"x{i}" for i in range(1, m + 1)]
+    right = [f"y{j}" for j in range(1, n + 1)]
+    edges = []
+    for x in left:
+        for y in right:
+            if rng.random() >= p_none:
+                edges.append((x, y) if rng.random() < 0.5 else (y, x))
+    return build(left, right, edges)
+
+
+def _mode_inputs(digraph):
+    return ((Mode.TWO_PARTITE, digraph), (Mode.ORIENTATION, digraph),
+            (Mode.BIPARTITE, digraph.underlying_bipartite()))
+
+
+class TestTransposedKernel:
+    LEVELS = range(5)
+
+    def test_collect_defects_in_unrolled_order(self):
+        # an unlimited scan at a level runs every size the lower levels
+        # run; at level 4 it materialises up to ~10^4 defects per
+        # structure, so only every fourth structure gets it
+        limited = [(level, limit) for level in self.LEVELS for limit in (1, 2)]
+        rng = random.Random(2024)
+        for index in range(200):
+            d = _skewed_digraph(rng)
+            cases = limited + [(3 if index % 4 else 4, None)]
+            for mode, structure in _mode_inputs(d):
+                tables = genericity._tables_by_side(structure, mode)
+                for level, limit in cases:
+                    got = genericity._collect_defects(tables, level, mode, limit=limit)
+                    want = _with_unrolled(genericity._collect_defects,
+                                          tables, level, mode, limit=limit)
+                    assert got == want, (d, mode, level, limit)
+
+    def test_raw_scan_order_matches(self):
+        # the sort in _collect_defects hides the scan order unless a limit
+        # cuts it; compare the raw assignment lists too
+        rng = random.Random(77)
+        for _ in range(200):
+            d = _skewed_digraph(rng)
+            for mode, structure in _mode_inputs(d):
+                tables = genericity._tables_by_side(structure, mode)
+                for side in (Side.LEFT, Side.RIGHT):
+                    pool, wit, rows, cols = genericity._kernel_tables(tables, side, mode)
+                    for size in self.LEVELS:
+                        for limit in (None, 1, 2):
+                            got = genericity._scan_size(rows, cols, len(pool), len(wit),
+                                                        size, limit)
+                            want = unrolled_scan(rows, len(pool), len(wit), size, limit)
+                            assert got == want, (d, mode, side, size, limit)
+
+    def test_first_defect_and_achieved_level(self):
+        rng = random.Random(4048)
+        for _ in range(200):
+            d = _skewed_digraph(rng)
+            for mode, structure in _mode_inputs(d):
+                for level in self.LEVELS:
+                    assert (first_defect(structure, level, mode)
+                            == _with_unrolled(first_defect, structure, level, mode))
+                    assert (achieved_level(structure, mode, level)
+                            == _with_unrolled(achieved_level, structure, mode, level))
+
+    def test_parallel_path(self):
+        rng = random.Random(5)
+        checks = {Mode.TWO_PARTITE: check_generic_2partite,
+                  Mode.ORIENTATION: check_generic_orientation,
+                  Mode.BIPARTITE: check_generic_bipartite}
+        for _ in range(2):
+            d = _skewed_digraph(rng, max_side=6)
+            for mode, structure in _mode_inputs(d):
+                check = checks[mode]
+                assert check(structure, 3, jobs=2) == _with_unrolled(check, structure, 3)
+
+
+# Digests of the JSON text of seeded builder outputs; a change to the scan
+# or the retry loop must leave every one of them unchanged.
+PINNED_BUILDS = [
+    (generic_2partite_approx, ApproximantSpec(24, 2, seed=5),
+     "01c2a3ff7c5eede15253438db52f174a4de01a7acc465963c0a77638c5ff89bb"),
+    (generic_orientation_approx, ApproximantSpec(32, 1, seed=6),
+     "92768f0da653f2c52f077cd43b3d1d65e19b473d33e6019fb75f4dd315a3510e"),
+    (lambda spec: generic_bipartite_approx(spec, Direction.RIGHT_TO_LEFT),
+     ApproximantSpec(16, 1, seed=3),
+     "55347f727870a46f9f1960ac9090f8c8e9e098af0759445c4e8633a74509c50f"),
+]
+
+PINNED_UNREACHABLE = [
+    (generic_2partite_approx, ApproximantSpec(8, 3, seed=1), 1),
+    (generic_orientation_approx, ApproximantSpec(12, 2, seed=4), 1),
+    (generic_bipartite_approx, ApproximantSpec(10, 2, seed=7), 1),
+]
+
+
+class TestSeededBuilds:
+    @pytest.mark.parametrize("builder,spec,digest", PINNED_BUILDS)
+    def test_output_pinned(self, builder, spec, digest):
+        text = to_json_text(builder(spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("builder,spec,best", PINNED_UNREACHABLE)
+    def test_unreachable_best_level_pinned(self, builder, spec, best):
+        with pytest.raises(ApproximantNotFound) as info:
+            builder(spec)
+        assert info.value.best_level == best
+
+
+class TestArgumentValidation:
+    def test_negative_level_rejected(self):
+        d = matching_complement_pair(3)
+        g = d.underlying_bipartite()
+        for call in (lambda: check_generic_2partite(d, -1),
+                     lambda: check_generic_orientation(d, -1),
+                     lambda: check_generic_bipartite(g, -2),
+                     lambda: first_defect(d, -1, Mode.ORIENTATION),
+                     lambda: achieved_level(d, Mode.TWO_PARTITE, -1),
+                     lambda: witness_closure(d, Mode.TWO_PARTITE, -1, cap=4)):
+            with pytest.raises(ValidationError, match="non-negative"):
+                call()
+
+    def test_worker_count_below_one_rejected(self):
+        d = matching_complement_pair(3)
+        for jobs in (0, -1):
+            with pytest.raises(ValidationError, match="at least 1"):
+                check_generic_orientation(d, 1, jobs=jobs)
