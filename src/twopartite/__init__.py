@@ -14,12 +14,9 @@ from .core import (
     PAIR_RL,
     Side,
     TwoPartiteDigraph,
-    UndirectedBipartiteGraph,
     build,
-    build_bipartite,
     from_json_obj,
     from_json_text,
-    orient_all,
     to_dot,
     to_json_obj,
     to_json_text,

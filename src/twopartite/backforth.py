@@ -58,7 +58,7 @@ class BafTrace:
 def _level_check(digraph: TwoPartiteDigraph, mode: Mode, level: int, which: str):
     # fail fast on the first defect; the exhaustive report is not needed here
     if mode is Mode.TWO_PARTITE:
-        pair = digraph.underlying_bipartite().first_nonadjacent_pair()
+        pair = digraph.first_nonadjacent_pair()
         if pair is not None:
             raise InsufficientGenericity(
                 f"{which} structure has a non-adjacent pair {pair!r}; the "
@@ -71,33 +71,29 @@ def _level_check(digraph: TwoPartiteDigraph, mode: Mode, level: int, which: str)
 
 
 def _pattern_requirement(src: TwoPartiteDigraph, vertex: str,
-                         mapped: dict[str, str], mode: Mode) -> Requirement:
+                         mapped: dict[str, str]) -> Requirement:
     """The demands a witness for ``vertex`` must satisfy: for every
     matched vertex u on the opposite side of ``vertex``, the witness must
     relate to u's image exactly as ``vertex`` relates to u."""
     v_side = src.side_of(vertex)
-    eset = set(src.edges)
     a, b, c = [], [], []
-    opposite = set(src.side(v_side.opposite))
     for u, image in mapped.items():
-        if u not in opposite:
+        if src.side_of(u) is v_side:
             continue
-        if (vertex, u) in eset:
+        if src.has_edge(vertex, u):
             a.append(image)      # u in N+(vertex) -> image in N+(witness)
-        elif (u, vertex) in eset:
+        elif src.has_edge(u, vertex):
             b.append(image)
         else:
             c.append(image)
     return requirement(v_side.opposite, a, b, c)
 
 
-def _materialize_defect(tgt: TwoPartiteDigraph, req: Requirement,
-                        mode: Mode) -> Requirement:
+def _materialize_defect(tgt: TwoPartiteDigraph, req: Requirement) -> Requirement:
     """All witnesses of ``req`` are in use.  Grow the requirement, each
     added demand contradicting the current first witness, until no
     witness is left: the result is a genuine extension-property defect
     of total size at most (requirement size + used witnesses)."""
-    eset = set(tgt.edges)
     current = req
     while True:
         w = brute_witness_scan(tgt, current)
@@ -109,7 +105,7 @@ def _materialize_defect(tgt: TwoPartiteDigraph, req: Requirement,
         if not free:
             return current  # cannot be narrowed further; report as-is
         z = free[0]
-        if (w, z) in eset:       # z in N+(w): demand the opposite
+        if tgt.has_edge(w, z):   # z in N+(w): demand the opposite
             current = requirement(current.side, current.a,
                                   current.b | {z}, current.c)
         else:
@@ -158,10 +154,10 @@ def back_and_forth(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph, mode: Mode,
             mapped = {t: s for s, t in mapping.items()}
             used_tgt = set(mapping.keys())
         vertex = next(v for v in order if v not in mapped)
-        req = _pattern_requirement(src, vertex, mapped, mode)
+        req = _pattern_requirement(src, vertex, mapped)
         witness = brute_witness_scan(tgt, req, exclude=used_tgt)
         if witness is None:
-            defect = _materialize_defect(tgt, req, mode)
+            defect = _materialize_defect(tgt, req)
             raise InsufficientGenericity(
                 f"no fresh witness at step {step_no + 1} "
                 f"({'forth' if forth else 'back'}, vertex {vertex!r})",

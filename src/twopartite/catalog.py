@@ -25,14 +25,19 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import Side, TwoPartiteDigraph, build
-from .errors import ApproximantNotFound, CapExceeded, InvalidSpec, PairSizeTooSmall
+from .errors import (
+    ApproximantNotFound,
+    CapExceeded,
+    InvalidSpec,
+    PairSizeTooSmall,
+    ValidationError,
+)
 from .genericity import (
     Mode,
     Requirement,
+    _collect_defects,
+    _digraph_tables_by_side,
     achieved_level,
-    brute_witness_scan,
-    iter_requirements,
-    requirement_sort_key,
     validate_level,
 )
 
@@ -137,16 +142,13 @@ class ApproximantSpec:
 def _randomized_build(spec: ApproximantSpec, mode: Mode, draw):
     """Shared retry loop: ``draw(rng)`` produces a candidate, and one
     level scan per attempt both accepts it and records how far it got.
-    In BIPARTITE mode the scan reads the underlying graph.  All attempts
-    consume one seeded stream, so identical specs reproduce identical
-    outputs."""
+    All attempts consume one seeded stream, so identical specs reproduce
+    identical outputs."""
     rng = random.Random(spec.seed)
     best = -1
     for _ in range(MAX_BUILD_ATTEMPTS):
         candidate = draw(rng)
-        reached = achieved_level(
-            candidate.underlying_bipartite() if mode is Mode.BIPARTITE else candidate,
-            mode, spec.level)
+        reached = achieved_level(candidate, mode, spec.level)
         if reached == spec.level:
             return candidate
         best = max(best, reached)
@@ -229,23 +231,26 @@ def witness_closure(digraph: TwoPartiteDigraph, mode: Mode, level: int,
     unconstrained pairs stay non-adjacent.  Raises CapExceeded (carrying
     the partial structure and the remaining defects) when more than
     ``cap`` vertices would be needed, and ValidationError for a negative
-    ``level``.
+    ``level`` or ``cap``.
     """
     validate_level(level)
+    if cap < 0:
+        raise ValidationError(f"closure cap must be non-negative, got {cap}")
     if mode is Mode.BIPARTITE and not digraph.is_bipartite_digraph():
         raise InvalidSpec("bipartite-mode closure needs a one-direction input")
     bip_direction = Direction.LEFT_TO_RIGHT
-    if digraph.edges and digraph.edges[0][0] not in set(digraph.left):
+    if digraph.edges and digraph.side_of(digraph.edges[0][0]) is Side.RIGHT:
         bip_direction = Direction.RIGHT_TO_LEFT
 
-    orig_left, orig_right = digraph.left, digraph.right
+    originals = {Side.LEFT: len(digraph.left), Side.RIGHT: len(digraph.right)}
     current = digraph
     added = 0
     while True:
-        target = current.underlying_bipartite() if mode is Mode.BIPARTITE else current
-        defects = [req for req in iter_requirements(orig_left, orig_right, level, mode)
-                   if brute_witness_scan(target, req) is None]
-        defects.sort(key=requirement_sort_key)
+        # witnesses are appended, so cutting each side's pool to its first
+        # (original) vertices scans exactly the requirements over them
+        tables = {side: (pool[:originals[side]], *rest)
+                  for side, (pool, *rest) in _digraph_tables_by_side(current).items()}
+        defects = _collect_defects(tables, level, mode)
         if not defects:
             return current
         if added >= cap:

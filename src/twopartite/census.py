@@ -31,14 +31,20 @@ from .catalog import (
     matching_digraph,
 )
 from .classify import ClassCase, ClassLabel, classify_exact
-from .core import TwoPartiteDigraph, build
+from .core import PAIR_LR, PAIR_RL, TwoPartiteDigraph, build
 from .errors import EnumerationBudgetExceeded, ValidationError
 from .iso import CanonicalForm, HomogeneityVerdict, canonical_form
 
 DEFAULT_PAIR_BUDGET = 12
 
 
+def _check_bounds(m: int, n: int) -> None:
+    if m < 0 or n < 0:
+        raise ValidationError(f"side bounds must be non-negative, got {m} and {n}")
+
+
 def _check_budget(m: int, n: int, force: bool) -> None:
+    _check_bounds(m, n)
     if m * n > DEFAULT_PAIR_BUDGET and not force:
         raise EnumerationBudgetExceeded(
             f"{3 ** (m * n)} labelled structures at sides {m}x{n}; "
@@ -51,7 +57,7 @@ def enumerate_all(m: int, n: int, force: bool = False) -> Iterator[TwoPartiteDig
 
     The state space has 3^(m*n) labelled structures; sizes with
     m*n > 12 are refused (eagerly, before any iteration) unless
-    ``force`` is given.
+    ``force`` is given.  A negative side size raises ValidationError.
     """
     _check_budget(m, n, force)
     return _enumerate_all(m, n)
@@ -112,7 +118,8 @@ def _census_all(max_left: int, max_right: int, force: bool = False,
 def census_homogeneous(max_left: int, max_right: int, force: bool = False,
                        jobs: int = 1) -> list[CensusEntry]:
     """Census of the homogeneous isomorphism classes with side sizes up
-    to the given bounds, each entry carrying its classification."""
+    to the given bounds, each entry carrying its classification.  A
+    negative bound raises ValidationError."""
     return [e for e in _census_all(max_left, max_right, force=force, jobs=jobs)
             if e.verdict.holds]
 
@@ -161,8 +168,10 @@ def verify_classification(max_left: int, max_right: int,
     structure or a matching/complement pair (with sane side/edge counts),
     and that every catalog structure within the bounds appears among the
     homogeneous classes.  A census can be injected for fault testing;
-    otherwise it is computed here.
+    otherwise it is computed here.  A negative bound raises
+    ValidationError.
     """
+    _check_bounds(max_left, max_right)
     discrepancies: list[Discrepancy] = []
     if census is None:
         all_entries = _census_all(max_left, max_right, force=force, jobs=jobs)
@@ -186,9 +195,8 @@ def verify_classification(max_left: int, max_right: int,
                 f"matching/complement pair", hexid))
         if entry.label.case is ClassCase.MATCHING_COMPLEMENT:
             rep = entry.representative
-            on_left = set(rep.left)
-            lr = sum(1 for (u, _) in rep.edges if u in on_left)
-            rl = len(rep.edges) - lr
+            states = [s for row in rep.pair_states() for s in row]
+            lr, rl = states.count(PAIR_LR), states.count(PAIR_RL)
             if len(rep.left) != len(rep.right) or len(rep.left) not in (lr, rl):
                 discrepancies.append(Discrepancy(
                     "pair-shape",

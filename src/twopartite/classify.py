@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .catalog import Direction
-from .core import TwoPartiteDigraph, UndirectedBipartiteGraph
+from .core import PAIR_LR, PAIR_NONE, PAIR_RL, TwoPartiteDigraph
 from .genericity import (
     check_generic_2partite,
     check_generic_bipartite,
     check_generic_orientation,
+    validate_level,
 )
 from .iso import PartialMap, is_homogeneous
 
@@ -68,17 +69,16 @@ class ClassLabel:
 def edge_direction(digraph: TwoPartiteDigraph) -> Direction | None:
     """Orientation of a one-direction structure; None when edgeless.
     Meaningless (None) when edges run both ways."""
-    if not digraph.is_bipartite_digraph() or not digraph.edges:
+    directions = {s for row in digraph.pair_states() for s in row} - {PAIR_NONE}
+    if len(directions) != 1:
         return None
-    first = digraph.edges[0]
-    if first[0] in set(digraph.left):
-        return Direction.LEFT_TO_RIGHT
-    return Direction.RIGHT_TO_LEFT
+    return Direction.LEFT_TO_RIGHT if PAIR_LR in directions else Direction.RIGHT_TO_LEFT
 
 
-def classify_bipartite_graph(graph: UndirectedBipartiteGraph,
+def classify_bipartite_graph(digraph: TwoPartiteDigraph,
                              level: int | None = None) -> ClassLabel:
-    """Structural kind of an undirected bipartite graph.
+    """Structural kind of the undirected bipartite graph underlying
+    ``digraph`` (an edge in either direction is an adjacency).
 
     Matches, in order: empty, complete, perfect matching, complement of
     a perfect matching (equal sides required for the latter two).  When
@@ -86,22 +86,22 @@ def classify_bipartite_graph(graph: UndirectedBipartiteGraph,
     GENERIC if it passes the undirected extension check at that level.
     Otherwise INCONCLUSIVE.
     """
-    m, n = len(graph.left), len(graph.right)
-    if not graph.edges:
+    m, n = len(digraph.left), len(digraph.right)
+    if not digraph.edges:
         return ClassLabel(ClassCase.BIPARTITE_HOMOGENEOUS, subkind=BipartiteKind.EMPTY)
-    if graph.is_complete():
+    if digraph.first_nonadjacent_pair() is None:
         return ClassLabel(ClassCase.BIPARTITE_HOMOGENEOUS, subkind=BipartiteKind.COMPLETE)
-    degrees = graph.degree_map()
-    if m == n and all(d == 1 for d in degrees.values()):
+    degrees = [out + inn for out, inn, _ in digraph.degree_profile().values()]
+    if m == n and all(d == 1 for d in degrees):
         return ClassLabel(ClassCase.BIPARTITE_HOMOGENEOUS,
                           subkind=BipartiteKind.PERFECT_MATCHING)
-    if m == n and n >= 1 and all(d == n - 1 for d in degrees.values()):
+    if m == n and n >= 1 and all(d == n - 1 for d in degrees):
         # each vertex has exactly one non-neighbour, so the non-adjacency
         # relation is itself a perfect matching
         return ClassLabel(ClassCase.BIPARTITE_HOMOGENEOUS,
                           subkind=BipartiteKind.COMPLEMENT_OF_MATCHING)
     if level is not None:
-        report = check_generic_bipartite(graph, level)
+        report = check_generic_bipartite(digraph, level)
         if report.holds:
             return ClassLabel(ClassCase.BIPARTITE_HOMOGENEOUS,
                               subkind=BipartiteKind.GENERIC,
@@ -117,15 +117,14 @@ def classify_bipartite_graph(graph: UndirectedBipartiteGraph,
 def distinct_neighbourhoods(digraph: TwoPartiteDigraph) -> bool:
     """True when, on each side, out-neighbourhoods are pairwise distinct
     and in-neighbourhoods are pairwise distinct."""
-    eset = set(digraph.edges)
-    for side in (digraph.left, digraph.right):
-        outs = set()
-        ins = set()
-        for v in side:
-            outs.add(frozenset(w for (u, w) in eset if u == v))
-            ins.add(frozenset(u for (u, w) in eset if w == v))
-        if len(outs) != len(side) or len(ins) != len(side):
-            return False
+    rows = digraph.pair_states()
+    columns = [tuple(row[j] for row in rows) for j in range(len(digraph.right))]
+    # a vertex's successors are the cells of its line in one direction
+    # state, its predecessors those in the other
+    for lines in (rows, columns):
+        for state in (PAIR_LR, PAIR_RL):
+            if len({tuple(s == state for s in line) for line in lines}) != len(lines):
+                return False
     return True
 
 
@@ -137,17 +136,14 @@ def matching_complement_size(digraph: TwoPartiteDigraph) -> int | None:
     size = len(digraph.left)
     if size < 2 or len(digraph.right) != size:
         return None
-    if len(digraph.edges) != size * size:
+    if digraph.first_nonadjacent_pair() is not None:
         return None  # underlying graph not complete
-    on_left = set(digraph.left)
-    lr = [(u, v) for (u, v) in digraph.edges if u in on_left]
-    rl = [(u, v) for (u, v) in digraph.edges if u not in on_left]
-    for subset in (lr, rl):
-        if len(subset) == size:
-            srcs = {u for (u, _) in subset}
-            dsts = {v for (_, v) in subset}
-            if len(srcs) == size and len(dsts) == size:
-                return size
+    rows = digraph.pair_states()
+    for state in (PAIR_LR, PAIR_RL):
+        # a perfect matching: exactly one cell of each row and each column
+        if (all(row.count(state) == 1 for row in rows)
+                and all(column.count(state) == 1 for column in zip(*rows))):
+            return size
     return None
 
 
@@ -170,7 +166,7 @@ def classify_exact(digraph: TwoPartiteDigraph) -> ClassLabel:
                           counterexample=verdict.counterexample,
                           evidence=evidence)
     if digraph.is_bipartite_digraph():
-        sub = classify_bipartite_graph(digraph.underlying_bipartite(), level=None)
+        sub = classify_bipartite_graph(digraph, level=None)
         if sub.case is ClassCase.INCONCLUSIVE:
             return ClassLabel(ClassCase.INCONCLUSIVE,
                               reason="homogeneous one-direction structure with no "
@@ -198,10 +194,12 @@ def classify_profile(digraph: TwoPartiteDigraph, level: int) -> ClassLabel:
     ``mixed_perp_profile``: a vertex with empty perp next to one with
     small nonzero perp is the profile a homogeneous structure cannot
     have, so the flag marks approximants that converge to no class.
+    A negative ``level`` raises ValidationError.
     """
+    validate_level(level)
     evidence: dict = {"mixed_perp_profile": _mixed_perp_profile(digraph)}
     if digraph.is_bipartite_digraph():
-        sub = classify_bipartite_graph(digraph.underlying_bipartite(), level)
+        sub = classify_bipartite_graph(digraph, level)
         evidence.update(sub.evidence)
         if sub.case is ClassCase.INCONCLUSIVE:
             return ClassLabel(ClassCase.INCONCLUSIVE, reason=sub.reason,

@@ -54,6 +54,8 @@ from .iso import HomogeneityVerdict, PartialMap, are_isomorphic, automorphisms, 
 _DIRECTIONS = {"l2r": Direction.LEFT_TO_RIGHT, "r2l": Direction.RIGHT_TO_LEFT}
 _MODES = {"bipartite": Mode.BIPARTITE, "2partite": Mode.TWO_PARTITE,
           "orientation": Mode.ORIENTATION}
+_CHECKS = {Mode.BIPARTITE: check_generic_bipartite, Mode.TWO_PARTITE: check_generic_2partite,
+           Mode.ORIENTATION: check_generic_orientation}
 
 
 # -- JSON shapes ------------------------------------------------------------
@@ -179,14 +181,7 @@ def _cmd_check_hom(args, out, err) -> int:
 
 def _cmd_check_generic(args, out, err) -> int:
     structure = _load(args.infile)
-    mode = _MODES[args.mode]
-    if mode is Mode.BIPARTITE:
-        report = check_generic_bipartite(structure.underlying_bipartite(),
-                                         args.level, jobs=args.jobs)
-    elif mode is Mode.TWO_PARTITE:
-        report = check_generic_2partite(structure, args.level, jobs=args.jobs)
-    else:
-        report = check_generic_orientation(structure, args.level, jobs=args.jobs)
+    report = _CHECKS[_MODES[args.mode]](structure, args.level, jobs=args.jobs)
     _emit(out, _report_obj(report))
     return 0 if report.holds else 1
 
@@ -378,3 +373,7 @@ def run(argv, stdout=None, stderr=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,10 +1,17 @@
-"""Finite 2-partite digraphs and their undirected shadows.
+"""Finite 2-partite digraphs.
 
 A 2-partite digraph consists of two disjoint, ordered vertex sides
 (*left* and *right*) together with a set of directed edges, each joining
 the two sides, with at most one direction present between any pair.
 Vertex ids are opaque strings; two structures are equal only when their
 sides and edges coincide literally: isomorphism lives elsewhere.
+
+The stored form is the pair-state matrix: one cell per (left, right)
+pair, holding ``PAIR_NONE``, ``PAIR_LR`` or ``PAIR_RL``.  Every query
+here reads it, and the edge list is derived from it.  An undirected
+bipartite graph is the one-direction digraph with every edge oriented
+left-to-right (:meth:`TwoPartiteDigraph.underlying_bipartite`); there
+is no separate undirected type.
 
 Structures are immutable after construction and every operation here is
 a pure read, so values can be shared freely between threads.
@@ -17,7 +24,7 @@ The canonical file format is a JSON object ``{"x": [...], "y": [...],
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -35,6 +42,7 @@ from .errors import (
 PAIR_NONE = 0   # not adjacent
 PAIR_LR = 1     # edge x -> y
 PAIR_RL = 2     # edge y -> x
+FLIPPED = (PAIR_NONE, PAIR_RL, PAIR_LR)  # a pair state seen from the other side
 
 
 class Side(Enum):
@@ -64,189 +72,22 @@ def _validated_sides(left: Iterable[str], right: Iterable[str]) -> tuple[tuple[s
     return left_t, right_t
 
 
+def _index(ids: tuple[str, ...]) -> dict[str, int]:
+    return {v: i for i, v in enumerate(ids)}
+
+
 def build(left: Iterable[str], right: Iterable[str],
           edges: Iterable[tuple[str, str]]) -> "TwoPartiteDigraph":
     """Validate and construct a 2-partite digraph.
 
-    Edge order in the input is irrelevant: edges are deduplicated and
-    stored sorted by endpoint position, so structural equality does not
+    Edge order in the input is irrelevant: each edge sets one cell of the
+    pair-state matrix (a repeated edge sets it again), and the stored
+    edges are read back from the matrix, so structural equality does not
     depend on how the edge list was written down.
     """
     left_t, right_t = _validated_sides(left, right)
-    on_left = set(left_t)
-    on_right = set(right_t)
-    pos = {v: i for i, v in enumerate(left_t)}
-    pos.update({v: i for i, v in enumerate(right_t, start=len(left_t))})
-
-    edge_set: set[tuple[str, str]] = set()
-    for e in edges:
-        try:
-            u, v = e
-        except (TypeError, ValueError):
-            raise MalformedInput(f"edge {e!r} is not a pair")
-        try:
-            if u not in pos:
-                raise UnknownEndpoint(f"edge ({u!r}, {v!r}): unknown endpoint {u!r}")
-            if v not in pos:
-                raise UnknownEndpoint(f"edge ({u!r}, {v!r}): unknown endpoint {v!r}")
-        except TypeError:  # an unhashable endpoint, such as a JSON list
-            raise MalformedInput(f"edge ({u!r}, {v!r}) has an unhashable endpoint") from None
-        if (u in on_left) == (v in on_left):
-            raise SameSideEdge(f"edge ({u!r}, {v!r}) joins vertices of the same side")
-        if (v, u) in edge_set:
-            raise SymmetricEdgePair(f"both ({u!r}, {v!r}) and ({v!r}, {u!r}) supplied")
-        edge_set.add((u, v))
-
-    ordered = tuple(sorted(edge_set, key=lambda e: (pos[e[0]], pos[e[1]])))
-    return TwoPartiteDigraph(left_t, right_t, ordered)
-
-
-@dataclass(frozen=True)
-class TwoPartiteDigraph:
-    """An immutable 2-partite digraph.  Use :func:`build` to construct."""
-
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-
-    # -- basic queries ----------------------------------------------------
-
-    def vertices(self) -> tuple[str, ...]:
-        return self.left + self.right
-
-    def side_of(self, v: str) -> Side:
-        if v in set(self.left):
-            return Side.LEFT
-        if v in set(self.right):
-            return Side.RIGHT
-        raise UnknownVertex(f"unknown vertex {v!r}")
-
-    def side(self, side: Side) -> tuple[str, ...]:
-        return self.left if side is Side.LEFT else self.right
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return (u, v) in set(self.edges)
-
-    def _require(self, v: str) -> Side:
-        return self.side_of(v)
-
-    # -- neighbourhoods ---------------------------------------------------
-
-    def out_neighbourhood(self, v: str) -> tuple[str, ...]:
-        """Successors of v, in stored order of the opposite side."""
-        side = self._require(v)
-        eset = set(self.edges)
-        return tuple(w for w in self.side(side.opposite) if (v, w) in eset)
-
-    def in_neighbourhood(self, v: str) -> tuple[str, ...]:
-        """Predecessors of v, in stored order of the opposite side."""
-        side = self._require(v)
-        eset = set(self.edges)
-        return tuple(w for w in self.side(side.opposite) if (w, v) in eset)
-
-    def perp(self, v: str) -> tuple[str, ...]:
-        """Opposite-side vertices adjacent to v in neither direction."""
-        side = self._require(v)
-        eset = set(self.edges)
-        return tuple(w for w in self.side(side.opposite)
-                     if (v, w) not in eset and (w, v) not in eset)
-
-    def degree_profile(self) -> dict[str, tuple[int, int, int]]:
-        """Per-vertex (outdegree, indegree, perp-degree) triple.
-
-        The three counts always sum to the size of the opposite side.
-        """
-        out: dict[str, int] = {v: 0 for v in self.vertices()}
-        inn: dict[str, int] = {v: 0 for v in self.vertices()}
-        for (u, v) in self.edges:
-            out[u] += 1
-            inn[v] += 1
-        m, n = len(self.left), len(self.right)
-        profile = {}
-        for v in self.left:
-            profile[v] = (out[v], inn[v], n - out[v] - inn[v])
-        for v in self.right:
-            profile[v] = (out[v], inn[v], m - out[v] - inn[v])
-        return profile
-
-    # -- derived structures -----------------------------------------------
-
-    def induced(self, keep: Iterable[str]) -> "TwoPartiteDigraph":
-        """Substructure induced on the given vertices (original side order)."""
-        kept = set(keep)
-        known = set(self.left) | set(self.right)
-        for v in kept:
-            if v not in known:
-                raise UnknownVertex(f"unknown vertex {v!r}")
-        left_t = tuple(v for v in self.left if v in kept)
-        right_t = tuple(v for v in self.right if v in kept)
-        edges = tuple(e for e in self.edges if e[0] in kept and e[1] in kept)
-        return TwoPartiteDigraph(left_t, right_t, edges)
-
-    def underlying_bipartite(self) -> "UndirectedBipartiteGraph":
-        """Forget orientation."""
-        on_left = set(self.left)
-        pairs = set()
-        for (u, v) in self.edges:
-            pairs.add((u, v) if u in on_left else (v, u))
-        return _make_bipartite(self.left, self.right, pairs)
-
-    def is_bipartite_digraph(self) -> bool:
-        """True when all edges run in a single direction (vacuously true
-        when edgeless)."""
-        on_left = set(self.left)
-        dirs = {e[0] in on_left for e in self.edges}
-        return len(dirs) <= 1
-
-    def swap_sides(self) -> "TwoPartiteDigraph":
-        """Exchange the two sides; edges keep their orientation."""
-        pos = {v: i for i, v in enumerate(self.right)}
-        pos.update({v: i for i, v in enumerate(self.left, start=len(self.right))})
-        ordered = tuple(sorted(self.edges, key=lambda e: (pos[e[0]], pos[e[1]])))
-        return TwoPartiteDigraph(self.right, self.left, ordered)
-
-    def relabel(self, mapping: Mapping[str, str]) -> "TwoPartiteDigraph":
-        """Rename vertices through an injective mapping (identity where
-        unmapped); side membership and order are preserved."""
-        def f(v: str) -> str:
-            return mapping.get(v, v)
-        new_left = tuple(f(v) for v in self.left)
-        new_right = tuple(f(v) for v in self.right)
-        return build(new_left, new_right, [(f(u), f(v)) for (u, v) in self.edges])
-
-    def pair_states(self) -> tuple[tuple[int, ...], ...]:
-        """Matrix of pair states, rows over left, columns over right."""
-        ridx = {v: j for j, v in enumerate(self.right)}
-        lidx = {v: i for i, v in enumerate(self.left)}
-        mat = [[PAIR_NONE] * len(self.right) for _ in self.left]
-        on_left = set(self.left)
-        for (u, v) in self.edges:
-            if u in on_left:
-                mat[lidx[u]][ridx[v]] = PAIR_LR
-            else:
-                mat[lidx[v]][ridx[u]] = PAIR_RL
-        return tuple(tuple(row) for row in mat)
-
-
-def _make_bipartite(left: tuple[str, ...], right: tuple[str, ...],
-                    pairs: Iterable[tuple[str, str]]) -> "UndirectedBipartiteGraph":
-    lpos = {v: i for i, v in enumerate(left)}
-    rpos = {v: j for j, v in enumerate(right)}
-    ordered = tuple(sorted(pairs, key=lambda e: (lpos[e[0]], rpos[e[1]])))
-    return UndirectedBipartiteGraph(left, right, ordered)
-
-
-def build_bipartite(left: Iterable[str], right: Iterable[str],
-                    edges: Iterable[tuple[str, str]]) -> "UndirectedBipartiteGraph":
-    """Validate and construct an undirected bipartite graph.
-
-    Edges may be written in either endpoint order; they are stored with
-    the left endpoint first.
-    """
-    left_t, right_t = _validated_sides(left, right)
-    on_left = set(left_t)
-    on_right = set(right_t)
-    pairs = set()
+    row_of, col_of = _index(left_t), _index(right_t)
+    matrix = [[PAIR_NONE] * len(right_t) for _ in left_t]
     for e in edges:
         try:
             u, v = e
@@ -254,93 +95,163 @@ def build_bipartite(left: Iterable[str], right: Iterable[str],
             raise MalformedInput(f"edge {e!r} is not a pair")
         try:
             for w in (u, v):
-                if w not in on_left and w not in on_right:
+                if w not in row_of and w not in col_of:
                     raise UnknownEndpoint(f"edge ({u!r}, {v!r}): unknown endpoint {w!r}")
-        except TypeError:  # an unhashable endpoint
+        except TypeError:  # an unhashable endpoint, such as a JSON list
             raise MalformedInput(f"edge ({u!r}, {v!r}) has an unhashable endpoint") from None
-        if (u in on_left) == (v in on_left):
+        if u in row_of and v in col_of:
+            row, j, state = matrix[row_of[u]], col_of[v], PAIR_LR
+        elif v in row_of and u in col_of:
+            row, j, state = matrix[row_of[v]], col_of[u], PAIR_RL
+        else:
             raise SameSideEdge(f"edge ({u!r}, {v!r}) joins vertices of the same side")
-        pairs.add((u, v) if u in on_left else (v, u))
-    return _make_bipartite(left_t, right_t, pairs)
+        if row[j] == FLIPPED[state]:
+            raise SymmetricEdgePair(f"both ({u!r}, {v!r}) and ({v!r}, {u!r}) supplied")
+        row[j] = state
+    return _assemble(left_t, right_t, matrix, row_of, col_of)
+
+
+def _assemble(left: tuple[str, ...], right: tuple[str, ...], matrix,
+              row_of: dict[str, int], col_of: dict[str, int]) -> "TwoPartiteDigraph":
+    """The digraph with the given (already valid) pair-state matrix.  Its
+    edges are read from the matrix: left-to-right edges row by row, then
+    right-to-left edges column by column."""
+    matrix = tuple(map(tuple, matrix))
+    edges = [(x, right[j]) for x, row in zip(left, matrix)
+             for j, s in enumerate(row) if s == PAIR_LR]
+    edges += [(y, left[i]) for j, y in enumerate(right)
+              for i, row in enumerate(matrix) if row[j] == PAIR_RL]
+    return TwoPartiteDigraph(left, right, tuple(edges), matrix, row_of, col_of)
 
 
 @dataclass(frozen=True)
-class UndirectedBipartiteGraph:
-    """Two disjoint sides plus unordered cross edges (stored left-first)."""
+class TwoPartiteDigraph:
+    """An immutable 2-partite digraph.  Use :func:`build` to construct.
+
+    ``matrix`` is the stored pair-state matrix (rows over ``left``,
+    columns over ``right``), and ``row_of``/``col_of`` give each left
+    vertex its row and each right vertex its column.  ``edges`` is read
+    from the matrix.  Only the sides and the edges take part in equality,
+    hashing and ``repr``.
+    """
 
     left: tuple[str, ...]
     right: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
+    matrix: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    row_of: Mapping[str, int] = field(compare=False, repr=False)
+    col_of: Mapping[str, int] = field(compare=False, repr=False)
+
+    # -- basic queries ----------------------------------------------------
 
     def vertices(self) -> tuple[str, ...]:
         return self.left + self.right
 
     def side_of(self, v: str) -> Side:
-        if v in set(self.left):
+        if v in self.row_of:
             return Side.LEFT
-        if v in set(self.right):
+        if v in self.col_of:
             return Side.RIGHT
         raise UnknownVertex(f"unknown vertex {v!r}")
 
     def side(self, side: Side) -> tuple[str, ...]:
         return self.left if side is Side.LEFT else self.right
 
-    def adjacent(self, u: str, v: str) -> bool:
-        eset = set(self.edges)
-        return (u, v) in eset or (v, u) in eset
+    def has_edge(self, u: str, v: str) -> bool:
+        if u in self.row_of and v in self.col_of:
+            return self.matrix[self.row_of[u]][self.col_of[v]] == PAIR_LR
+        if v in self.row_of and u in self.col_of:
+            return self.matrix[self.row_of[v]][self.col_of[u]] == PAIR_RL
+        return False
 
-    def neighbours(self, v: str) -> tuple[str, ...]:
-        side = self.side_of(v)
-        eset = set(self.edges)
-        if side is Side.LEFT:
-            return tuple(w for w in self.right if (v, w) in eset)
-        return tuple(w for w in self.left if (w, v) in eset)
-
-    def degree_map(self) -> dict[str, int]:
-        deg = {v: 0 for v in self.vertices()}
-        for (u, v) in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def is_complete(self) -> bool:
-        return len(self.edges) == len(self.left) * len(self.right)
+    def pair_states(self) -> tuple[tuple[int, ...], ...]:
+        """Matrix of pair states, rows over left, columns over right."""
+        return self.matrix
 
     def first_nonadjacent_pair(self) -> tuple[str, str] | None:
-        """First (left, right) pair with no edge, in stored order."""
-        eset = set(self.edges)
-        for x in self.left:
-            for y in self.right:
-                if (x, y) not in eset:
-                    return (x, y)
+        """First (left, right) pair with no edge, in row-major order."""
+        for x, row in zip(self.left, self.matrix):
+            if PAIR_NONE in row:
+                return (x, self.right[row.index(PAIR_NONE)])
         return None
 
-    def induced(self, keep: Iterable[str]) -> "UndirectedBipartiteGraph":
+    # -- neighbourhoods ---------------------------------------------------
+
+    def _relations(self, v: str):
+        """(w, state) over the opposite side in stored order, with the
+        state seen from v: PAIR_LR for v -> w, PAIR_RL for w -> v."""
+        if self.side_of(v) is Side.LEFT:
+            return zip(self.right, self.matrix[self.row_of[v]])
+        j = self.col_of[v]
+        return ((x, FLIPPED[row[j]]) for x, row in zip(self.left, self.matrix))
+
+    def out_neighbourhood(self, v: str) -> tuple[str, ...]:
+        """Successors of v, in stored order of the opposite side."""
+        return tuple(w for w, s in self._relations(v) if s == PAIR_LR)
+
+    def in_neighbourhood(self, v: str) -> tuple[str, ...]:
+        """Predecessors of v, in stored order of the opposite side."""
+        return tuple(w for w, s in self._relations(v) if s == PAIR_RL)
+
+    def perp(self, v: str) -> tuple[str, ...]:
+        """Opposite-side vertices adjacent to v in neither direction."""
+        return tuple(w for w, s in self._relations(v) if s == PAIR_NONE)
+
+    def degree_profile(self) -> dict[str, tuple[int, int, int]]:
+        """Per-vertex (outdegree, indegree, perp-degree) triple.
+
+        The three counts always sum to the size of the opposite side.
+        """
+        m, n = len(self.left), len(self.right)
+        profile = {}
+        for x, row in zip(self.left, self.matrix):
+            out, inn = row.count(PAIR_LR), row.count(PAIR_RL)
+            profile[x] = (out, inn, n - out - inn)
+        for j, y in enumerate(self.right):
+            column = [row[j] for row in self.matrix]
+            out, inn = column.count(PAIR_RL), column.count(PAIR_LR)
+            profile[y] = (out, inn, m - out - inn)
+        return profile
+
+    # -- derived structures -----------------------------------------------
+
+    def induced(self, keep: Iterable[str]) -> "TwoPartiteDigraph":
+        """Substructure induced on the given vertices (original side order)."""
         kept = set(keep)
-        known = set(self.left) | set(self.right)
         for v in kept:
-            if v not in known:
-                raise UnknownVertex(f"unknown vertex {v!r}")
-        left_t = tuple(v for v in self.left if v in kept)
-        right_t = tuple(v for v in self.right if v in kept)
-        edges = tuple(e for e in self.edges if e[0] in kept and e[1] in kept)
-        return UndirectedBipartiteGraph(left_t, right_t, edges)
+            self.side_of(v)  # raises UnknownVertex
+        rows = [i for i, x in enumerate(self.left) if x in kept]
+        cols = [j for j, y in enumerate(self.right) if y in kept]
+        left_t = tuple(self.left[i] for i in rows)
+        right_t = tuple(self.right[j] for j in cols)
+        matrix = [[self.matrix[i][j] for j in cols] for i in rows]
+        return _assemble(left_t, right_t, matrix, _index(left_t), _index(right_t))
 
-    def swap_sides(self) -> "UndirectedBipartiteGraph":
-        return _make_bipartite(self.right, self.left, [(y, x) for (x, y) in self.edges])
+    def underlying_bipartite(self) -> "TwoPartiteDigraph":
+        """Forget orientation: the same adjacency with every edge oriented
+        left-to-right.  Adjacency and orientation then carry the same
+        information, so side-respecting maps of the undirected graph and
+        of this digraph coincide."""
+        matrix = [[PAIR_LR if s else PAIR_NONE for s in row] for row in self.matrix]
+        return _assemble(self.left, self.right, matrix, self.row_of, self.col_of)
 
+    def is_bipartite_digraph(self) -> bool:
+        """True when all edges run in a single direction (vacuously true
+        when edgeless)."""
+        states = {s for row in self.matrix for s in row}
+        return PAIR_LR not in states or PAIR_RL not in states
 
-def orient_all(graph: UndirectedBipartiteGraph, reverse: bool = False) -> TwoPartiteDigraph:
-    """Orient every undirected edge the same way (left-to-right unless
-    ``reverse``).  This is the canonical digraph encoding of an undirected
-    bipartite graph: adjacency and orientation carry the same information,
-    so side-respecting maps of the two structures coincide.
-    """
-    if reverse:
-        edges = [(y, x) for (x, y) in graph.edges]
-    else:
-        edges = list(graph.edges)
-    return build(graph.left, graph.right, edges)
+    def swap_sides(self) -> "TwoPartiteDigraph":
+        """Exchange the two sides; edges keep their orientation."""
+        matrix = [[FLIPPED[row[j]] for row in self.matrix] for j in range(len(self.right))]
+        return _assemble(self.right, self.left, matrix, self.col_of, self.row_of)
+
+    def relabel(self, mapping: Mapping[str, str]) -> "TwoPartiteDigraph":
+        """Rename vertices through an injective mapping (identity where
+        unmapped); side membership and order are preserved."""
+        left_t, right_t = _validated_sides((mapping.get(v, v) for v in self.left),
+                                           (mapping.get(v, v) for v in self.right))
+        return _assemble(left_t, right_t, self.matrix, _index(left_t), _index(right_t))
 
 
 # -- file format ----------------------------------------------------------

@@ -10,8 +10,12 @@ of total size at most ``t`` has a witness on the opposite side:
   complete underlying graph (a missing adjacency is reported as a
   structural defect);
 * ``ORIENTATION`` mode uses all three sets;
-* ``BIPARTITE`` mode is undirected: ``a`` demands adjacency, ``c``
-  demands non-adjacency, ``b`` stays empty.
+* ``BIPARTITE`` mode is undirected: ``a`` demands adjacency (an edge in
+  either direction), ``c`` demands non-adjacency, ``b`` stays empty.
+
+Every mode reads the same digraph.  An undirected bipartite graph is
+passed as its one-direction orientation, and BIPARTITE mode reads only
+whether a pair is adjacent.
 
 The checkers enumerate the requirement space exhaustively (they serve
 as oracles, so no sampling) and report every unwitnessed requirement.
@@ -19,7 +23,7 @@ Finite structures can only certify a finite level, never genuine
 genericity.
 
 One kernel, ``_scan_size``, serves all three modes and every size.  It
-reads two bitmap tables built from one pass over the pair states: per
+reads two bitmap tables built from one pass over the pair-state matrix: per
 element, the witnesses that accept it in each slot, and per witness
 (the opposite side's table), the elements it accepts.  It walks
 requirement prefixes, keeping the witnesses that survive each prefix,
@@ -36,13 +40,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .core import (
-    PAIR_LR,
-    PAIR_RL,
-    Side,
-    TwoPartiteDigraph,
-    UndirectedBipartiteGraph,
-)
+from .core import PAIR_LR, PAIR_RL, Side, TwoPartiteDigraph
 from .errors import InvalidRequirement, ValidationError
 
 from enum import Enum
@@ -98,7 +96,7 @@ class GenericityReport:
     nonadjacent: tuple[str, str] | None = None
 
 
-def _validate_requirement(structure, req: Requirement, undirected: bool) -> None:
+def _validate_requirement(structure: TwoPartiteDigraph, req: Requirement) -> None:
     pool = set(structure.side(req.side))
     for name, s in (("a", req.a), ("b", req.b), ("c", req.c)):
         unknown = s - pool
@@ -108,42 +106,22 @@ def _validate_requirement(structure, req: Requirement, undirected: bool) -> None
                 f"{req.side.value}: {sorted(unknown)!r}")
     if req.a & req.b or req.a & req.c or req.b & req.c:
         raise InvalidRequirement("demand sets must be pairwise disjoint")
-    if undirected and req.b:
-        raise InvalidRequirement("undirected requirements cannot demand predecessors")
 
 
-def brute_witness_scan(structure: TwoPartiteDigraph | UndirectedBipartiteGraph,
-                       req: Requirement,
+def brute_witness_scan(structure: TwoPartiteDigraph, req: Requirement,
                        exclude: Iterable[str] = ()) -> str | None:
     """First vertex (in stored order) on the side opposite ``req.side``
-    that realizes the demands, or None.  On a digraph the demands are
-    ``a ⊆ N+(w)``, ``b ⊆ N-(w)``, ``c ⊆ w^perp``; on an undirected graph
-    ``a`` demands adjacency and ``c`` non-adjacency.  Vertices listed in
-    ``exclude`` are skipped."""
-    undirected = isinstance(structure, UndirectedBipartiteGraph)
-    _validate_requirement(structure, req, undirected)
+    that realizes the demands ``a ⊆ N+(w)``, ``b ⊆ N-(w)`` and
+    ``c ⊆ w^perp``.  Vertices listed in ``exclude`` are skipped."""
+    _validate_requirement(structure, req)
     skip = set(exclude)
-    pool = structure.side(req.side.opposite)
-    eset = set(structure.edges)
-    if undirected:
-        on_left = set(structure.left)
-
-        def adj(u: str, w: str) -> bool:
-            return ((u, w) in eset) if u in on_left else ((w, u) in eset)
-
-        for w in pool:
-            if w in skip:
-                continue
-            if all(adj(u, w) for u in req.a) and not any(adj(u, w) for u in req.c):
-                return w
-        return None
-
-    for w in pool:
+    has_edge = structure.has_edge
+    for w in structure.side(req.side.opposite):
         if w in skip:
             continue
-        if (all((w, u) in eset for u in req.a)
-                and all((u, w) in eset for u in req.b)
-                and all((u, w) not in eset and (w, u) not in eset for u in req.c)):
+        if (all(has_edge(w, u) for u in req.a)
+                and all(has_edge(u, w) for u in req.b)
+                and not any(has_edge(w, u) or has_edge(u, w) for u in req.c)):
             return w
     return None
 
@@ -207,30 +185,9 @@ def _digraph_tables_by_side(digraph: TwoPartiteDigraph):
             Side.RIGHT: (digraph.right, digraph.left, r_a, r_b, r_c)}
 
 
-def _bipartite_tables_by_side(graph: UndirectedBipartiteGraph):
-    m, n = len(graph.left), len(graph.right)
-    lpos = {x: i for i, x in enumerate(graph.left)}
-    rpos = {y: j for j, y in enumerate(graph.right)}
-    l_a, r_a = [0] * m, [0] * n
-    for (x, y) in graph.edges:
-        i, j = lpos[x], rpos[y]
-        l_a[i] |= 1 << j
-        r_a[j] |= 1 << i
-    # b stays empty in undirected mode
-    l_c = [((1 << n) - 1) & ~bits for bits in l_a]
-    r_c = [((1 << m) - 1) & ~bits for bits in r_a]
-    return {Side.LEFT: (graph.left, graph.right, l_a, [0] * m, l_c),
-            Side.RIGHT: (graph.right, graph.left, r_a, [0] * n, r_c)}
-
-
-def _tables_by_side(structure, mode: Mode):
-    if mode is Mode.BIPARTITE:
-        return _bipartite_tables_by_side(structure)
-    return _digraph_tables_by_side(structure)
-
-
 # Per mode: the demand slots, and for each the slot of the opposite
-# side's table that holds its transpose.
+# side's table that holds its transpose.  BIPARTITE mode's ``a`` slot is
+# adjacency in either direction, so it is its own transpose.
 _SLOTS = {
     Mode.TWO_PARTITE: ("a", "b"),
     Mode.BIPARTITE: ("a", "c"),
@@ -318,10 +275,17 @@ def _kernel_tables(tables_by_side, side: Side, mode: Mode):
     """Pool, witnesses, and the kernel's row and column bitmaps for
     requirements on ``side``."""
     pool, wit, *masks = tables_by_side[side]
-    own = dict(zip("abc", masks))
-    opposite = dict(zip("abc", tables_by_side[side.opposite][2:]))
+    own = _named_masks(masks, mode)
+    opposite = _named_masks(tables_by_side[side.opposite][2:], mode)
     return (pool, wit, [own[name] for name in _SLOTS[mode]],
             [opposite[name] for name in _COLUMN_SLOTS[mode]])
+
+
+def _named_masks(masks, mode: Mode) -> dict[str, list[int]]:
+    a, b, c = masks
+    if mode is Mode.BIPARTITE:  # adjacency in either direction
+        return {"a": [x | y for x, y in zip(a, b)], "c": c}
+    return {"a": a, "b": b, "c": c}
 
 
 def _scan_task(args):
@@ -381,11 +345,9 @@ def check_generic_2partite(digraph: TwoPartiteDigraph, level: int,
     requires the underlying graph to be complete; a missing adjacency is
     reported via ``nonadjacent`` and makes the verdict fail."""
     validate_level(level, jobs)
-    tables = _digraph_tables_by_side(digraph)
-    left, right, _, _, perps = tables[Side.LEFT]
-    nonadj = next(((left[i], right[(bits & -bits).bit_length() - 1])
-                   for i, bits in enumerate(perps) if bits), None)
-    defects = _collect_defects(tables, level, Mode.TWO_PARTITE, jobs=jobs)
+    nonadj = digraph.first_nonadjacent_pair()
+    defects = _collect_defects(_digraph_tables_by_side(digraph), level,
+                               Mode.TWO_PARTITE, jobs=jobs)
     holds = not defects and nonadj is None
     return GenericityReport(Mode.TWO_PARTITE, level, holds, tuple(defects), nonadj)
 
@@ -399,32 +361,33 @@ def check_generic_orientation(digraph: TwoPartiteDigraph, level: int,
     return GenericityReport(Mode.ORIENTATION, level, not defects, tuple(defects))
 
 
-def check_generic_bipartite(graph: UndirectedBipartiteGraph, level: int,
+def check_generic_bipartite(digraph: TwoPartiteDigraph, level: int,
                             jobs: int = 1) -> GenericityReport:
-    """Undirected extension property: adjacency/non-adjacency demands."""
+    """Undirected extension property: adjacency/non-adjacency demands,
+    where an edge in either direction counts as adjacency."""
     validate_level(level, jobs)
-    defects = _collect_defects(_bipartite_tables_by_side(graph), level,
+    defects = _collect_defects(_digraph_tables_by_side(digraph), level,
                                Mode.BIPARTITE, jobs=jobs)
     return GenericityReport(Mode.BIPARTITE, level, not defects, tuple(defects))
 
 
-def first_defect(structure, level: int, mode: Mode) -> Requirement | None:
+def first_defect(digraph: TwoPartiteDigraph, level: int, mode: Mode) -> Requirement | None:
     """Cheapest evidence that a level check would fail: the first defect
     in scan order, or None when the level holds.  In TWO_PARTITE mode
     the structural completeness clause is not consulted here."""
     validate_level(level)
-    defects = _collect_defects(_tables_by_side(structure, mode), level, mode, limit=1)
+    defects = _collect_defects(_digraph_tables_by_side(digraph), level, mode, limit=1)
     return defects[0] if defects else None
 
 
-def achieved_level(structure, mode: Mode, max_level: int) -> int:
+def achieved_level(digraph: TwoPartiteDigraph, mode: Mode, max_level: int) -> int:
     """Largest level ``t <= max_level`` at which the extension property
     holds (structural completeness clause included for TWO_PARTITE), or
     -1 when even level 0 fails.  One table build serves every level."""
     validate_level(max_level)
-    tables = _tables_by_side(structure, mode)
-    if mode is Mode.TWO_PARTITE and any(tables[Side.LEFT][4]):
-        return -1  # a non-adjacent pair
+    if mode is Mode.TWO_PARTITE and digraph.first_nonadjacent_pair() is not None:
+        return -1
+    tables = _digraph_tables_by_side(digraph)
     for total in range(0, max_level + 1):
         if _collect_defects(tables, max_level, mode, limit=1, only_total=total):
             return total - 1

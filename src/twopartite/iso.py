@@ -5,9 +5,10 @@ vertices and right to right.  A structure is homogeneous when every
 side-respecting isomorphism between induced substructures extends to a
 side-preserving automorphism of the whole structure.
 
-The search kernel is a backtracking completion over vertex assignments,
-pruned by an iteratively refined colour invariant built from the
-(outdegree, indegree, perp-degree) triple.  Colours only prune; every
+Everything here reads the digraph's stored pair-state matrix and its
+row and column maps.  The search kernel is a backtracking completion
+over vertex assignments, pruned by an iteratively refined colour
+invariant built from the (outdegree, indegree, perp-degree) triple.  Colours only prune; every
 candidate assignment is still verified pairwise, so the kernel is exact.
 The homogeneity decider runs it once, to enumerate the automorphism
 group, and then decides every partial isomorphism by looking up the
@@ -21,15 +22,7 @@ from itertools import combinations, permutations, product
 from operator import itemgetter
 from typing import Iterator, Mapping
 
-from .core import (
-    PAIR_LR,
-    PAIR_NONE,
-    PAIR_RL,
-    Side,
-    TwoPartiteDigraph,
-    UndirectedBipartiteGraph,
-    orient_all,
-)
+from .core import FLIPPED, PAIR_LR, PAIR_RL, TwoPartiteDigraph
 from .errors import AutGroupTooLarge, InvalidPartialMap, ValidationError
 
 DEFAULT_AUT_CAP = 10 ** 6
@@ -103,64 +96,42 @@ class HomogeneityVerdict:
     counterexample: PartialMap | None = None
 
 
-class _View:
-    """Indexed access to a digraph: id->index maps plus the pair-state
-    matrix (rows over left, columns over right)."""
-
-    __slots__ = ("left", "right", "lidx", "ridx", "mat")
-
-    def __init__(self, digraph: TwoPartiteDigraph):
-        self.left = digraph.left
-        self.right = digraph.right
-        self.lidx = {v: i for i, v in enumerate(digraph.left)}
-        self.ridx = {v: j for j, v in enumerate(digraph.right)}
-        self.mat = digraph.pair_states()
-
-
-def _flip(state: int) -> int:
-    # pair state seen from the right vertex: out and in exchange roles
-    if state == PAIR_LR:
-        return PAIR_RL
-    if state == PAIR_RL:
-        return PAIR_LR
-    return PAIR_NONE
-
-
 def _rank(values: dict[str, object]) -> dict[str, int]:
     # rank by sorted distinct value; isomorphic structures get equal ranks
     order = {sig: r for r, sig in enumerate(sorted(set(values.values())))}
     return {v: order[sig] for v, sig in values.items()}
 
 
-def _refined_colors(view: _View, rounds: int = 2) -> dict[str, tuple]:
+def _refined_colors(digraph: TwoPartiteDigraph, rounds: int = 2) -> dict[str, tuple]:
     """Colour invariant: degree triple refined ``rounds`` times by the
     multiset of (pair state, neighbour colour) over the opposite side."""
-    m, n = len(view.left), len(view.right)
-    mat = view.mat
+    left, right = digraph.left, digraph.right
+    m, n = len(left), len(right)
+    mat = digraph.pair_states()
     col: dict[str, tuple] = {}
-    for i, x in enumerate(view.left):
+    for i, x in enumerate(left):
         out = sum(1 for j in range(n) if mat[i][j] == PAIR_LR)
         inn = sum(1 for j in range(n) if mat[i][j] == PAIR_RL)
         col[x] = (0, out, inn, n - out - inn)
-    for j, y in enumerate(view.right):
+    for j, y in enumerate(right):
         out = sum(1 for i in range(m) if mat[i][j] == PAIR_RL)
         inn = sum(1 for i in range(m) if mat[i][j] == PAIR_LR)
         col[y] = (1, out, inn, m - out - inn)
     for _ in range(rounds):
         sigs: dict[str, tuple] = {}
-        for i, x in enumerate(view.left):
+        for i, x in enumerate(left):
             sigs[x] = (col[x], tuple(sorted(
-                (mat[i][j], col[y]) for j, y in enumerate(view.right))))
-        for j, y in enumerate(view.right):
+                (mat[i][j], col[y]) for j, y in enumerate(right))))
+        for j, y in enumerate(right):
             sigs[y] = (col[y], tuple(sorted(
-                (_flip(mat[i][j]), col[x]) for i, x in enumerate(view.left))))
+                (FLIPPED[mat[i][j]], col[x]) for i, x in enumerate(left))))
         # compress per round so colour values stay small; ranking by the
         # sorted distinct signature keeps equality stable across
         # isomorphic structures (same multiset -> same ranks)
-        left_rank = _rank({x: sigs[x] for x in view.left})
-        right_rank = _rank({y: sigs[y] for y in view.right})
-        refined = {x: (col[x], left_rank[x]) for x in view.left}
-        refined.update({y: (col[y], right_rank[y]) for y in view.right})
+        left_rank = _rank({x: sigs[x] for x in left})
+        right_rank = _rank({y: sigs[y] for y in right})
+        refined = {x: (col[x], left_rank[x]) for x in left}
+        refined.update({y: (col[y], right_rank[y]) for y in right})
         col = refined
     return col
 
@@ -185,16 +156,14 @@ def canonical_form(digraph: TwoPartiteDigraph) -> CanonicalForm:
     the pair-state matrix over all colour-respecting vertex orderings
     of each side; sides are never mixed.
     """
-    view = _View(digraph)
-    col = _refined_colors(view)
-    mat = view.mat
-    lidx, ridx = view.lidx, view.ridx
+    col = _refined_colors(digraph)
+    mat = digraph.pair_states()
     best: bytes | None = None
-    right_orders = list(_class_orderings(digraph.right, col))
+    right_orders = [[digraph.col_of[w] for w in rorder]
+                    for rorder in _class_orderings(digraph.right, col)]
     for lorder in _class_orderings(digraph.left, col):
-        rows = [mat[lidx[u]] for u in lorder]
-        for rorder in right_orders:
-            cols = [ridx[w] for w in rorder]
+        rows = [mat[digraph.row_of[u]] for u in lorder]
+        for cols in right_orders:
             enc = bytes(row[j] for row in rows for j in cols)
             if best is None or enc < best:
                 best = enc
@@ -202,19 +171,19 @@ def canonical_form(digraph: TwoPartiteDigraph) -> CanonicalForm:
     return b"TP1" + header + (best or b"")
 
 
-def _search_maps(view1: _View, view2: _View, initial: dict[str, str],
+def _search_maps(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph, initial: dict[str, str],
                  limit: int | None) -> Iterator[dict[str, str]]:
     """Backtracking enumeration of total side-preserving bijections
-    view1 -> view2 that preserve all pair states and extend ``initial``.
+    d1 -> d2 that preserve all pair states and extend ``initial``.
     ``initial`` must already be consistent.  Yields at most ``limit``
     maps when limit is not None."""
-    if len(view1.left) != len(view2.left) or len(view1.right) != len(view2.right):
+    if len(d1.left) != len(d2.left) or len(d1.right) != len(d2.right):
         return
-    col1 = _refined_colors(view1)
-    col2 = col1 if view2 is view1 else _refined_colors(view2)
-    if sorted(col1[v] for v in view1.left) != sorted(col2[v] for v in view2.left):
+    col1 = _refined_colors(d1)
+    col2 = col1 if d2 is d1 else _refined_colors(d2)
+    if sorted(col1[v] for v in d1.left) != sorted(col2[v] for v in d2.left):
         return
-    if sorted(col1[v] for v in view1.right) != sorted(col2[v] for v in view2.right):
+    if sorted(col1[v] for v in d1.right) != sorted(col2[v] for v in d2.right):
         return
 
     assigned = dict(initial)
@@ -223,32 +192,30 @@ def _search_maps(view1: _View, view2: _View, initial: dict[str, str],
         if col1[s] != col2[t]:
             return  # colours are isomorphism invariants; no completion exists
 
-    todo = [v for v in (*view1.left, *view1.right) if v not in assigned]
-    on_left1 = set(view1.left)
-    # (partner in view1, partner image in view2) lists for consistency checks
+    todo = [v for v in d1.vertices() if v not in assigned]
     yielded = 0
 
-    mat1, mat2 = view1.mat, view2.mat
-    l1, r1 = view1.lidx, view1.ridx
-    l2, r2 = view2.lidx, view2.ridx
+    mat1, mat2 = d1.pair_states(), d2.pair_states()
+    l1, r1 = d1.row_of, d1.col_of
+    l2, r2 = d2.row_of, d2.col_of
 
     def consistent(v: str, w: str) -> bool:
-        if v in on_left1:
+        if v in l1:
             vi, wi = l1[v], l2[w]
             for (u, x) in assigned.items():
-                if u not in on_left1:
+                if u in r1:
                     if mat1[vi][r1[u]] != mat2[wi][r2[x]]:
                         return False
         else:
             vj, wj = r1[v], r2[w]
             for (u, x) in assigned.items():
-                if u in on_left1:
+                if u in l1:
                     if mat1[l1[u]][vj] != mat2[l2[x]][wj]:
                         return False
         return True
 
     def candidates(v: str) -> Iterator[str]:
-        pool = view2.left if v in on_left1 else view2.right
+        pool = d2.left if v in l1 else d2.right
         cv = col1[v]
         for w in pool:
             if w in used or col2[w] != cv:
@@ -279,17 +246,17 @@ def _search_maps(view1: _View, view2: _View, initial: dict[str, str],
 
 def are_isomorphic(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph) -> PartialMap | None:
     """A total side-preserving isomorphism, or None."""
-    for mapping in _search_maps(_View(d1), _View(d2), {}, limit=1):
+    for mapping in _search_maps(d1, d2, {}, limit=1):
         return PartialMap.from_dict(mapping)
     return None
 
 
-def _automorphism_maps(view: _View, cap: int) -> Iterator[dict[str, str]]:
-    """The side-preserving automorphisms of ``view`` as vertex maps;
+def _automorphism_maps(digraph: TwoPartiteDigraph, cap: int) -> Iterator[dict[str, str]]:
+    """The side-preserving automorphisms of ``digraph`` as vertex maps;
     raises AutGroupTooLarge instead of yielding a map past ``cap``."""
     if cap < 0:
         raise ValidationError(f"automorphism cap must be non-negative, got {cap}")
-    for count, mapping in enumerate(_search_maps(view, view, {}, limit=cap + 1)):
+    for count, mapping in enumerate(_search_maps(digraph, digraph, {}, limit=cap + 1)):
         if count == cap:
             raise AutGroupTooLarge(cap)
         yield mapping
@@ -302,7 +269,7 @@ def automorphisms(digraph: TwoPartiteDigraph,
     Raises AutGroupTooLarge when more than ``cap`` maps exist, and
     ValidationError when ``cap`` is negative.
     """
-    return [PartialMap.from_dict(m) for m in _automorphism_maps(_View(digraph), cap)]
+    return [PartialMap.from_dict(m) for m in _automorphism_maps(digraph, cap)]
 
 
 def is_valid_partial_iso(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph,
@@ -313,26 +280,16 @@ def is_valid_partial_iso(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph,
     tgts = pmap.targets()
     if len(set(srcs)) != len(srcs) or len(set(tgts)) != len(tgts):
         return False
-    known1_l, known1_r = set(d1.left), set(d1.right)
-    known2_l, known2_r = set(d2.left), set(d2.right)
+    rows, cols = [], []   # (row or column in d1, its image's in d2)
     for (s, t) in pmap.pairs:
-        if s in known1_l:
-            if t not in known2_l:
-                return False
-        elif s in known1_r:
-            if t not in known2_r:
-                return False
+        if s in d1.row_of and t in d2.row_of:
+            rows.append((d1.row_of[s], d2.row_of[t]))
+        elif s in d1.col_of and t in d2.col_of:
+            cols.append((d1.col_of[s], d2.col_of[t]))
         else:
             return False
-    e1, e2 = set(d1.edges), set(d2.edges)
-    d = pmap.as_dict()
-    for u in srcs:
-        for v in srcs:
-            if u == v:
-                continue
-            if ((u, v) in e1) != ((d[u], d[v]) in e2):
-                return False
-    return True
+    mat1, mat2 = d1.pair_states(), d2.pair_states()
+    return all(mat1[i][j] == mat2[k][l] for i, k in rows for j, l in cols)
 
 
 def extends_to_automorphism(digraph: TwoPartiteDigraph, pmap: PartialMap) -> bool:
@@ -343,8 +300,7 @@ def extends_to_automorphism(digraph: TwoPartiteDigraph, pmap: PartialMap) -> boo
     """
     if not is_valid_partial_iso(digraph, digraph, pmap):
         raise InvalidPartialMap("not a valid partial isomorphism of the structure")
-    view = _View(digraph)
-    for _ in _search_maps(view, view, pmap.as_dict(), limit=1):
+    for _ in _search_maps(digraph, digraph, pmap.as_dict(), limit=1):
         return True
     return False
 
@@ -368,12 +324,12 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
         raise ValidationError(f"domain size bound must be non-negative, got {k}")
     vertices = digraph.vertices()
     m, n = len(digraph.left), len(digraph.right)
-    view = _View(digraph)
     # vertices are numbered by position in ``vertices``: left 0..m-1,
     # right m..m+n-1; automorphisms become tuples of positions
     pos = {v: p for p, v in enumerate(vertices)}
-    auts = [tuple(pos[g[v]] for v in vertices) for g in _automorphism_maps(view, aut_cap)]
-    column = {m + j: tuple(row[j] for row in view.mat) for j in range(n)}
+    auts = [tuple(pos[g[v]] for v in vertices) for g in _automorphism_maps(digraph, aut_cap)]
+    mat = digraph.pair_states()
+    column = {m + j: tuple(row[j] for row in mat) for j in range(n)}
 
     seen: set[frozenset[int]] = set()
     for size in range(1, (m + n if k is None else k) + 1):
@@ -405,10 +361,10 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
     return HomogeneityVerdict(True, None)
 
 
-def is_homogeneous_bipartite(graph: UndirectedBipartiteGraph,
+def is_homogeneous_bipartite(digraph: TwoPartiteDigraph,
                              k: int | None = None, **kwargs) -> HomogeneityVerdict:
-    """Homogeneity of an undirected bipartite graph, decided by the same
-    kernel on its canonical one-way orientation.  Orienting every edge
-    left-to-right is information-preserving, so side-respecting partial
-    isomorphisms and automorphisms of the two structures coincide."""
-    return is_homogeneous(orient_all(graph), k, **kwargs)
+    """Homogeneity of the undirected bipartite graph underlying
+    ``digraph``, decided on its left-to-right orientation.  Orienting
+    every edge one way is information-preserving, so side-respecting
+    partial isomorphisms and automorphisms of the two coincide."""
+    return is_homogeneous(digraph.underlying_bipartite(), k, **kwargs)

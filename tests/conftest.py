@@ -17,9 +17,10 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from twopartite import build
-from twopartite.core import TwoPartiteDigraph, UndirectedBipartiteGraph
+from twopartite.core import TwoPartiteDigraph
 from twopartite.errors import AutGroupTooLarge
-from twopartite.iso import DEFAULT_AUT_CAP, HomogeneityVerdict, PartialMap, _View, _search_maps
+from twopartite.genericity import Mode
+from twopartite.iso import DEFAULT_AUT_CAP, HomogeneityVerdict, PartialMap, _search_maps
 
 settings.register_profile("repro", derandomize=True, max_examples=60)
 settings.load_profile("repro")
@@ -27,20 +28,17 @@ settings.load_profile("repro")
 
 # -- naive witness scan -------------------------------------------------------
 
-def naive_witness(structure, req) -> str | None:
+def naive_witness(structure, req, mode: Mode = Mode.ORIENTATION) -> str | None:
     """First opposite-side vertex realizing the demands, via plain set
-    logic over the public neighbourhood methods."""
-    pool = structure.side(req.side.opposite)
-    if isinstance(structure, UndirectedBipartiteGraph):
-        for w in pool:
-            nbrs = set(structure.neighbours(w))
-            if req.a <= nbrs and not (req.c & nbrs):
+    logic over the public neighbourhood methods.  In BIPARTITE mode an
+    edge in either direction counts as adjacency."""
+    for w in structure.side(req.side.opposite):
+        outs = set(structure.out_neighbourhood(w))
+        ins = set(structure.in_neighbourhood(w))
+        if mode is Mode.BIPARTITE:
+            if req.a <= outs | ins and not (req.c & (outs | ins)):
                 return w
-        return None
-    for w in pool:
-        if (req.a <= set(structure.out_neighbourhood(w))
-                and req.b <= set(structure.in_neighbourhood(w))
-                and req.c <= set(structure.perp(w))):
+        elif req.a <= outs and req.b <= ins and req.c <= set(structure.perp(w)):
             return w
     return None
 
@@ -111,16 +109,15 @@ def search_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
     vertices = digraph.vertices()
     if k is None:
         k = len(vertices)
-    view = _View(digraph)
     on_left = set(digraph.left)
-    mat = view.mat
-    lidx, ridx = view.lidx, view.ridx
+    mat = digraph.pair_states()
+    lidx, ridx = digraph.row_of, digraph.col_of
 
     use_orbits = len(vertices) > orbit_threshold
     auts: list[dict[str, str]] | None = None
     if use_orbits:
         auts = []
-        for mapping in _search_maps(view, view, {}, limit=aut_cap + 1):
+        for mapping in _search_maps(digraph, digraph, {}, limit=aut_cap + 1):
             auts.append(mapping)
             if len(auts) > aut_cap:
                 raise AutGroupTooLarge(aut_cap)
@@ -156,7 +153,7 @@ def search_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
                     phi = dict(zip(s_left, img_l))
                     phi.update(zip(s_right, img_r))
                     extends = False
-                    for _ in _search_maps(view, view, phi, limit=1):
+                    for _ in _search_maps(digraph, digraph, phi, limit=1):
                         extends = True
                         break
                     if not extends:

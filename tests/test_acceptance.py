@@ -214,7 +214,7 @@ def test_c5_checker_oracle_equivalence():
                 defects = set(report.defects)
                 for req in iter_requirements(digraph.left, digraph.right,
                                              level, mode):
-                    witnessed = naive_witness(target, req) is not None
+                    witnessed = naive_witness(target, req, mode) is not None
                     assert witnessed == (req not in defects), (req, mode)
 
 

@@ -1,5 +1,9 @@
+import hashlib
+import random
+
 import pytest
 
+from twopartite import build
 from twopartite.catalog import (
     ApproximantSpec,
     Direction,
@@ -13,7 +17,14 @@ from twopartite.catalog import (
     matching_digraph,
     witness_closure,
 )
-from twopartite.errors import ApproximantNotFound, CapExceeded, InvalidSpec, PairSizeTooSmall
+from twopartite.core import to_json_text
+from twopartite.errors import (
+    ApproximantNotFound,
+    CapExceeded,
+    InvalidSpec,
+    PairSizeTooSmall,
+    ValidationError,
+)
 from twopartite.genericity import (
     Mode,
     brute_witness_scan,
@@ -21,7 +32,10 @@ from twopartite.genericity import (
     check_generic_bipartite,
     check_generic_orientation,
     iter_requirements,
+    requirement_sort_key,
 )
+
+from conftest import naive_witness
 
 L2R, R2L = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
 
@@ -36,7 +50,7 @@ class TestFixedConstructors:
         assert all(u.startswith("y") for (u, _) in d.edges)
 
     def test_complete_underlying(self):
-        assert complete_bipartite_digraph(3, 2).underlying_bipartite().is_complete()
+        assert complete_bipartite_digraph(3, 2).underlying_bipartite().first_nonadjacent_pair() is None
 
     def test_empty(self):
         assert empty_digraph(0, 0).vertices() == ()
@@ -123,7 +137,7 @@ class TestRandomizedBuilders:
 
     def test_two_partite_underlying_complete(self):
         d = generic_2partite_approx(ApproximantSpec(12, 1, seed=3))
-        assert d.underlying_bipartite().is_complete()
+        assert d.first_nonadjacent_pair() is None
         assert all(p[2] == 0 for p in d.degree_profile().values())
 
     def test_two_partite_passes_level2(self):
@@ -183,7 +197,7 @@ class TestWitnessClosure:
     def test_two_partite_mode_keeps_completeness(self):
         base = matching_complement_pair(2)
         closed = witness_closure(base, Mode.TWO_PARTITE, 2, 32)
-        assert closed.underlying_bipartite().is_complete()
+        assert closed.first_nonadjacent_pair() is None
 
     def test_orientation_mode(self):
         base = generic_orientation_approx(ApproximantSpec(4, 0, seed=2))
@@ -197,10 +211,9 @@ class TestWitnessClosure:
         base = matching_digraph(2)
         closed = witness_closure(base, Mode.BIPARTITE, 1, 32)
         assert closed.is_bipartite_digraph()
-        g = closed.underlying_bipartite()
         leftovers = [req for req
                      in iter_requirements(base.left, base.right, 1, Mode.BIPARTITE)
-                     if brute_witness_scan(g, req) is None]
+                     if naive_witness(closed, req, Mode.BIPARTITE) is None]
         assert leftovers == []
 
     def test_bipartite_mode_rejects_mixed_input(self):
@@ -222,3 +235,81 @@ class TestWitnessClosure:
         a = witness_closure(base, Mode.TWO_PARTITE, 1, 10)
         b = witness_closure(base, Mode.TWO_PARTITE, 1, 10)
         assert a == b
+
+    def test_negative_cap_rejected(self):
+        base = complete_bipartite_digraph(2, 2)
+        with pytest.raises(ValidationError, match="non-negative"):
+            witness_closure(base, Mode.TWO_PARTITE, 1, -1)
+        with pytest.raises(CapExceeded):
+            witness_closure(base, Mode.TWO_PARTITE, 1, 0)
+
+
+# -- witness_closure outputs, pinned -------------------------------------------
+
+def _closure_inputs(seed: int, one_direction: bool):
+    rng = random.Random(seed)
+    for _ in range(12):
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
+        left = [f"x{i}" for i in range(1, m + 1)]
+        right = [f"y{j}" for j in range(1, n + 1)]
+        forward = rng.random() < 0.5
+        edges = []
+        for x in left:
+            for y in right:
+                state = rng.randrange(3)
+                if one_direction and state:
+                    state = 1 if forward else 2
+                if state == 1:
+                    edges.append((x, y))
+                elif state == 2:
+                    edges.append((y, x))
+        yield build(left, right, edges)
+
+
+def _closure_outcomes(mode: Mode, seed: int) -> str:
+    """One line per (input, level, cap): the closure's JSON text, or the
+    partial structure and the sorted remaining defects when the cap is
+    exceeded."""
+    lines = []
+    for base in _closure_inputs(seed, one_direction=mode is Mode.BIPARTITE):
+        for level, cap in ((1, 64), (2, 64), (2, 5)):
+            try:
+                lines.append(to_json_text(witness_closure(base, mode, level, cap)))
+            except CapExceeded as exc:
+                defects = [(r.side.value, sorted(r.a), sorted(r.b), sorted(r.c))
+                           for r in exc.defects]
+                lines.append(f"cap {to_json_text(exc.partial)} {defects!r}\n")
+    return "".join(lines)
+
+
+# SHA-256 of _closure_outcomes, computed with the earlier closure that ran
+# brute_witness_scan over every requirement from iter_requirements (on the
+# underlying undirected graph in BIPARTITE mode).
+PINNED_CLOSURES = [
+    (Mode.TWO_PARTITE, 11,
+     "da9687768c733c9e4222bd88db3f029236f439409a4ea86b4ec024179623bf07"),
+    (Mode.ORIENTATION, 12,
+     "09da5d2c2c073f2ddecc4eb7d1466ba77ae531ba94745736bfa2b3e3be73d7c5"),
+    (Mode.BIPARTITE, 13,
+     "534181cf0da61e8addad9ea85b4dad80944333698e1cd84c2d2e8edbf03e5369"),
+]
+
+
+@pytest.mark.parametrize("mode,seed,digest", PINNED_CLOSURES)
+def test_closure_outputs_pinned(mode, seed, digest):
+    text = _closure_outcomes(mode, seed)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_closure_defects_match_naive_scan():
+    # the kernel over the cut pools reports exactly the requirements over
+    # the original vertices that no vertex of the partial structure witnesses
+    for mode in Mode:
+        for base in _closure_inputs(21, one_direction=mode is Mode.BIPARTITE):
+            try:
+                witness_closure(base, mode, 2, 3)
+            except CapExceeded as exc:
+                want = [req for req in iter_requirements(base.left, base.right, 2, mode)
+                        if naive_witness(exc.partial, req, mode) is None]
+                assert set(exc.defects) == set(want)
+                assert list(exc.defects) == sorted(want, key=requirement_sort_key)

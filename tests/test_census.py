@@ -10,7 +10,7 @@ from twopartite.census import (
     verify_classification,
 )
 from twopartite.classify import ClassCase, classify_exact
-from twopartite.errors import EnumerationBudgetExceeded
+from twopartite.errors import EnumerationBudgetExceeded, ValidationError
 from twopartite.iso import automorphisms, canonical_form, is_homogeneous
 
 from conftest import burnside_class_count
@@ -36,6 +36,17 @@ class TestEnumerateAll:
     def test_budget_guard(self):
         with pytest.raises(EnumerationBudgetExceeded):
             next(enumerate_all(4, 4))
+
+    def test_negative_bounds_rejected(self):
+        for m, n in ((-1, 2), (2, -1)):
+            with pytest.raises(ValidationError, match="non-negative"):
+                enumerate_all(m, n)
+            with pytest.raises(ValidationError, match="non-negative"):
+                census_homogeneous(m, n)
+            with pytest.raises(ValidationError, match="non-negative"):
+                verify_classification(m, n)
+            with pytest.raises(ValidationError, match="non-negative"):
+                verify_classification(m, n, census=[])
 
     def test_orbit_stabilizer_audit(self):
         # sum of orbit sizes m!n!/|Aut| over classes recovers the

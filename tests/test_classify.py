@@ -59,6 +59,15 @@ class TestGgkClass:
                   [("x1", "y1"), ("x1", "y2"), ("x2", "y1")]).underlying_bipartite()
         assert classify_bipartite_graph(g).case is ClassCase.INCONCLUSIVE
 
+    def test_reads_adjacency_in_either_direction(self):
+        # the two-direction pair's underlying graph is complete
+        pair = matching_complement_pair(3)
+        assert classify_bipartite_graph(pair) == classify_bipartite_graph(
+            pair.underlying_bipartite())
+        assert classify_bipartite_graph(pair).subkind is BipartiteKind.COMPLETE
+        mixed = build(["x1", "x2"], ["y1", "y2"], [("x1", "y1"), ("y2", "x2")])
+        assert classify_bipartite_graph(mixed).subkind is BipartiteKind.PERFECT_MATCHING
+
 
 class TestDistinctNeighbourhoods:
     def test_m3(self):

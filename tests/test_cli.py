@@ -1,10 +1,22 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import twopartite
 from twopartite import from_json_text, to_json_text
-from twopartite.catalog import matching_complement_pair, matching_digraph, Direction
+from twopartite.catalog import (
+    Direction,
+    complete_bipartite_digraph,
+    matching_complement_pair,
+    matching_digraph,
+)
 from twopartite.cli import run
 
 
@@ -66,6 +78,16 @@ class TestGen:
                            "--level", "1", "--cap", "16")
         assert code == 0
         from_json_text(out)
+
+    def test_closure_negative_cap_exits_two(self, tmp_path):
+        base = write(tmp_path, "base.json", matching_complement_pair(2))
+        code, out, err = cli("gen", "closure", "--in", base, "--mode", "2partite",
+                             "--level", "1", "--cap", "-1")
+        assert code == 2 and out == "" and "non-negative" in err
+        unwitnessed = write(tmp_path, "k22.json", complete_bipartite_digraph(2, 2))
+        code, out, _ = cli("gen", "closure", "--in", unwitnessed, "--mode", "2partite",
+                           "--level", "1", "--cap", "0")
+        assert code == 1 and json.loads(out)["error"] == "cap-exceeded"
 
 
 class TestVerdictCommands:
@@ -136,6 +158,20 @@ class TestVerdictCommands:
                              "--level", "-1")
         assert code == 2 and out == "" and "non-negative" in err
 
+    def test_classify_negative_level_exits_two(self, tmp_path):
+        # complete 2x2 matches a structural kind before any level check runs
+        path = write(tmp_path, "k22.json", complete_bipartite_digraph(2, 2))
+        code, out, err = cli("classify", "--in", path, "--level", "-1")
+        assert code == 2 and out == "" and "non-negative" in err
+
+    def test_check_generic_bipartite_reads_adjacency(self, tmp_path):
+        # the two-direction pair and its underlying graph get one report
+        pair = write(tmp_path, "pair.json", matching_complement_pair(3))
+        graph = write(tmp_path, "graph.json", matching_complement_pair(3).underlying_bipartite())
+        runs = [cli("check-generic", "--in", path, "--mode", "bipartite", "--level", "1")
+                for path in (pair, graph)]
+        assert runs[0] == runs[1] and runs[0][0] == 1
+
     @pytest.mark.parametrize("command", [
         ["check-generic", "--mode", "2partite", "--level", "1"],
         ["enum", "--max-x", "1", "--max-y", "1"],
@@ -186,6 +222,26 @@ class TestBafEnumVerify:
         assert code == 0
         payload = json.loads(out)
         assert payload["ok"] and payload["homogeneous_classes"] == 20
+
+    @pytest.mark.parametrize("command", ["enum", "verify"])
+    def test_negative_census_bound_exits_two(self, command):
+        for bounds in (["-1", "2"], ["2", "-1"]):
+            code, out, err = cli(command, "--max-x", bounds[0], "--max-y", bounds[1])
+            assert code == 2 and out == "" and "non-negative" in err, bounds
+
+    def test_module_entry_point(self):
+        # ``python -m twopartite.cli`` runs the command and exits with its code
+        env = dict(os.environ)
+        src = str(Path(twopartite.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "twopartite.cli", "verify", "--max-x", "1", "--max-y", "1"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["ok"] and payload["classes_scanned"] == 6
+        proc = subprocess.run(argv[:4] + ["--max-x", "-1", "--max-y", "1"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
 
 
 class TestConvertAndErrors:
@@ -238,3 +294,71 @@ class TestConvertAndErrors:
     def test_missing_required_flag(self):
         code, _, _ = cli("check-hom")
         assert code == 2
+
+
+# -- fuzzing: every input gets exit code 0, 1 or 2 and nothing escapes -------
+
+_IDS = st.sampled_from(["x1", "x2", "x3", "y1", "y2", "y3"])
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3) | _IDS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["x", "y", "edges", "z"]), inner, max_size=3),
+    max_leaves=8)
+_ENDPOINT = st.one_of(_IDS, _IDS, _JUNK)
+_STRUCTURES = st.fixed_dictionaries({
+    "x": st.lists(st.sampled_from(["x1", "x2", "x3"]), max_size=3, unique=True)
+    | st.lists(_ENDPOINT, max_size=3),
+    "y": st.lists(st.sampled_from(["y1", "y2", "y3"]), max_size=3, unique=True)
+    | st.lists(_ENDPOINT, max_size=3),
+    "edges": st.lists(st.lists(_ENDPOINT, min_size=2, max_size=2) | _JUNK, max_size=6),
+})
+_INT = st.integers(-2, 3).map(str) | st.sampled_from(["", "x"])
+_BOUND = st.integers(-2, 2).map(str)
+_JOBS = st.integers(-1, 1).map(str)
+
+_FILE_COMMANDS = {
+    "check-hom": [("--k", _INT)],
+    "check-generic": [("--mode", st.sampled_from(["bipartite", "2partite", "orientation"])),
+                      ("--level", _INT), ("--jobs", _JOBS)],
+    "classify": [("--level", _INT)],
+    "aut": [("--cap", _INT)],
+    "convert": [("--format", st.sampled_from(["json", "dot"]))],
+}
+_GEN_KINDS = ["complete", "empty", "matching", "complement-matching", "matching-complement",
+              "generic-bipartite", "generic-2partite", "generic-orientation", "closure"]
+
+
+@st.composite
+def _argv(draw, path: str):
+    command = draw(st.sampled_from(["gen", "baf", "enum", "verify", "iso", *_FILE_COMMANDS]))
+    argv = [command]
+    if command == "gen":
+        argv.append(draw(st.sampled_from(_GEN_KINDS)))
+        options = [("--m", _INT), ("--n", _INT), ("--size", _INT), ("--level", _INT),
+                   ("--seed", _INT), ("--cap", _INT), ("--dir", st.sampled_from(["l2r", "r2l"])),
+                   ("--mode", st.sampled_from(["bipartite", "2partite", "orientation"])),
+                   ("--in", st.just(path))]
+    elif command == "baf":
+        options = [("--mode", st.sampled_from(["2partite", "orientation"])),
+                   ("--size", _INT), ("--level", _INT), ("--seed1", _INT),
+                   ("--seed2", _INT), ("--build-level", _INT)]
+    elif command in ("enum", "verify"):
+        options = [("--max-x", _BOUND), ("--max-y", _BOUND), ("--jobs", _JOBS)]
+    elif command == "iso":
+        options = [("--in1", st.just(path)), ("--in2", st.just(path))]
+    else:
+        options = [("--in", st.just(path)), *_FILE_COMMANDS[command]]
+    for flag, values in options:
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@given(data=st.data(), payload=_JUNK | _STRUCTURES)
+def test_fuzz_exit_codes(tmp_path_factory, data, payload):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    for argv in (["convert", "--in", str(path)], data.draw(_argv(str(path)))):
+        code, _, err = cli(*argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err

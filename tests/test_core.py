@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -6,9 +7,7 @@ from hypothesis import given
 from twopartite import (
     Side,
     build,
-    build_bipartite,
     from_json_text,
-    orient_all,
     to_dot,
     to_json_text,
 )
@@ -28,7 +27,7 @@ from twopartite.errors import (
     UnknownVertex,
 )
 
-from conftest import digraphs
+from conftest import digraphs, random_digraph
 
 
 class TestBuild:
@@ -60,8 +59,6 @@ class TestBuild:
         for edge in ((["x1"], "y1"), ("x1", {"y": 1})):
             with pytest.raises(MalformedInput, match="unhashable"):
                 build(["x1"], ["y1"], [edge])
-            with pytest.raises(MalformedInput, match="unhashable"):
-                build_bipartite(["x1"], ["y1"], [edge])
 
     def test_edge_order_irrelevant(self):
         a = build(["x1", "x2"], ["y1"], [("x1", "y1"), ("y1", "x2")])
@@ -71,6 +68,46 @@ class TestBuild:
     def test_duplicate_edge_collapses(self):
         d = build(["x1"], ["y1"], [("x1", "y1"), ("x1", "y1")])
         assert len(d.edges) == 1
+
+    def test_edge_order_is_the_sorted_order(self):
+        # edges read from the matrix come out in the order of the earlier
+        # sort by endpoint position (left ids first, then right ids)
+        rng = random.Random(41)
+        for _ in range(100):
+            d = random_digraph(rng, max_side=6)
+            edges = list(d.edges)
+            rng.shuffle(edges)
+            pos = {v: p for p, v in enumerate(d.vertices())}
+            again = build(d.left, d.right, edges + edges[: len(edges) // 2])
+            assert again.edges == tuple(sorted(edges, key=lambda e: (pos[e[0]], pos[e[1]])))
+            assert again == d
+
+    def test_errors_among_many_edges(self):
+        left, right = ["x1", "x2", "x3"], ["y1", "y2"]
+        fine = [("x1", "y1"), ("y2", "x1"), ("x1", "y1"), ("y1", "x3")]
+        with pytest.raises(SymmetricEdgePair):
+            build(left, right, fine + [("y1", "x1")])
+        with pytest.raises(SymmetricEdgePair):
+            build(left, right, fine + [("x1", "y2")])
+        with pytest.raises(SameSideEdge):
+            build(left, right, fine + [("y2", "y1")])
+        with pytest.raises(UnknownEndpoint):
+            build(left, right, fine + [("y2", "x9")])
+
+    @given(digraphs())
+    def test_stored_matrix_matches_edges(self, d):
+        # every constructor stores the matrix and index maps that build
+        # would compute from the structure's own edges
+        keep = [v for v in d.vertices() if not v.endswith("2")]
+        rename = {v: v.upper() for v in d.vertices() if v.endswith("1")}
+        for s in (d, d.swap_sides(), d.induced(keep), d.relabel(rename),
+                  d.underlying_bipartite()):
+            fresh = build(s.left, s.right, s.edges)
+            assert s.pair_states() == fresh.pair_states()
+            assert s.pair_states() is s.matrix
+            assert dict(s.row_of) == {x: i for i, x in enumerate(s.left)}
+            assert dict(s.col_of) == {y: j for j, y in enumerate(s.right)}
+            assert s.edges == fresh.edges and repr(s) == repr(fresh)
 
 
 class TestNeighbourhoods:
@@ -180,7 +217,7 @@ class TestInduced:
 class TestUnderlyingAndDirection:
     def test_matching_complement_pair_complete(self):
         g = matching_complement_pair(3).underlying_bipartite()
-        assert g.is_complete()
+        assert g.first_nonadjacent_pair() is None
 
     def test_empty(self):
         assert empty_digraph(2, 2).underlying_bipartite().edges == ()
@@ -188,16 +225,17 @@ class TestUnderlyingAndDirection:
     def test_matching(self):
         g = matching_digraph(3).underlying_bipartite()
         assert len(g.edges) == 3
-        assert all(d == 1 for d in g.degree_map().values())
+        assert all(out + inn == 1 for out, inn, _ in g.degree_profile().values())
 
     def test_one_direction(self):
         assert complete_bipartite_digraph(2, 2).is_bipartite_digraph()
         assert empty_digraph(2, 2).is_bipartite_digraph()
         assert not matching_complement_pair(2).is_bipartite_digraph()
 
-    def test_orient_all_round_trip(self):
-        g = matching_digraph(3).underlying_bipartite()
-        assert orient_all(g).underlying_bipartite() == g
+    def test_underlying_bipartite_orients_left_to_right(self):
+        g = matching_complement_pair(3).underlying_bipartite()
+        assert g == complete_bipartite_digraph(3, 3)
+        assert g.underlying_bipartite() == g
 
     @given(digraphs())
     def test_swap_involution(self, d):
@@ -212,19 +250,21 @@ class TestUnderlyingAndDirection:
 
 class TestBipartiteGraph:
     def test_build_normalizes_endpoint_order(self):
-        g1 = build_bipartite(["x1"], ["y1"], [("y1", "x1")])
-        g2 = build_bipartite(["x1"], ["y1"], [("x1", "y1")])
+        g1 = build(["x1"], ["y1"], [("y1", "x1")]).underlying_bipartite()
+        g2 = build(["x1"], ["y1"], [("x1", "y1")]).underlying_bipartite()
         assert g1 == g2
 
     def test_neighbours(self):
-        g = build_bipartite(["x1", "x2"], ["y1"], [("x1", "y1")])
-        assert g.neighbours("y1") == ("x1",)
-        assert g.neighbours("x2") == ()
+        g = build(["x1", "x2"], ["y1"], [("y1", "x1")]).underlying_bipartite()
+        assert g.in_neighbourhood("y1") == ("x1",)
+        assert g.out_neighbourhood("x1") == ("y1",)
+        assert g.out_neighbourhood("x2") == () and g.in_neighbourhood("x2") == ()
 
     def test_first_nonadjacent_pair(self):
-        g = build_bipartite(["x1", "x2"], ["y1"], [("x1", "y1")])
-        assert g.first_nonadjacent_pair() == ("x2", "y1")
-        assert matching_complement_pair(2).underlying_bipartite().first_nonadjacent_pair() is None
+        g = build(["x1", "x2"], ["y1", "y2"], [("x1", "y1"), ("y2", "x1"), ("y1", "x2")])
+        assert g.first_nonadjacent_pair() == ("x2", "y2")
+        assert matching_complement_pair(2).first_nonadjacent_pair() is None
+        assert empty_digraph(0, 3).first_nonadjacent_pair() is None
 
 
 class TestFileFormats:

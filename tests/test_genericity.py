@@ -57,14 +57,11 @@ class TestWitnessScan:
         assert brute_witness_scan(d, req, exclude={"x1", "x2"}) is None
 
     def test_undirected_scan(self):
-        g = complete_bipartite_digraph(2, 2).underlying_bipartite()
-        assert brute_witness_scan(g, requirement(Side.LEFT, a={"x1"})) == "y1"
-        assert brute_witness_scan(g, requirement(Side.LEFT, c={"x1"})) is None
-
-    def test_undirected_rejects_b(self):
-        g = empty_digraph(1, 1).underlying_bipartite()
-        with pytest.raises(InvalidRequirement):
-            brute_witness_scan(g, requirement(Side.LEFT, b={"x1"}))
+        # BIPARTITE mode reads adjacency in either direction
+        d = build(["x1", "x2"], ["y1", "y2"], [("y1", "x1"), ("x1", "y2"), ("x2", "y1")])
+        assert naive_witness(d, requirement(Side.LEFT, a={"x1"}), Mode.BIPARTITE) == "y1"
+        assert naive_witness(d, requirement(Side.LEFT, c={"x1"}), Mode.BIPARTITE) is None
+        assert first_defect(d, 1, Mode.BIPARTITE) == requirement(Side.LEFT, c={"x1"})
 
     def test_unknown_vertices_rejected(self):
         with pytest.raises(InvalidRequirement):
@@ -160,6 +157,36 @@ class TestBipartiteCheck:
         assert not report.holds
         assert all(not d.a and len(d.c) == 1 for d in report.defects)
 
+    def test_reads_adjacency_of_any_digraph(self):
+        # a two-direction digraph gets the report of its underlying graph,
+        # and the defects are the requirements no vertex adjacent in either
+        # direction witnesses
+        rng = random.Random(61)
+        for _ in range(60):
+            d = random_digraph(rng, max_side=5)
+            for level in (1, 2):
+                report = check_generic_bipartite(d, level)
+                assert report == check_generic_bipartite(d.underlying_bipartite(), level)
+                want = {req for req in iter_requirements(d.left, d.right, level, Mode.BIPARTITE)
+                        if naive_witness(d, req, Mode.BIPARTITE) is None}
+                assert set(report.defects) == want
+
+    def test_kernel_tables_are_adjacency_tables(self):
+        # the a slot is adjacency in either direction and the c slot its
+        # complement, for rows and for the opposite side's columns alike
+        rng = random.Random(300)
+        for _ in range(300):
+            d = random_digraph(rng, max_side=6)
+            tables = genericity._digraph_tables_by_side(d)
+            for side in (Side.LEFT, Side.RIGHT):
+                pool, wit, rows, cols = genericity._kernel_tables(tables, side, Mode.BIPARTITE)
+                for elements, witnesses, (adjacent, apart) in ((pool, wit, rows), (wit, pool, cols)):
+                    for i, v in enumerate(elements):
+                        nbrs = set(d.out_neighbourhood(v)) | set(d.in_neighbourhood(v))
+                        bits = sum(1 << k for k, w in enumerate(witnesses) if w in nbrs)
+                        assert adjacent[i] == bits
+                        assert apart[i] == ((1 << len(witnesses)) - 1) & ~bits
+
 
 class TestReportProperties:
     def test_level_monotone(self):
@@ -254,7 +281,7 @@ class TestTransposedKernel:
             d = _skewed_digraph(rng)
             cases = limited + [(3 if index % 4 else 4, None)]
             for mode, structure in _mode_inputs(d):
-                tables = genericity._tables_by_side(structure, mode)
+                tables = genericity._digraph_tables_by_side(structure)
                 for level, limit in cases:
                     got = genericity._collect_defects(tables, level, mode, limit=limit)
                     want = _with_unrolled(genericity._collect_defects,
@@ -268,7 +295,7 @@ class TestTransposedKernel:
         for _ in range(200):
             d = _skewed_digraph(rng)
             for mode, structure in _mode_inputs(d):
-                tables = genericity._tables_by_side(structure, mode)
+                tables = genericity._digraph_tables_by_side(structure)
                 for side in (Side.LEFT, Side.RIGHT):
                     pool, wit, rows, cols = genericity._kernel_tables(tables, side, mode)
                     for size in self.LEVELS:
