@@ -7,10 +7,14 @@ homogeneous survivors are classified.  The audit then cross-checks the
 outcome against the catalog: nothing unexpected may appear, and every
 catalog structure in range must be found.
 
-Sides up to 2 run in well under a second; up to 3 in a few seconds
-(991 classes).  Use the CLI for the full desk-scale audit:
+A homogeneous structure is side-regular (every row has the same count
+of each pair state, and so has every column), so the census decides
+only the side-regular classes and counts the rest by Burnside's lemma.
+Sides up to 3 (991 classes) take well under a second.  Use the CLI for
+the desk-scale audit, and ``--force`` past 12 cross pairs:
 
     twopartite verify --max-x 3 --max-y 3
+    twopartite verify --max-x 4 --max-y 4 --force    # under a second
 """
 
 from collections import Counter

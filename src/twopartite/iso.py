@@ -18,7 +18,8 @@ restrictions of the automorphisms to its domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
+from math import factorial, prod
 from operator import itemgetter
 from typing import Iterator, Mapping
 
@@ -136,39 +137,59 @@ def _refined_colors(digraph: TwoPartiteDigraph, rounds: int = 2) -> dict[str, tu
     return col
 
 
-def _class_orderings(ids: tuple[str, ...], col: dict[str, tuple]) -> Iterator[tuple[str, ...]]:
-    """All orderings of ``ids`` that sort colour classes by colour value,
-    permuting freely inside each class."""
+def _blocks(ids: tuple[str, ...], col: dict[str, tuple]) -> list[list[str]]:
+    """``ids`` grouped into colour classes, the classes sorted by colour
+    value and each kept in stored order."""
     groups: dict[tuple, list[str]] = {}
     for v in ids:
         groups.setdefault(col[v], []).append(v)
-    keys = sorted(groups)
-    per_class = [list(permutations(groups[k])) for k in keys]
-    for combo in product(*per_class):
-        yield tuple(v for perm in combo for v in perm)
+    return [groups[k] for k in sorted(groups)]
+
+
+def _arrangements(lines, blocks: list[list[int]], cross_blocks: list[list[int]]):
+    """For every ordering of ``lines`` that keeps ``blocks`` in place and
+    permutes freely inside each, the cross vectors (the entries at one
+    index of every ordered line) with each of ``cross_blocks`` sorted.
+    Both sides must be nonempty."""
+    for combo in product(*map(permutations, blocks)):
+        cross = list(zip(*[lines[i] for perm in combo for i in perm]))
+        yield [vec for b in cross_blocks for vec in sorted(cross[k] for k in b)]
 
 
 def canonical_form(digraph: TwoPartiteDigraph) -> CanonicalForm:
     """A byte string identifying the side-preserving isomorphism class.
 
     Two structures have equal canonical form iff :func:`are_isomorphic`
-    finds a map between them.  Computed as the lexicographic minimum of
-    the pair-state matrix over all colour-respecting vertex orderings
-    of each side; sides are never mixed.
+    finds a map between them.  The encoding is the row-major
+    lexicographic minimum of the pair-state matrix over all orderings
+    of each side that sort the refined colour classes by colour value
+    and permute freely inside each class; sides are never mixed.
+
+    Only the orderings of one side are enumerated, whichever side has
+    fewer.  For a fixed ordering of the rows, the least arrangement of
+    the columns sorts each right colour class by column vector, because
+    that makes the rows, read one after another, lexicographically
+    least; for a fixed ordering of the columns, each left colour class
+    is sorted by row vector instead.
     """
+    m, n = len(digraph.left), len(digraph.right)
+    header = b"TP1" + m.to_bytes(4, "big") + n.to_bytes(4, "big")
+    if not (m and n):
+        return header
     col = _refined_colors(digraph)
     mat = digraph.pair_states()
-    best: bytes | None = None
-    right_orders = [[digraph.col_of[w] for w in rorder]
-                    for rorder in _class_orderings(digraph.right, col)]
-    for lorder in _class_orderings(digraph.left, col):
-        rows = [mat[digraph.row_of[u]] for u in lorder]
-        for cols in right_orders:
-            enc = bytes(row[j] for row in rows for j in cols)
-            if best is None or enc < best:
-                best = enc
-    header = len(digraph.left).to_bytes(4, "big") + len(digraph.right).to_bytes(4, "big")
-    return b"TP1" + header + (best or b"")
+    lblocks = [[digraph.row_of[x] for x in b] for b in _blocks(digraph.left, col)]
+    rblocks = [[digraph.col_of[y] for y in b] for b in _blocks(digraph.right, col)]
+
+    def orderings(blocks):
+        return prod(factorial(len(b)) for b in blocks)
+
+    if orderings(lblocks) <= orderings(rblocks):
+        # the cross vectors are columns: compare them as rows
+        best = min(list(zip(*cols)) for cols in _arrangements(mat, lblocks, rblocks))
+    else:
+        best = min(_arrangements(list(zip(*mat)), rblocks, lblocks))
+    return header + bytes(chain.from_iterable(best))
 
 
 def _search_maps(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph, initial: dict[str, str],

@@ -2,25 +2,40 @@
 
 The oracles here deliberately reimplement decisions by brute force over
 raw sets and permutations, sharing no code with the package internals,
-so checker/decider agreement is a real cross-check.  Two exceptions
-are earlier production paths kept as differential oracles:
+so checker/decider agreement is a real cross-check.  The
+exceptions are earlier production paths kept as differential oracles:
 ``search_homogeneous``, the decider that the restriction lookup in
-``iso.is_homogeneous`` replaced (it shares the map-search kernel), and
-``unrolled_scan``, the row-wise extension scan that the transposed
-kernel ``genericity._scan_size`` replaced.
+``iso.is_homogeneous`` replaced (it shares the map-search kernel);
+``lexmin_canonical_form``, the canonical form that tries every pair of
+side orderings, which the sorted-column form replaced (it shares the
+colour refinement); ``unrolled_scan``, the row-wise extension scan that
+the transposed kernel ``genericity._scan_size`` replaced; and
+``full_census``, the census over every class, which the side-regular
+census replaced.
 """
 
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations, permutations, product
+from typing import Iterator
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from twopartite import build
+from twopartite.census import CensusEntry, enumerate_all
+from twopartite.classify import classify_exact
 from twopartite.core import TwoPartiteDigraph
 from twopartite.errors import AutGroupTooLarge
 from twopartite.genericity import Mode
-from twopartite.iso import DEFAULT_AUT_CAP, HomogeneityVerdict, PartialMap, _search_maps
+from twopartite.iso import (
+    DEFAULT_AUT_CAP,
+    HomogeneityVerdict,
+    PartialMap,
+    _refined_colors,
+    _search_maps,
+    canonical_form,
+)
 
 settings.register_profile("repro", derandomize=True, max_examples=60)
 settings.load_profile("repro")
@@ -161,6 +176,43 @@ def search_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
     return HomogeneityVerdict(True, None)
 
 
+# -- lexicographic-minimum canonical form ------------------------------------
+
+def _class_orderings(ids: tuple[str, ...], col: dict[str, tuple]) -> Iterator[tuple[str, ...]]:
+    """All orderings of ``ids`` that sort colour classes by colour value,
+    permuting freely inside each class."""
+    groups: dict[tuple, list[str]] = {}
+    for v in ids:
+        groups.setdefault(col[v], []).append(v)
+    keys = sorted(groups)
+    per_class = [list(permutations(groups[k])) for k in keys]
+    for combo in product(*per_class):
+        yield tuple(v for perm in combo for v in perm)
+
+
+def lexmin_canonical_form(digraph: TwoPartiteDigraph) -> bytes:
+    """A byte string identifying the side-preserving isomorphism class.
+
+    Two structures have equal canonical form iff :func:`are_isomorphic`
+    finds a map between them.  Computed as the lexicographic minimum of
+    the pair-state matrix over all colour-respecting vertex orderings
+    of each side; sides are never mixed.
+    """
+    col = _refined_colors(digraph)
+    mat = digraph.pair_states()
+    best: bytes | None = None
+    right_orders = [[digraph.col_of[w] for w in rorder]
+                    for rorder in _class_orderings(digraph.right, col)]
+    for lorder in _class_orderings(digraph.left, col):
+        rows = [mat[digraph.row_of[u]] for u in lorder]
+        for cols in right_orders:
+            enc = bytes(row[j] for row in rows for j in cols)
+            if best is None or enc < best:
+                best = enc
+    header = len(digraph.left).to_bytes(4, "big") + len(digraph.right).to_bytes(4, "big")
+    return b"TP1" + header + (best or b"")
+
+
 # -- unrolled extension scan -----------------------------------------------
 
 def unrolled_scan(slot_masks: list[list[int]], pool_size: int, wit_count: int,
@@ -264,6 +316,37 @@ def burnside_class_count(m: int, n: int) -> int:
                         a, b = sigma[a], tau[b]
             total += 3 ** orbits
     return total // group
+
+
+# -- full census --------------------------------------------------------------
+
+# the side pairs of the desk-scale census: up to 3x3, and up to 2x4
+DESK_PAIRS = sorted({(m, n) for m in range(4) for n in range(4)}
+                    | {(m, n) for m in range(3) for n in range(5)})
+
+
+@lru_cache(maxsize=None)
+def census_classes(m: int, n: int) -> tuple[TwoPartiteDigraph, ...]:
+    """Every class on sides of size m and n, as ``enumerate_all`` lists
+    them; cached because several tests walk the same small sizes."""
+    return tuple(enumerate_all(m, n))
+
+
+@lru_cache(maxsize=None)
+def _full_entries(m: int, n: int) -> tuple[CensusEntry, ...]:
+    entries = []
+    for rep in census_classes(m, n):
+        label = classify_exact(rep)
+        entries.append(CensusEntry(canonical_form(rep), rep,
+                                   label.evidence["homogeneity"], label))
+    return tuple(entries)
+
+
+def full_census(max_left: int, max_right: int) -> list[CensusEntry]:
+    """The census over every class, side-regular or not, in enumeration
+    order: the census before it was cut to side-regular structures."""
+    return [e for m in range(max_left + 1) for n in range(max_right + 1)
+            for e in _full_entries(m, n)]
 
 
 # -- structure generation -----------------------------------------------------

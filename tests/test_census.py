@@ -1,10 +1,13 @@
 import math
+from itertools import product
 
 import pytest
 
 from twopartite.catalog import Direction, matching_complement_pair, matching_digraph
 from twopartite.census import (
     CensusEntry,
+    _burnside_count,
+    _side_regular_states,
     census_homogeneous,
     enumerate_all,
     verify_classification,
@@ -13,9 +16,36 @@ from twopartite.classify import ClassCase, classify_exact
 from twopartite.errors import EnumerationBudgetExceeded, ValidationError
 from twopartite.iso import automorphisms, canonical_form, is_homogeneous
 
-from conftest import burnside_class_count
+from conftest import DESK_PAIRS, burnside_class_count, census_classes, full_census
 
 L2R, R2L = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
+
+
+class StateCounts(dict):
+    """Memo: a line of pair states -> its count of each state."""
+
+    def __missing__(self, line):
+        counts = self[line] = (line.count(0), line.count(1), line.count(2))
+        return counts
+
+
+state_counts = StateCounts().__getitem__
+
+
+def is_side_regular(rows):
+    """Whether all rows have the same count of each pair state, and so
+    do all columns."""
+    return len(set(map(state_counts, rows))) <= 1 and \
+        len(set(map(state_counts, zip(*rows)))) <= 1
+
+
+def filtered_product_walk(m, n):
+    """The side-regular row-major state vectors, by filtering every
+    vector in lexicographic order (taken row by row, which is the same
+    order)."""
+    for rows in product(product((0, 1, 2), repeat=n), repeat=m):
+        if is_side_regular(rows):
+            yield sum(rows, ())
 
 
 class TestEnumerateAll:
@@ -133,3 +163,38 @@ class TestVerifyClassification:
         report = verify_classification(2, 2, census=census)
         assert not report.ok
         assert any(d.kind == "catalog-missing" for d in report.discrepancies)
+
+
+class TestSideRegularCensus:
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(13) for n in range(13)
+                                     if m * n <= 12])
+    def test_walk_is_the_filtered_product_walk(self, m, n):
+        # order included: the census keeps each class's first vector
+        assert list(_side_regular_states(m, n)) == list(filtered_product_walk(m, n))
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (2, 4), (4, 4), (5, 5)])
+    def test_walk_sizes(self, m, n):
+        expected = {(3, 3): 51, (2, 4): 21, (4, 4): 1065, (5, 5): 106563}[m, n]
+        assert sum(1 for _ in _side_regular_states(m, n)) == expected
+
+    @pytest.mark.parametrize("m,n", DESK_PAIRS)
+    def test_classes_that_are_not_side_regular_fail_at_size_one(self, m, n):
+        for d in census_classes(m, n):
+            if not is_side_regular(d.pair_states()):
+                assert is_homogeneous(d, 1).holds is False
+
+    @pytest.mark.parametrize("bounds", [(3, 3), (2, 4)])
+    def test_equals_the_full_census(self, bounds):
+        expected = [e for e in full_census(*bounds) if e.verdict.holds]
+        # entries compare by canonical form, representative, verdict and label
+        assert census_homogeneous(*bounds) == expected
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(4) for n in range(4)])
+    def test_burnside_count(self, m, n):
+        count = _burnside_count(m, n)
+        assert count == burnside_class_count(m, n) == len(census_classes(m, n))
+
+    def test_burnside_count_beyond_the_budget(self):
+        assert _burnside_count(3, 4) == _burnside_count(4, 3) == 5053
+        assert _burnside_count(4, 4) == 90492
+        assert burnside_class_count(3, 4) == 5053

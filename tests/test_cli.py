@@ -223,6 +223,25 @@ class TestBafEnumVerify:
         payload = json.loads(out)
         assert payload["ok"] and payload["homogeneous_classes"] == 20
 
+    def test_verify_four_by_three_within_budget(self):
+        code, out, _ = cli("verify", "--max-x", "4", "--max-y", "3")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ok"] and payload["classes_scanned"] == 6327
+        assert payload["homogeneous_classes"] == 53
+
+    def test_verify_four_by_four_forced(self):
+        from twopartite.census import _catalog_in_range
+        from twopartite.iso import canonical_form
+        code, out, _ = cli("verify", "--max-x", "4", "--max-y", "4", "--force")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ok"] and payload["discrepancies"] == []
+        assert payload["classes_scanned"] == 102155
+        # every homogeneous class in range is a catalog structure
+        catalog = {canonical_form(s) for _, s in _catalog_in_range(4, 4)}
+        assert payload["homogeneous_classes"] == len(catalog) == 72
+
     @pytest.mark.parametrize("command", ["enum", "verify"])
     def test_negative_census_bound_exits_two(self, command):
         for bounds in (["-1", "2"], ["2", "-1"]):

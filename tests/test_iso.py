@@ -11,7 +11,7 @@ from twopartite.catalog import (
     matching_digraph,
     Direction,
 )
-from twopartite.census import enumerate_all
+from twopartite.census import _classes, _side_regular_states, enumerate_all
 from twopartite.errors import AutGroupTooLarge, InvalidPartialMap, ValidationError
 from twopartite.iso import (
     PartialMap,
@@ -24,7 +24,15 @@ from twopartite.iso import (
     is_valid_partial_iso,
 )
 
-from conftest import naive_automorphisms, naive_homogeneous, random_digraph, search_homogeneous
+from conftest import (
+    DESK_PAIRS,
+    census_classes,
+    lexmin_canonical_form,
+    naive_automorphisms,
+    naive_homogeneous,
+    random_digraph,
+    search_homogeneous,
+)
 
 R2L = Direction.RIGHT_TO_LEFT
 
@@ -69,6 +77,68 @@ class TestCanonicalForm:
             rng.shuffle(shuffled)
             relabeled = d.relabel(dict(zip(names, ("t" + s for s in shuffled))))
             assert canonical_form(d) == canonical_form(relabeled)
+
+
+class TestSortedColumnCanonicalForm:
+    """The sorted-column form against ``lexmin_canonical_form``, which
+    tries every pair of side orderings."""
+
+    @pytest.mark.parametrize("m,n", DESK_PAIRS)
+    def test_every_small_class(self, m, n):
+        for d in census_classes(m, n):
+            assert canonical_form(d) == lexmin_canonical_form(d)
+
+    def test_side_regular_four_by_four_classes(self):
+        for _, d in _classes(4, 4, _side_regular_states(4, 4)):
+            assert canonical_form(d) == lexmin_canonical_form(d)
+
+    def test_seeded_random_structures(self):
+        rng = random.Random(11)
+        for _ in range(320):
+            m, n = rng.randint(0, 6), rng.randint(0, 6)
+            # shuffled ids: stored order is not id order
+            left = [f"x{k}" for k in rng.sample(range(20), m)]
+            right = [f"y{k}" for k in rng.sample(range(20), n)]
+            # varied densities, from one state throughout to an even mix
+            weights = [rng.choice((0, 1, 3, 10)) for _ in range(3)]
+            if not any(weights):
+                weights[0] = 1
+            edges = []
+            for x in left:
+                for y in right:
+                    s = rng.choices((0, 1, 2), weights)[0]
+                    if s == 1:
+                        edges.append((x, y))
+                    elif s == 2:
+                        edges.append((y, x))
+            d = build(left, right, edges)
+            assert canonical_form(d) == lexmin_canonical_form(d), (left, right, edges)
+
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_colour_refinement_leaves_one_class_per_side(self, directed):
+        # two cycles of lengths 4 and 6 against one of length 10: every
+        # vertex keeps one colour, so the orderings alone decide
+        def cycles(lengths):
+            left, right, edges = [], [], []
+            for c, k in enumerate(lengths):
+                xs = [f"x{c}_{i}" for i in range(k)]
+                ys = [f"y{c}_{i}" for i in range(k)]
+                left += xs
+                right += ys
+                for i in range(k):
+                    edges.append((xs[i], ys[i]))
+                    edges.append((ys[(i + 1) % k], xs[i]) if directed
+                                 else (xs[i], ys[(i + 1) % k]))
+            rng = random.Random(len(lengths))
+            rng.shuffle(left)
+            rng.shuffle(right)
+            return build(left, right, edges)
+
+        one, two = cycles((5,)), cycles((2, 3))
+        for d in (one, two, two.swap_sides()):
+            assert canonical_form(d) == lexmin_canonical_form(d)
+        assert canonical_form(one) != canonical_form(two)
 
 
 class TestAreIsomorphic:
