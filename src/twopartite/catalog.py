@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Side, TwoPartiteDigraph, build
+from .core import PAIR_LR, PAIR_NONE, PAIR_RL, Side, TwoPartiteDigraph, _assemble, _index, build
 from .errors import (
     ApproximantNotFound,
     CapExceeded,
@@ -33,10 +33,11 @@ from .errors import (
     ValidationError,
 )
 from .genericity import (
+    DefectRow,
     Mode,
-    Requirement,
     _collect_defects,
     _digraph_tables_by_side,
+    _requirement,
     achieved_level,
     validate_level,
 )
@@ -164,11 +165,12 @@ def generic_bipartite_approx(spec: ApproximantSpec,
     the undirected extension check at ``spec.level``."""
     n = spec.side_size
     left, right = _ids("x", n), _ids("y", n)
+    row_of, col_of = _index(left), _index(right)
+    edge = PAIR_LR if direction is Direction.LEFT_TO_RIGHT else PAIR_RL
 
     def draw(rng: random.Random) -> TwoPartiteDigraph:
-        edges = [_oriented(x, y, direction)
-                 for x in left for y in right if rng.getrandbits(1)]
-        return build(left, right, edges)
+        matrix = [[edge if rng.getrandbits(1) else PAIR_NONE for _ in right] for _ in left]
+        return _assemble(left, right, matrix, row_of, col_of)
 
     return _randomized_build(spec, Mode.BIPARTITE, draw)
 
@@ -178,11 +180,11 @@ def generic_2partite_approx(spec: ApproximantSpec) -> TwoPartiteDigraph:
     probability 1/2, verified at ``spec.level``."""
     n = spec.side_size
     left, right = _ids("x", n), _ids("y", n)
+    row_of, col_of = _index(left), _index(right)
 
     def draw(rng: random.Random) -> TwoPartiteDigraph:
-        edges = [(x, y) if rng.getrandbits(1) else (y, x)
-                 for x in left for y in right]
-        return build(left, right, edges)
+        matrix = [[PAIR_LR if rng.getrandbits(1) else PAIR_RL for _ in right] for _ in left]
+        return _assemble(left, right, matrix, row_of, col_of)
 
     return _randomized_build(spec, Mode.TWO_PARTITE, draw)
 
@@ -192,17 +194,12 @@ def generic_orientation_approx(spec: ApproximantSpec) -> TwoPartiteDigraph:
     probability 1/3 each, verified at ``spec.level``."""
     n = spec.side_size
     left, right = _ids("x", n), _ids("y", n)
+    row_of, col_of = _index(left), _index(right)
 
     def draw(rng: random.Random) -> TwoPartiteDigraph:
-        edges = []
-        for x in left:
-            for y in right:
-                state = rng.randrange(3)
-                if state == 1:
-                    edges.append((x, y))
-                elif state == 2:
-                    edges.append((y, x))
-        return build(left, right, edges)
+        # randrange(3) is PAIR_NONE, PAIR_LR or PAIR_RL
+        matrix = [[rng.randrange(3) for _ in right] for _ in left]
+        return _assemble(left, right, matrix, row_of, col_of)
 
     return _randomized_build(spec, Mode.ORIENTATION, draw)
 
@@ -250,44 +247,44 @@ def witness_closure(digraph: TwoPartiteDigraph, mode: Mode, level: int,
         # (original) vertices scans exactly the requirements over them
         tables = {side: (pool[:originals[side]], *rest)
                   for side, (pool, *rest) in _digraph_tables_by_side(current).items()}
-        defects = _collect_defects(tables, level, mode)
-        if not defects:
+        rows = _collect_defects(tables, level, mode)
+        if not rows:
             return current
         if added >= cap:
             raise CapExceeded(
                 f"closure needs more than {cap} added vertices "
-                f"({len(defects)} requirements still unwitnessed)",
-                current, defects)
-        batch = defects[:cap - added]
+                f"({len(rows)} requirements still unwitnessed)",
+                current, map(_requirement, rows))
+        batch = rows[:cap - added]
         current = _add_witnesses(current, batch, mode, bip_direction)
         added += len(batch)
 
 
-def _add_witnesses(current: TwoPartiteDigraph, batch: list[Requirement],
+def _add_witnesses(current: TwoPartiteDigraph, batch: list[DefectRow],
                    mode: Mode, bip_direction: Direction) -> TwoPartiteDigraph:
     left = list(current.left)
     right = list(current.right)
     edges = list(current.edges)
     taken = set(left) | set(right)
     names = _fresh_names(taken, len(batch))
-    for req, w in zip(batch, names):
+    for (side, a, b, c), w in zip(batch, names):
         # the witness lives on the side opposite the requirement sets
-        witness_on_left = req.side is Side.RIGHT
+        witness_on_left = side is Side.RIGHT
         if mode is Mode.BIPARTITE:
             # a demands adjacency, c non-adjacency; new edges follow the
             # input's single direction, everything else stays non-adjacent
-            for u in sorted(req.a):
+            for u in a:
                 x, y = (w, u) if witness_on_left else (u, w)
                 edges.append(_oriented(x, y, bip_direction))
         else:
-            for u in sorted(req.a):    # a ⊆ N+(w)
+            for u in a:    # a ⊆ N+(w)
                 edges.append((w, u))
-            for u in sorted(req.b):    # b ⊆ N-(w)
+            for u in b:    # b ⊆ N-(w)
                 edges.append((u, w))
             if mode is Mode.TWO_PARTITE:
                 # keep the underlying graph complete: unconstrained pairs
                 # get the left-to-right default
-                constrained = req.a | req.b | req.c
+                constrained = {*a, *b, *c}
                 for u in (right if witness_on_left else left):
                     if u in constrained:
                         continue

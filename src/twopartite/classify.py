@@ -223,12 +223,12 @@ def classify_profile(digraph: TwoPartiteDigraph, level: int) -> ClassLabel:
 
     if "two_partite_genericity" in evidence:
         reason = (f"extension checks fail at level {level}: "
-                  f"{len(evidence['two_partite_genericity'].defects)} two-partite "
-                  f"defect(s), {len(report_o.defects)} orientation defect(s)")
+                  f"{len(evidence['two_partite_genericity'].rows)} two-partite "
+                  f"defect(s), {len(report_o.rows)} orientation defect(s)")
     elif any(p[2] == 0 for p in profile.values()):
         reason = (f"mixed perp profile and the orientation extension check "
-                  f"fails at level {level} ({len(report_o.defects)} defect(s))")
+                  f"fails at level {level} ({len(report_o.rows)} defect(s))")
     else:
         reason = (f"orientation extension check fails at level {level} "
-                  f"({len(report_o.defects)} defect(s))")
+                  f"({len(report_o.rows)} defect(s))")
     return ClassLabel(ClassCase.INCONCLUSIVE, reason=reason, evidence=evidence)

@@ -54,8 +54,6 @@ from .iso import HomogeneityVerdict, PartialMap, are_isomorphic, automorphisms, 
 _DIRECTIONS = {"l2r": Direction.LEFT_TO_RIGHT, "r2l": Direction.RIGHT_TO_LEFT}
 _MODES = {"bipartite": Mode.BIPARTITE, "2partite": Mode.TWO_PARTITE,
           "orientation": Mode.ORIENTATION}
-_CHECKS = {Mode.BIPARTITE: check_generic_bipartite, Mode.TWO_PARTITE: check_generic_2partite,
-           Mode.ORIENTATION: check_generic_orientation}
 
 
 # -- JSON shapes ------------------------------------------------------------
@@ -82,7 +80,8 @@ def _report_obj(report: GenericityReport):
         "mode": report.mode.value,
         "level": report.level,
         "holds": report.holds,
-        "defects": [_req_obj(d) for d in report.defects],
+        "defects": [{"side": side.value, "a": a, "b": b, "c": c}
+                    for side, a, b, c in report.rows],
         "nonadjacent": list(report.nonadjacent) if report.nonadjacent else None,
     }
 
@@ -181,7 +180,11 @@ def _cmd_check_hom(args, out, err) -> int:
 
 def _cmd_check_generic(args, out, err) -> int:
     structure = _load(args.infile)
-    report = _CHECKS[_MODES[args.mode]](structure, args.level, jobs=args.jobs)
+    # looked up at call time, so that a wrapper rebound on this module's
+    # names (the benchmark's tracer) sees the call
+    check = {"bipartite": check_generic_bipartite, "2partite": check_generic_2partite,
+             "orientation": check_generic_orientation}[args.mode]
+    report = check(structure, args.level, jobs=args.jobs)
     _emit(out, _report_obj(report))
     return 0 if report.holds else 1
 

@@ -31,12 +31,19 @@ and finds the failing last demands of a prefix by OR-ing the columns of
 its survivors.  ``achieved_level`` scans one size at a time across both
 sides, so one call both accepts a build attempt and reports how far a
 failed attempt got.
+
+Reports carry their defects as rows ``(side, a, b, c)`` of sorted id
+tuples.  Each scan's raw assignments are ordered by one packed integer
+per requirement (``_sorted_rows``) and decoded straight into rows, so a
+dense report builds no :class:`Requirement` objects;
+``GenericityReport.defects`` builds them on first access.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -74,12 +81,12 @@ def requirement(side: Side, a: Iterable[str] = (), b: Iterable[str] = (),
     return req
 
 
-def requirement_sort_key(req: Requirement):
-    """Normalized ordering: side, then total size, then shape (larger
-    ``a`` first), then sorted ids."""
-    side_rank = 0 if req.side is Side.LEFT else 1
-    return (side_rank, req.total, (len(req.b) + len(req.c), len(req.c)),
-            tuple(sorted(req.a)), tuple(sorted(req.b)), tuple(sorted(req.c)))
+DefectRow = tuple[Side, tuple[str, ...], tuple[str, ...], tuple[str, ...]]
+
+
+def _requirement(row: DefectRow) -> Requirement:
+    side, a, b, c = row
+    return Requirement(side, frozenset(a), frozenset(b), frozenset(c))
 
 
 @dataclass(frozen=True)
@@ -87,13 +94,23 @@ class GenericityReport:
     """Outcome of a level check.  ``holds`` is true iff no requirement
     defect was found and (in TWO_PARTITE mode) the underlying graph is
     complete; ``nonadjacent`` carries a witnessing non-adjacent pair when
-    completeness fails."""
+    completeness fails.
+
+    ``rows`` holds the defects as ``(side, a, b, c)`` rows of sorted id
+    tuples, ordered by side, then total size, then shape (larger ``a``
+    first, then smaller ``c``), then the sorted ids of ``a``, ``b`` and
+    ``c``.  ``defects`` is the same list as :class:`Requirement` objects,
+    built on first access."""
 
     mode: Mode
     level: int
     holds: bool
-    defects: tuple[Requirement, ...]
+    rows: tuple[DefectRow, ...]
     nonadjacent: tuple[str, str] | None = None
+
+    @cached_property
+    def defects(self) -> tuple[Requirement, ...]:
+        return tuple(map(_requirement, self.rows))
 
 
 def _validate_requirement(structure: TwoPartiteDigraph, req: Requirement) -> None:
@@ -288,45 +305,92 @@ def _named_masks(masks, mode: Mode) -> dict[str, list[int]]:
     return {"a": a, "b": b, "c": c}
 
 
+# Slot digits of the requirement key: element ``i`` demanded in slot
+# ``a``, ``b`` or ``c`` is the digit ``rank``, ``p + rank`` or
+# ``2p + rank``, with ``rank`` its position in sorted-id order.
+_SLOT_CODES = {"a": 0, "b": 1, "c": 2}
+
+
+def _sorted_rows(side: Side, pool: Sequence[str], slot_names, size: int,
+                 raw: list[tuple]) -> list[DefectRow]:
+    """One ``(side, size)`` scan's assignments as rows, in requirement
+    order.
+
+    Each requirement packs into one integer: its shape code
+    ``(nb + nc) * (size + 1) + nc``, then its demand digits in ascending
+    order, in base ``3p`` for a pool of ``p`` elements.  The digits list
+    the ``a``, ``b`` and ``c`` demands in turn, each set by id, so the
+    integers sort as the requirements do.
+    """
+    p = len(pool)
+    base = 3 * p
+    names = sorted(pool)
+    rank = {v: r for r, v in enumerate(names)}
+    codes = [_SLOT_CODES[name] for name in slot_names]
+    digits = [[code * p + rank[v] for v in pool] for code in codes]
+    # a b demand adds 1 to nb + nc, a c demand also adds 1 to nc
+    shape_share = [(0, size + 1, size + 2)[code] for code in codes]
+    keys = []
+    for assignment in raw:
+        shape = 0
+        demands = []
+        for i, t in assignment:
+            shape += shape_share[t]
+            demands.append(digits[t][i])
+        demands.sort()
+        key = shape
+        for d in demands:
+            key = key * base + d
+        keys.append(key)
+    keys.sort()
+
+    by_digit = names * 3
+    rows = []
+    for key in keys:
+        last_first = []
+        for _ in range(size):
+            key, d = divmod(key, base)
+            last_first.append(by_digit[d])
+        ids = tuple(last_first[::-1])
+        nb_nc, nc = divmod(key, size + 1)
+        na = size - nb_nc
+        rows.append((side, ids[:na], ids[na:size - nc], ids[size - nc:]))
+    return rows
+
+
 def _scan_task(args):
     return _scan_size(*args, limit=None)
 
 
 def _collect_defects(tables_by_side, level: int, mode: Mode,
                      jobs: int = 1, limit: int | None = None,
-                     only_total: int | None = None) -> list[Requirement]:
-    slot_names = _SLOTS[mode]
+                     only_total: int | None = None) -> list[DefectRow]:
+    """Unwitnessed requirements as rows, in requirement order.  ``limit``
+    cuts the scan order (by side, then size, then kernel order) before the
+    rows are sorted."""
     sizes = (only_total,) if only_total is not None else tuple(range(level + 1))
     tasks = []
     for side in (Side.LEFT, Side.RIGHT):
         pool, wit, rows, cols = _kernel_tables(tables_by_side, side, mode)
         for size in sizes:
-            tasks.append((side, pool, (rows, cols, len(pool), len(wit), size)))
-
-    defects: list[Requirement] = []
-
-    def materialize(side: Side, pool, raw: list[tuple]) -> None:
-        for assignment in raw:
-            sets: dict[str, list[str]] = {"a": [], "b": [], "c": []}
-            for (i, t) in assignment:
-                sets[slot_names[t]].append(pool[i])
-            defects.append(Requirement(side, frozenset(sets["a"]),
-                                       frozenset(sets["b"]), frozenset(sets["c"])))
+            tasks.append((side, pool, size, (rows, cols, len(pool), len(wit), size)))
 
     if jobs > 1 and limit is None:
         with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
-            results = list(pool_exec.map(_scan_task, [t[2] for t in tasks]))
-        for (side, pool, _), raw in zip(tasks, results):
-            materialize(side, pool, raw)
+            results = list(pool_exec.map(_scan_task, [task[3] for task in tasks]))
     else:
-        for (side, pool, args) in tasks:
-            remaining = None if limit is None else limit - len(defects)
+        results = []
+        found = 0
+        for task in tasks:
+            remaining = None if limit is None else limit - found
             if remaining is not None and remaining <= 0:
                 break
-            raw = _scan_size(*args, limit=remaining)
-            materialize(side, pool, raw)
+            results.append(_scan_size(*task[3], limit=remaining))
+            found += len(results[-1])
 
-    defects.sort(key=requirement_sort_key)
+    defects: list[DefectRow] = []
+    for (side, pool, size, _), raw in zip(tasks, results):
+        defects += _sorted_rows(side, pool, _SLOTS[mode], size, raw)
     return defects
 
 
@@ -346,19 +410,19 @@ def check_generic_2partite(digraph: TwoPartiteDigraph, level: int,
     reported via ``nonadjacent`` and makes the verdict fail."""
     validate_level(level, jobs)
     nonadj = digraph.first_nonadjacent_pair()
-    defects = _collect_defects(_digraph_tables_by_side(digraph), level,
-                               Mode.TWO_PARTITE, jobs=jobs)
-    holds = not defects and nonadj is None
-    return GenericityReport(Mode.TWO_PARTITE, level, holds, tuple(defects), nonadj)
+    rows = _collect_defects(_digraph_tables_by_side(digraph), level,
+                            Mode.TWO_PARTITE, jobs=jobs)
+    holds = not rows and nonadj is None
+    return GenericityReport(Mode.TWO_PARTITE, level, holds, tuple(rows), nonadj)
 
 
 def check_generic_orientation(digraph: TwoPartiteDigraph, level: int,
                               jobs: int = 1) -> GenericityReport:
     """Extension property with successor/predecessor/non-neighbour demands."""
     validate_level(level, jobs)
-    defects = _collect_defects(_digraph_tables_by_side(digraph), level,
-                               Mode.ORIENTATION, jobs=jobs)
-    return GenericityReport(Mode.ORIENTATION, level, not defects, tuple(defects))
+    rows = _collect_defects(_digraph_tables_by_side(digraph), level,
+                            Mode.ORIENTATION, jobs=jobs)
+    return GenericityReport(Mode.ORIENTATION, level, not rows, tuple(rows))
 
 
 def check_generic_bipartite(digraph: TwoPartiteDigraph, level: int,
@@ -366,9 +430,9 @@ def check_generic_bipartite(digraph: TwoPartiteDigraph, level: int,
     """Undirected extension property: adjacency/non-adjacency demands,
     where an edge in either direction counts as adjacency."""
     validate_level(level, jobs)
-    defects = _collect_defects(_digraph_tables_by_side(digraph), level,
-                               Mode.BIPARTITE, jobs=jobs)
-    return GenericityReport(Mode.BIPARTITE, level, not defects, tuple(defects))
+    rows = _collect_defects(_digraph_tables_by_side(digraph), level,
+                            Mode.BIPARTITE, jobs=jobs)
+    return GenericityReport(Mode.BIPARTITE, level, not rows, tuple(rows))
 
 
 def first_defect(digraph: TwoPartiteDigraph, level: int, mode: Mode) -> Requirement | None:
@@ -376,8 +440,8 @@ def first_defect(digraph: TwoPartiteDigraph, level: int, mode: Mode) -> Requirem
     in scan order, or None when the level holds.  In TWO_PARTITE mode
     the structural completeness clause is not consulted here."""
     validate_level(level)
-    defects = _collect_defects(_digraph_tables_by_side(digraph), level, mode, limit=1)
-    return defects[0] if defects else None
+    rows = _collect_defects(_digraph_tables_by_side(digraph), level, mode, limit=1)
+    return _requirement(rows[0]) if rows else None
 
 
 def achieved_level(digraph: TwoPartiteDigraph, mode: Mode, max_level: int) -> int:

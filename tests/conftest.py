@@ -9,11 +9,15 @@ exceptions are earlier production paths kept as differential oracles:
 ``lexmin_canonical_form``, the canonical form that tries every pair of
 side orderings, which the sorted-column form replaced (it shares the
 colour refinement); ``unrolled_scan``, the row-wise extension scan that
-the transposed kernel ``genericity._scan_size`` replaced; and
-``full_census``, the census over every class, which the side-regular
-census replaced.
+the transposed kernel ``genericity._scan_size`` replaced;
+``materialized_defects``, the defect collector that built a
+``Requirement`` per defect and sorted them by ``requirement_sort_key``,
+which the packed integer keys of ``genericity._collect_defects``
+replaced (it shares the kernel); and ``full_census``, the census over
+every class, which the side-regular census replaced.
 """
 
+from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterator
@@ -25,9 +29,16 @@ from hypothesis import strategies as st
 from twopartite import build
 from twopartite.census import CensusEntry, enumerate_all
 from twopartite.classify import classify_exact
-from twopartite.core import TwoPartiteDigraph
+from twopartite.core import Side, TwoPartiteDigraph
 from twopartite.errors import AutGroupTooLarge
-from twopartite.genericity import Mode
+from twopartite.genericity import (
+    _SLOTS,
+    Mode,
+    Requirement,
+    _kernel_tables,
+    _scan_size,
+    _scan_task,
+)
 from twopartite.iso import (
     DEFAULT_AUT_CAP,
     HomogeneityVerdict,
@@ -290,6 +301,59 @@ def unrolled_scan(slot_masks: list[list[int]], pool_size: int, wit_count: int,
 
     rec(0, 0, full, ())
     return defects
+
+
+# -- materialised defect lists -------------------------------------------------
+
+def requirement_sort_key(req: Requirement):
+    """Normalized ordering: side, then total size, then shape (larger
+    ``a`` first), then sorted ids."""
+    side_rank = 0 if req.side is Side.LEFT else 1
+    return (side_rank, req.total, (len(req.b) + len(req.c), len(req.c)),
+            tuple(sorted(req.a)), tuple(sorted(req.b)), tuple(sorted(req.c)))
+
+
+def materialized_defects(tables_by_side, level: int, mode: Mode,
+                         jobs: int = 1, limit: int | None = None,
+                         only_total: int | None = None) -> list[Requirement]:
+    slot_names = _SLOTS[mode]
+    sizes = (only_total,) if only_total is not None else tuple(range(level + 1))
+    tasks = []
+    for side in (Side.LEFT, Side.RIGHT):
+        pool, wit, rows, cols = _kernel_tables(tables_by_side, side, mode)
+        for size in sizes:
+            tasks.append((side, pool, (rows, cols, len(pool), len(wit), size)))
+
+    defects: list[Requirement] = []
+
+    def materialize(side: Side, pool, raw: list[tuple]) -> None:
+        for assignment in raw:
+            sets: dict[str, list[str]] = {"a": [], "b": [], "c": []}
+            for (i, t) in assignment:
+                sets[slot_names[t]].append(pool[i])
+            defects.append(Requirement(side, frozenset(sets["a"]),
+                                       frozenset(sets["b"]), frozenset(sets["c"])))
+
+    if jobs > 1 and limit is None:
+        with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
+            results = list(pool_exec.map(_scan_task, [t[2] for t in tasks]))
+        for (side, pool, _), raw in zip(tasks, results):
+            materialize(side, pool, raw)
+    else:
+        for (side, pool, args) in tasks:
+            remaining = None if limit is None else limit - len(defects)
+            if remaining is not None and remaining <= 0:
+                break
+            raw = _scan_size(*args, limit=remaining)
+            materialize(side, pool, raw)
+
+    defects.sort(key=requirement_sort_key)
+    return defects
+
+
+def defect_row(req: Requirement) -> tuple:
+    """A requirement as a report row: side, then sorted id tuples."""
+    return (req.side, tuple(sorted(req.a)), tuple(sorted(req.b)), tuple(sorted(req.c)))
 
 
 # -- orbit counting -----------------------------------------------------------

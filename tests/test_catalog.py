@@ -32,10 +32,9 @@ from twopartite.genericity import (
     check_generic_bipartite,
     check_generic_orientation,
     iter_requirements,
-    requirement_sort_key,
 )
 
-from conftest import naive_witness
+from conftest import naive_witness, requirement_sort_key
 
 L2R, R2L = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
 

@@ -317,6 +317,79 @@ class TestConvertAndErrors:
 
 # -- fuzzing: every input gets exit code 0, 1 or 2 and nothing escapes -------
 
+# -- pinned defect reports ------------------------------------------------------
+#
+# Dense inputs whose ids need JSON escaping (quote, backslash, non-ASCII) and
+# whose string order, stored order and numeric order all differ.
+
+_ODD_LEFT = ["x10", 'x"q', "x2", "x\\b", "x\u00e9", "x1", "x\u65e5", "x33", "x03"]
+_ODD_RIGHT = ["y7", "y\\", 'y"', "y12", "y\u00fc", "y1", "y0", "y\u2603"]
+
+
+def _odd_structure(seed: int, states: int):
+    """A random structure on the odd ids, each pair drawn from the first
+    ``states`` of (left-to-right, right-to-left, non-adjacent)."""
+    import random
+    from twopartite import build
+    rng = random.Random(seed)
+    edges = []
+    for x in _ODD_LEFT:
+        for y in _ODD_RIGHT:
+            state = rng.randrange(states)
+            if state < 2:
+                edges.append((x, y) if state == 0 else (y, x))
+    return build(_ODD_LEFT, _ODD_RIGHT, edges)
+
+
+def _transcript(runs) -> str:
+    """Exit code, stdout and stderr of each command, one after another."""
+    parts = []
+    for argv in runs:
+        code, out, err = cli(*argv)
+        parts.append(f"{argv!r} {code}\n{out}{err}")
+    return "".join(parts)
+
+
+def _sha(text: str) -> str:
+    import hashlib
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of the transcripts, computed with the collector that built a
+# Requirement per defect and sorted by requirement_sort_key.
+PINNED_CHECK_GENERIC = {
+    "bipartite": "55b154a89fd1d21eeff31df398406e07a7f496b1e546d9758cdbcfb5a7661fe4",
+    "2partite": "d866963ad36649020976c314358688cd206d3650cf4d66a5c90a80bcb80c4aa9",
+    "orientation": "a13c0a688d84581c99562b3f91e21c647acd590b93adc6cf8ccec653f879f778",
+}
+PINNED_CAP_EXCEEDED = "5319645eb253ed2f966ee3108489079e3c7a5be093029deeb61b4c4b9d21d986"
+
+
+class TestPinnedPayloads:
+    @pytest.mark.parametrize("mode", sorted(PINNED_CHECK_GENERIC))
+    def test_check_generic_transcript(self, tmp_path, mode):
+        paths = [write(tmp_path, "three.json", _odd_structure(1, 3)),
+                 write(tmp_path, "two.json", _odd_structure(2, 2)),
+                 write(tmp_path, "one.json", _odd_structure(3, 3).underlying_bipartite())]
+        runs = [["check-generic", "--in", path, "--mode", mode, "--level", str(level)]
+                for path in paths for level in range(4)]
+        runs += [["check-generic", "--in", path, "--mode", mode, "--level", "3",
+                  "--jobs", "2"] for path in paths[:2]]
+        assert _sha(_transcript(runs).replace(str(tmp_path), "")) == PINNED_CHECK_GENERIC[mode]
+
+    def test_closure_cap_exceeded_transcript(self, tmp_path):
+        three = write(tmp_path, "three.json", _odd_structure(4, 3))
+        one = write(tmp_path, "one.json", _odd_structure(5, 3).underlying_bipartite())
+        runs = [["gen", "closure", "--in", path, "--mode", mode, "--level", "2",
+                 "--cap", str(cap)]
+                for path, mode in ((three, "2partite"), (three, "orientation"),
+                                   (one, "bipartite"))
+                for cap in (0, 5)]
+        text = _transcript(runs).replace(str(tmp_path), "")
+        assert text.count("cap-exceeded") == len(runs)
+        assert _sha(text) == PINNED_CAP_EXCEEDED
+
+
 _IDS = st.sampled_from(["x1", "x2", "x3", "y1", "y2", "y3"])
 _JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3) | _IDS,

@@ -16,7 +16,12 @@ from twopartite.catalog import (
     witness_closure,
 )
 from twopartite.core import Side, build, to_json_text
-from twopartite.errors import ApproximantNotFound, InvalidRequirement, ValidationError
+from twopartite.errors import (
+    ApproximantNotFound,
+    CapExceeded,
+    InvalidRequirement,
+    ValidationError,
+)
 from twopartite.genericity import (
     Mode,
     achieved_level,
@@ -27,10 +32,16 @@ from twopartite.genericity import (
     first_defect,
     iter_requirements,
     requirement,
-    requirement_sort_key,
 )
 
-from conftest import naive_witness, random_digraph, unrolled_scan
+from conftest import (
+    defect_row,
+    materialized_defects,
+    naive_witness,
+    random_digraph,
+    requirement_sort_key,
+    unrolled_scan,
+)
 
 
 class TestWitnessScan:
@@ -326,6 +337,104 @@ class TestTransposedKernel:
             for mode, structure in _mode_inputs(d):
                 check = checks[mode]
                 assert check(structure, 3, jobs=2) == _with_unrolled(check, structure, 3)
+
+
+# -- report rows against the materialised collector they replaced -------------
+
+def _scrambled_digraph(rng, max_side=7):
+    """A skewed structure under ids whose string order, stored order and
+    numeric order differ: ``x10`` sorts before ``x2``, and the stored
+    order is random."""
+    d = _skewed_digraph(rng, max_side)
+    old = d.left + d.right
+    numbers = rng.sample(range(1, 40), len(old))
+    return d.relabel({v: f"{v[0]}{k}" for v, k in zip(old, numbers)})
+
+
+def _oracle_rows(tables, level, mode, **kwargs):
+    return [defect_row(r) for r in materialized_defects(tables, level, mode, **kwargs)]
+
+
+def _oracle_achieved_level(structure, mode, max_level):
+    if mode is Mode.TWO_PARTITE and structure.first_nonadjacent_pair() is not None:
+        return -1
+    tables = genericity._digraph_tables_by_side(structure)
+    for total in range(max_level + 1):
+        if materialized_defects(tables, max_level, mode, limit=1, only_total=total):
+            return total - 1
+    return max_level
+
+
+CHECKS = {Mode.TWO_PARTITE: check_generic_2partite,
+          Mode.ORIENTATION: check_generic_orientation,
+          Mode.BIPARTITE: check_generic_bipartite}
+
+
+class TestDefectRows:
+    LEVELS = range(5)
+
+    def test_rows_and_reports_match_oracle(self):
+        # unlimited level 4 materialises up to ~10^4 defects per structure,
+        # so only every fourth structure gets it
+        limited = [(level, limit) for level in self.LEVELS for limit in (1, 2)]
+        rng = random.Random(808)
+        for index in range(200):
+            d = _scrambled_digraph(rng)
+            cases = limited + [(3 if index % 4 else 4, None)]
+            for mode, structure in _mode_inputs(d):
+                tables = genericity._digraph_tables_by_side(structure)
+                for level, limit in cases:
+                    got = genericity._collect_defects(tables, level, mode, limit=limit)
+                    assert got == _oracle_rows(tables, level, mode, limit=limit), \
+                        (d, mode, level, limit)
+                for total, limit in [(t, 1) for t in self.LEVELS] + [(2, None)]:
+                    got = genericity._collect_defects(tables, 4, mode, limit=limit,
+                                                      only_total=total)
+                    assert got == _oracle_rows(tables, 4, mode, limit=limit,
+                                               only_total=total)
+                report = CHECKS[mode](structure, 2)
+                want = materialized_defects(tables, 2, mode)
+                assert report.rows == tuple(map(defect_row, want))
+                assert report.defects == tuple(want)
+
+    def test_first_defect_and_achieved_level(self):
+        rng = random.Random(909)
+        for _ in range(200):
+            d = _scrambled_digraph(rng)
+            for mode, structure in _mode_inputs(d):
+                tables = genericity._digraph_tables_by_side(structure)
+                for level in self.LEVELS:
+                    want = materialized_defects(tables, level, mode, limit=1)
+                    assert first_defect(structure, level, mode) == (want[0] if want else None)
+                    assert (achieved_level(structure, mode, level)
+                            == _oracle_achieved_level(structure, mode, level))
+
+    def test_parallel_rows(self):
+        rng = random.Random(17)
+        for _ in range(2):
+            d = _scrambled_digraph(rng, max_side=6)
+            for mode, structure in _mode_inputs(d):
+                tables = genericity._digraph_tables_by_side(structure)
+                report = CHECKS[mode](structure, 3, jobs=2)
+                assert report.rows == tuple(_oracle_rows(tables, 3, mode, jobs=2))
+
+    def test_closure_cut_pools(self):
+        # the closure scans its partial structure over pools cut to the
+        # original vertices; the remaining defects come back in order
+        rng = random.Random(1234)
+        seen = 0
+        for _ in range(60):
+            d = _scrambled_digraph(rng, max_side=5)
+            for mode, structure in _mode_inputs(d):
+                try:
+                    witness_closure(structure, mode, 2, cap=3)
+                except CapExceeded as exc:
+                    seen += 1
+                    cut = {side: (pool[:len(structure.side(side))], *rest)
+                           for side, (pool, *rest)
+                           in genericity._digraph_tables_by_side(exc.partial).items()}
+                    assert exc.defects == tuple(materialized_defects(cut, 2, mode))
+        assert seen > 20
 
 
 # Digests of the JSON text of seeded builder outputs; a change to the scan
