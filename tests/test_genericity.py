@@ -279,6 +279,11 @@ def _mode_inputs(digraph):
             (Mode.BIPARTITE, digraph.underlying_bipartite()))
 
 
+CHECKS = {Mode.TWO_PARTITE: check_generic_2partite,
+          Mode.ORIENTATION: check_generic_orientation,
+          Mode.BIPARTITE: check_generic_bipartite}
+
+
 class TestTransposedKernel:
     LEVELS = range(5)
 
@@ -329,13 +334,10 @@ class TestTransposedKernel:
 
     def test_parallel_path(self):
         rng = random.Random(5)
-        checks = {Mode.TWO_PARTITE: check_generic_2partite,
-                  Mode.ORIENTATION: check_generic_orientation,
-                  Mode.BIPARTITE: check_generic_bipartite}
         for _ in range(2):
             d = _skewed_digraph(rng, max_side=6)
             for mode, structure in _mode_inputs(d):
-                check = checks[mode]
+                check = CHECKS[mode]
                 assert check(structure, 3, jobs=2) == _with_unrolled(check, structure, 3)
 
 
@@ -363,11 +365,6 @@ def _oracle_achieved_level(structure, mode, max_level):
         if materialized_defects(tables, max_level, mode, limit=1, only_total=total):
             return total - 1
     return max_level
-
-
-CHECKS = {Mode.TWO_PARTITE: check_generic_2partite,
-          Mode.ORIENTATION: check_generic_orientation,
-          Mode.BIPARTITE: check_generic_bipartite}
 
 
 class TestDefectRows:
