@@ -6,20 +6,26 @@ side-respecting isomorphism between induced substructures extends to a
 side-preserving automorphism of the whole structure.
 
 Everything here reads the digraph's stored pair-state matrix and its
-row and column maps.  The search kernel is a backtracking completion
-over vertex assignments, pruned by an iteratively refined colour
-invariant built from the (outdegree, indegree, perp-degree) triple.  Colours only prune; every
-candidate assignment is still verified pairwise, so the kernel is exact.
-The homogeneity decider runs it once, to enumerate the automorphism
-group, and then decides every partial isomorphism by looking up the
-restrictions of the automorphisms to its domain.
+row and column maps.  The one map-search kernel, :func:`_search_maps`,
+is a backtracking completion over vertex assignments.  It starts from
+an iteratively refined colour invariant built from the (outdegree,
+indegree, perp-degree) triple.  Each open vertex carries a signature:
+its colour, extended by its pair state to every assigned vertex on the
+other side.  A vertex only takes a candidate of equal signature, and a
+partial map is dropped as soon as the open signatures of the two
+structures stop matching as multisets, which also separates vertices
+that colour refinement leaves together.  The homogeneity decider runs
+the kernel once, to enumerate the automorphism group.  It then counts
+the valid images of each domain and compares the count with the number
+of distinct restrictions of the automorphisms to that domain.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations, product
-from math import factorial, prod
+from math import factorial, perm, prod
 from operator import itemgetter
 from typing import Iterator, Mapping
 
@@ -192,13 +198,32 @@ def canonical_form(digraph: TwoPartiteDigraph) -> CanonicalForm:
     return header + bytes(chain.from_iterable(best))
 
 
+def _uniform_state(line) -> int:
+    """The one pair state of ``line``, or -1 when it holds several or none."""
+    return line[0] if len(set(line)) == 1 else -1
+
+
 def _search_maps(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph, initial: dict[str, str],
                  limit: int | None) -> Iterator[dict[str, str]]:
     """Backtracking enumeration of total side-preserving bijections
     d1 -> d2 that preserve all pair states and extend ``initial``.
     ``initial`` must already be consistent.  Yields at most ``limit``
-    maps when limit is not None."""
-    if len(d1.left) != len(d2.left) or len(d1.right) != len(d2.right):
+    maps when limit is not None.
+
+    Open vertices are placed in d1's stored order, left before right,
+    and each takes its candidates in d2's stored order.  Every open
+    vertex carries an integer signature: its colour rank, extended in
+    base 3 by its pair state to each assigned vertex on the other side,
+    in assignment order.  A candidate must have the signature of the
+    vertex it takes, which says exactly that the pair is consistent with
+    every assignment so far.  After a left vertex is placed, the open
+    right vertices of d1 and of d2 must still have equal multisets of
+    signatures, since a completion maps one onto the other; otherwise
+    the subtree has no completion and is cut.  Cuts lose no map, so the
+    maps come in the order of the unpruned search.
+    """
+    m, n = len(d1.left), len(d1.right)
+    if len(d2.left) != m or len(d2.right) != n:
         return
     col1 = _refined_colors(d1)
     col2 = col1 if d2 is d1 else _refined_colors(d2)
@@ -206,43 +231,55 @@ def _search_maps(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph, initial: dict[str
         return
     if sorted(col1[v] for v in d1.right) != sorted(col2[v] for v in d2.right):
         return
-
-    assigned = dict(initial)
-    used = set(initial.values())
     for s, t in initial.items():
         if col1[s] != col2[t]:
             return  # colours are isomorphism invariants; no completion exists
 
-    todo = [v for v in d1.vertices() if v not in assigned]
-    yielded = 0
-
+    # side 0 is left, side 1 is right; a vertex's line holds its pair
+    # states to the other side's vertices, by index
+    ids1, ids2 = (d1.left, d1.right), (d2.left, d2.right)
+    index1, index2 = (d1.row_of, d1.col_of), (d2.row_of, d2.col_of)
     mat1, mat2 = d1.pair_states(), d2.pair_states()
-    l1, r1 = d1.row_of, d1.col_of
-    l2, r2 = d2.row_of, d2.col_of
+    lines1 = (mat1, [tuple(row[j] for row in mat1) for j in range(n)])
+    lines2 = (mat2, [tuple(row[j] for row in mat2) for j in range(n)])
+    uniform = [list(map(_uniform_state, lines)) for lines in lines1]
+    rank = {c: r for r, c in enumerate(dict.fromkeys(col1.values()))}
+    sig1 = [[rank[col1[v]] for v in ids] for ids in ids1]
+    sig2 = [[rank[col2[v]] for v in ids] for ids in ids2]
+    used = [[False] * m, [False] * n]
 
-    def consistent(v: str, w: str) -> bool:
-        if v in l1:
-            vi, wi = l1[v], l2[w]
-            for (u, x) in assigned.items():
-                if u in r1:
-                    if mat1[vi][r1[u]] != mat2[wi][r2[x]]:
-                        return False
-        else:
-            vj, wj = r1[v], r2[w]
-            for (u, x) in assigned.items():
-                if u in l1:
-                    if mat1[l1[u]][vj] != mat2[l2[x]][wj]:
-                        return False
+    def extend(side: int, a: int, b: int) -> bool:
+        # a and b on ``side`` are assigned: the other side's signatures
+        # gain their pair states; True when they grew.  When a's line is
+        # one state throughout, so is b's, which has a's colour and hence
+        # its state counts: one digit would go everywhere, keeping every
+        # equality and multiset as it is, so none is added
+        if uniform[side][a] != -1:
+            return False
+        other = 1 - side
+        sig1[other] = [3 * s + x for s, x in zip(sig1[other], lines1[side][a])]
+        sig2[other] = [3 * s + x for s, x in zip(sig2[other], lines2[side][b])]
         return True
 
-    def candidates(v: str) -> Iterator[str]:
-        pool = d2.left if v in l1 else d2.right
-        cv = col1[v]
-        for w in pool:
-            if w in used or col2[w] != cv:
-                continue
-            if consistent(v, w):
-                yield w
+    def balanced(side: int) -> bool:
+        return (sorted(sig1[side][u] for u in open1[side])
+                == sorted(sig2[side][u] for u in open2[side]))
+
+    assigned = dict(initial)
+    for s, t in initial.items():
+        side = 0 if s in d1.row_of else 1
+        a, b = index1[side][s], index2[side][t]
+        used[side][b] = True
+        extend(side, a, b)
+    open1 = [[u for u, v in enumerate(ids) if v not in assigned] for ids in ids1]
+    open2 = [[u for u, taken in enumerate(flags) if not taken] for flags in used]
+    if not (balanced(0) and balanced(1)):
+        return
+    # every open left vertex is placed before any open right one, so the
+    # open right vertices stay fixed while the left ones are placed, and
+    # no left vertex is open once the right ones are
+    todo = [(0, a) for a in open1[0]] + [(1, a) for a in open1[1]]
+    yielded = 0
 
     def rec(pos: int) -> Iterator[dict[str, str]]:
         nonlocal yielded
@@ -252,13 +289,22 @@ def _search_maps(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph, initial: dict[str
             yielded += 1
             yield dict(assigned)
             return
-        v = todo[pos]
-        for w in candidates(v):
-            assigned[v] = w
-            used.add(w)
-            yield from rec(pos + 1)
+        side, a = todo[pos]
+        v, want, taken = ids1[side][a], sig1[side][a], used[side]
+        for b, sig in enumerate(sig2[side]):
+            if taken[b] or sig != want:
+                continue
+            assigned[v] = ids2[side][b]
+            taken[b] = True
+            if side == 0:
+                saved = sig1[1], sig2[1]
+                if not extend(0, a, b) or balanced(1):
+                    yield from rec(pos + 1)
+                sig1[1], sig2[1] = saved
+            else:
+                yield from rec(pos + 1)
             del assigned[v]
-            used.discard(w)
+            taken[b] = False
             if limit is not None and yielded >= limit:
                 return
 
@@ -326,6 +372,21 @@ def extends_to_automorphism(digraph: TwoPartiteDigraph, pmap: PartialMap) -> boo
     return False
 
 
+def _image_count(mat, n: int, a: int, want: list[tuple]) -> int:
+    """The number of valid images of a domain with ``a`` left vertices
+    whose right vertices have the pair-state columns ``want`` over them:
+    a right image must have its source's column over the left images,
+    and the right images of one column group are distinct."""
+    if a == 0:
+        return perm(n, len(want))
+    groups = Counter(want).items()
+    total = 0
+    for img_l in permutations(mat, a):
+        have = Counter(zip(*img_l))
+        total += prod(perm(have[col], k) for col, k in groups)
+    return total
+
+
 def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
                    aut_cap: int = DEFAULT_AUT_CAP) -> HomogeneityVerdict:
     """Exact homogeneity up to domain size ``k`` (default: all sizes).
@@ -335,11 +396,17 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
     automorphism group is enumerated once, so memory grows with the
     group, which is bounded by ``aut_cap`` (AutGroupTooLarge beyond
     it).  A partial isomorphism out of a domain S extends exactly when
-    it is the restriction g|S of some automorphism g, so each one is
-    decided by a set lookup.  Domains are enumerated smallest first and
-    reduced to one per automorphism orbit, so a failing verdict carries
-    a smallest counterexample.  A negative ``k`` or ``aut_cap`` raises
-    ValidationError.
+    it is the restriction g|S of some automorphism g, and every such
+    restriction is a valid image of S, so S passes exactly when it has
+    as many valid images as distinct restrictions.  The valid images are
+    counted, not listed: for each image of S's left part, the right
+    images are counted as a product of falling factorials, one per
+    group of S's right vertices with equal pair states to the left
+    part.  Only a failing domain walks its images in order to find the
+    first one that is not a restriction.  Domains are enumerated
+    smallest first and reduced to one per automorphism orbit, so a
+    failing verdict carries a smallest counterexample.  A negative
+    ``k`` or ``aut_cap`` raises ValidationError.
     """
     if k is not None and k < 0:
         raise ValidationError(f"domain size bound must be non-negative, got {k}")
@@ -367,6 +434,8 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
             seen.update(map(frozenset, restrictions))
             a = sum(1 for p in subset if p < m)
             want = [tuple(column[j][i] for i in subset[:a]) for j in subset[a:]]
+            if _image_count(mat, n, a, want) == len(restrictions):
+                continue
             # Images are not filtered by colour: a map between induced
             # substructures only has to preserve the induced structure,
             # and maps that break ambient invariants are precisely the

@@ -6,6 +6,12 @@ so checker/decider agreement is a real cross-check.  The
 exceptions are earlier production paths kept as differential oracles:
 ``search_homogeneous``, the decider that the restriction lookup in
 ``iso.is_homogeneous`` replaced (it shares the map-search kernel);
+``pairwise_search_maps``, the map search that checked each candidate
+against every assigned vertex and never cut a subtree, which the
+signature search ``iso._search_maps`` replaced; ``walk_homogeneous``,
+the restriction-lookup decider that walked every valid image of each
+domain, which the counting decider replaced (it runs on
+``pairwise_search_maps``);
 ``lexmin_canonical_form``, the canonical form that tries every pair of
 side orderings, which the sorted-column form replaced (it shares the
 colour refinement); ``unrolled_scan``, the row-wise extension scan that
@@ -17,9 +23,11 @@ replaced (it shares the kernel); and ``full_census``, the census over
 every class, which the side-regular census replaced.
 """
 
+import random
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from operator import itemgetter
 from typing import Iterator
 
 import pytest
@@ -30,7 +38,7 @@ from twopartite import build
 from twopartite.census import CensusEntry, enumerate_all
 from twopartite.classify import classify_exact
 from twopartite.core import Side, TwoPartiteDigraph
-from twopartite.errors import AutGroupTooLarge
+from twopartite.errors import AutGroupTooLarge, ValidationError
 from twopartite.genericity import (
     _SLOTS,
     Mode,
@@ -184,6 +192,148 @@ def search_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
                         break
                     if not extends:
                         return HomogeneityVerdict(False, PartialMap.from_dict(phi))
+    return HomogeneityVerdict(True, None)
+
+
+# -- pairwise map search and image-walk decider --------------------------------
+
+def pairwise_search_maps(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph,
+                         initial: dict[str, str],
+                         limit: int | None) -> Iterator[dict[str, str]]:
+    """Backtracking enumeration of total side-preserving bijections
+    d1 -> d2 that preserve all pair states and extend ``initial``.
+    ``initial`` must already be consistent.  Yields at most ``limit``
+    maps when limit is not None."""
+    if len(d1.left) != len(d2.left) or len(d1.right) != len(d2.right):
+        return
+    col1 = _refined_colors(d1)
+    col2 = col1 if d2 is d1 else _refined_colors(d2)
+    if sorted(col1[v] for v in d1.left) != sorted(col2[v] for v in d2.left):
+        return
+    if sorted(col1[v] for v in d1.right) != sorted(col2[v] for v in d2.right):
+        return
+
+    assigned = dict(initial)
+    used = set(initial.values())
+    for s, t in initial.items():
+        if col1[s] != col2[t]:
+            return  # colours are isomorphism invariants; no completion exists
+
+    todo = [v for v in d1.vertices() if v not in assigned]
+    yielded = 0
+
+    mat1, mat2 = d1.pair_states(), d2.pair_states()
+    l1, r1 = d1.row_of, d1.col_of
+    l2, r2 = d2.row_of, d2.col_of
+
+    def consistent(v: str, w: str) -> bool:
+        if v in l1:
+            vi, wi = l1[v], l2[w]
+            for (u, x) in assigned.items():
+                if u in r1:
+                    if mat1[vi][r1[u]] != mat2[wi][r2[x]]:
+                        return False
+        else:
+            vj, wj = r1[v], r2[w]
+            for (u, x) in assigned.items():
+                if u in l1:
+                    if mat1[l1[u]][vj] != mat2[l2[x]][wj]:
+                        return False
+        return True
+
+    def candidates(v: str) -> Iterator[str]:
+        pool = d2.left if v in l1 else d2.right
+        cv = col1[v]
+        for w in pool:
+            if w in used or col2[w] != cv:
+                continue
+            if consistent(v, w):
+                yield w
+
+    def rec(pos: int) -> Iterator[dict[str, str]]:
+        nonlocal yielded
+        if limit is not None and yielded >= limit:
+            return
+        if pos == len(todo):
+            yielded += 1
+            yield dict(assigned)
+            return
+        v = todo[pos]
+        for w in candidates(v):
+            assigned[v] = w
+            used.add(w)
+            yield from rec(pos + 1)
+            del assigned[v]
+            used.discard(w)
+            if limit is not None and yielded >= limit:
+                return
+
+    yield from rec(0)
+
+
+def _pairwise_automorphism_maps(digraph: TwoPartiteDigraph, cap: int) -> Iterator[dict[str, str]]:
+    """``iso._automorphism_maps`` on the pairwise search."""
+    if cap < 0:
+        raise ValidationError(f"automorphism cap must be non-negative, got {cap}")
+    for count, mapping in enumerate(pairwise_search_maps(digraph, digraph, {}, limit=cap + 1)):
+        if count == cap:
+            raise AutGroupTooLarge(cap)
+        yield mapping
+
+
+def walk_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
+                   aut_cap: int = DEFAULT_AUT_CAP) -> HomogeneityVerdict:
+    """Exact homogeneity up to domain size ``k`` (default: all sizes).
+
+    Every isomorphism between induced substructures on at most ``k``
+    vertices must extend to a side-preserving automorphism.  The
+    automorphism group is enumerated once, so memory grows with the
+    group, which is bounded by ``aut_cap`` (AutGroupTooLarge beyond
+    it).  A partial isomorphism out of a domain S extends exactly when
+    it is the restriction g|S of some automorphism g, so each one is
+    decided by a set lookup.  Domains are enumerated smallest first and
+    reduced to one per automorphism orbit, so a failing verdict carries
+    a smallest counterexample.  A negative ``k`` or ``aut_cap`` raises
+    ValidationError.
+    """
+    if k is not None and k < 0:
+        raise ValidationError(f"domain size bound must be non-negative, got {k}")
+    vertices = digraph.vertices()
+    m, n = len(digraph.left), len(digraph.right)
+    # vertices are numbered by position in ``vertices``: left 0..m-1,
+    # right m..m+n-1; automorphisms become tuples of positions
+    pos = {v: p for p, v in enumerate(vertices)}
+    auts = [tuple(pos[g[v]] for v in vertices) for g in _pairwise_automorphism_maps(digraph, aut_cap)]
+    mat = digraph.pair_states()
+    column = {m + j: tuple(row[j] for row in mat) for j in range(n)}
+
+    seen: set[frozenset[int]] = set()
+    for size in range(1, (m + n if k is None else k) + 1):
+        for subset in combinations(range(m + n), size):
+            # a domain fails exactly when every domain in its orbit does,
+            # so the first of each orbit in this order stands for them all
+            if frozenset(subset) in seen:
+                continue
+            restrict = itemgetter(*subset)
+            if size == 1:
+                restrictions = {(restrict(g),) for g in auts}
+            else:
+                restrictions = set(map(restrict, auts))
+            seen.update(map(frozenset, restrictions))
+            a = sum(1 for p in subset if p < m)
+            want = [tuple(column[j][i] for i in subset[:a]) for j in subset[a:]]
+            # Images are not filtered by colour: a map between induced
+            # substructures only has to preserve the induced structure,
+            # and maps that break ambient invariants are precisely the
+            # counterexample candidates.
+            for img_l in permutations(range(m), a):
+                # pair states are preserved iff each right image's column
+                # over the left images equals its source's column
+                key = {j: tuple(col[i] for i in img_l) for j, col in column.items()}
+                for img_r in permutations(range(m, m + n), size - a):
+                    if [key[j] for j in img_r] == want and img_l + img_r not in restrictions:
+                        return HomogeneityVerdict(False, PartialMap.from_dict(
+                            {vertices[p]: vertices[q] for p, q in zip(subset, img_l + img_r)}))
     return HomogeneityVerdict(True, None)
 
 
@@ -429,6 +579,39 @@ def random_digraph(rng, max_side: int = 8, min_side: int = 0) -> TwoPartiteDigra
             elif s == 2:
                 edges.append((y, x))
     return build(left, right, edges)
+
+
+def cycle_structure(lengths, directed: bool) -> TwoPartiteDigraph:
+    """Disjoint cycles x_i - y_i - x_(i+1) - ..., one of 2 * k vertices
+    per entry k of ``lengths``, under ids listed in a seeded random
+    order.  Every edge runs left to right, or, when ``directed``, the
+    cycles are directed cycles.  Colour refinement gives every vertex of
+    such a structure the same colour as every other on its side."""
+    left, right, edges = [], [], []
+    for c, k in enumerate(lengths):
+        xs = [f"x{c}_{i}" for i in range(k)]
+        ys = [f"y{c}_{i}" for i in range(k)]
+        left += xs
+        right += ys
+        for i in range(k):
+            edges.append((xs[i], ys[i]))
+            edges.append((ys[(i + 1) % k], xs[i]) if directed
+                         else (xs[i], ys[(i + 1) % k]))
+    rng = random.Random(len(lengths))
+    rng.shuffle(left)
+    rng.shuffle(right)
+    return build(left, right, edges)
+
+
+def shuffled_copy(digraph: TwoPartiteDigraph, rng) -> TwoPartiteDigraph:
+    """``digraph`` under fresh ids, listed in a random order, so that its
+    stored order, its id order and the order of ``digraph`` all differ."""
+    names = rng.sample(range(100, 1000), len(digraph.vertices()))
+    moved = digraph.relabel({v: f"v{k}" for v, k in zip(digraph.vertices(), names)})
+    left, right = list(moved.left), list(moved.right)
+    rng.shuffle(left)
+    rng.shuffle(right)
+    return build(left, right, moved.edges)
 
 
 @st.composite

@@ -10,14 +10,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import twopartite
-from twopartite import from_json_text, to_json_text
+from twopartite import build, from_json_text, to_json_text
 from twopartite.catalog import (
     Direction,
     complete_bipartite_digraph,
+    empty_digraph,
     matching_complement_pair,
     matching_digraph,
 )
 from twopartite.cli import run
+
+from conftest import cycle_structure, shuffled_copy
 
 
 def cli(*argv):
@@ -364,6 +367,42 @@ PINNED_CHECK_GENERIC = {
 }
 PINNED_CAP_EXCEEDED = "5319645eb253ed2f966ee3108489079e3c7a5be093029deeb61b4c4b9d21d986"
 
+# SHA-256 of the payloads of the map search and the decider, computed with
+# the pairwise search and the decider that walked every valid image.
+PINNED_MAP_SEARCH = {
+    "aut": "13c3e526698e2f729f1e3093d4fdaf73e64770667cb4573a764e44e7c2c4b24d",
+    "iso": "87f5275b3b8c75565418f4f158f91faea44023af819dbe43f387457884171318",
+    "check-hom": "d49f14f74a016e3e0abfc83461b0ba98cd09199f48c3dbcb5103ae7ba6af37de",
+}
+
+
+def _map_search_inputs(tmp_path) -> dict[str, list[list[str]]]:
+    """Inputs, most listed in an order unlike their id order, and the runs of
+    ``aut``, ``iso`` and ``check-hom --exact`` on them."""
+    import random
+    rng = random.Random(8)
+    cycle = cycle_structure((8,), False)
+    paths = {name: write(tmp_path, f"{name}.json", structure) for name, structure in (
+        ("complete4", shuffled_copy(complete_bipartite_digraph(4, 4), rng)),
+        ("matching5", shuffled_copy(matching_digraph(5), rng)),
+        ("cycle16", cycle),
+        ("relabelled16", shuffled_copy(cycle, rng)),
+        ("cycles6_10", cycle_structure((3, 5), False)),
+        ("odd", _odd_structure(6, 3)),
+        ("split", build(["a", "b", "c", "d"], ["p", "q", "r", "s"],
+                        [("a", "p"), ("a", "q"), ("b", "p"), ("b", "q"),
+                         ("c", "r"), ("c", "s"), ("d", "r"), ("d", "s")])),
+        ("empty3", empty_digraph(3, 3)),
+    )}
+    return {
+        "aut": [["aut", "--in", paths[name]] for name in ("complete4", "matching5")],
+        "iso": [["iso", "--in1", paths["cycle16"], "--in2", paths[other]]
+                for other in ("relabelled16", "cycles6_10")],
+        "check-hom": [["check-hom", "--exact", "--in", paths[name]]
+                      for name in ("cycle16", "odd", "split", "empty3")],
+    }
+
+
 
 class TestPinnedPayloads:
     @pytest.mark.parametrize("mode", sorted(PINNED_CHECK_GENERIC))
@@ -388,6 +427,12 @@ class TestPinnedPayloads:
         text = _transcript(runs).replace(str(tmp_path), "")
         assert text.count("cap-exceeded") == len(runs)
         assert _sha(text) == PINNED_CAP_EXCEEDED
+
+    @pytest.mark.parametrize("command", sorted(PINNED_MAP_SEARCH))
+    def test_map_search_payloads(self, tmp_path, command):
+        runs = _map_search_inputs(tmp_path)[command]
+        text = _transcript(runs).replace(str(tmp_path), "")
+        assert _sha(text) == PINNED_MAP_SEARCH[command]
 
 
 _IDS = st.sampled_from(["x1", "x2", "x3", "y1", "y2", "y3"])

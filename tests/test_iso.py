@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -15,6 +15,8 @@ from twopartite.census import _classes, _side_regular_states, enumerate_all
 from twopartite.errors import AutGroupTooLarge, InvalidPartialMap, ValidationError
 from twopartite.iso import (
     PartialMap,
+    _image_count,
+    _search_maps,
     are_isomorphic,
     automorphisms,
     canonical_form,
@@ -27,11 +29,15 @@ from twopartite.iso import (
 from conftest import (
     DESK_PAIRS,
     census_classes,
+    cycle_structure,
     lexmin_canonical_form,
     naive_automorphisms,
     naive_homogeneous,
+    pairwise_search_maps,
     random_digraph,
     search_homogeneous,
+    shuffled_copy,
+    walk_homogeneous,
 )
 
 R2L = Direction.RIGHT_TO_LEFT
@@ -119,23 +125,7 @@ class TestSortedColumnCanonicalForm:
     def test_colour_refinement_leaves_one_class_per_side(self, directed):
         # two cycles of lengths 4 and 6 against one of length 10: every
         # vertex keeps one colour, so the orderings alone decide
-        def cycles(lengths):
-            left, right, edges = [], [], []
-            for c, k in enumerate(lengths):
-                xs = [f"x{c}_{i}" for i in range(k)]
-                ys = [f"y{c}_{i}" for i in range(k)]
-                left += xs
-                right += ys
-                for i in range(k):
-                    edges.append((xs[i], ys[i]))
-                    edges.append((ys[(i + 1) % k], xs[i]) if directed
-                                 else (xs[i], ys[(i + 1) % k]))
-            rng = random.Random(len(lengths))
-            rng.shuffle(left)
-            rng.shuffle(right)
-            return build(left, right, edges)
-
-        one, two = cycles((5,)), cycles((2, 3))
+        one, two = cycle_structure((5,), directed), cycle_structure((2, 3), directed)
         for d in (one, two, two.swap_sides()):
             assert canonical_form(d) == lexmin_canonical_form(d)
         assert canonical_form(one) != canonical_form(two)
@@ -320,3 +310,156 @@ class TestUndirectedHomogeneity:
                 continue
             assert (is_homogeneous(d).holds
                     == is_homogeneous_bipartite(d.underlying_bipartite()).holds)
+
+
+# -- the signature search and the counting decider against their oracles -----
+
+def _random_partial_isos(d1, d2, rng, count: int):
+    """Up to ``count`` valid partial isomorphisms d1 -> d2 on random
+    domains, drawn as random side-preserving injections; some extend,
+    some do not."""
+    found = []
+    for _ in range(20 * count):
+        if len(found) == count:
+            break
+        mapping = {}
+        for src, dst in ((d1.left, d2.left), (d1.right, d2.right)):
+            size = rng.randint(0, len(src))
+            mapping.update(zip(rng.sample(src, size), rng.sample(dst, size)))
+        if mapping and is_valid_partial_iso(d1, d2, PartialMap.from_dict(mapping)):
+            found.append(mapping)
+    return found
+
+
+SIDE_REGULAR_4X4 = [d for _, d in _classes(4, 4, _side_regular_states(4, 4))]
+# colour refinement gives every vertex one colour, so only the search tells
+CYCLE_PAIRS = [(cycle_structure((k,), directed), cycle_structure(split, directed))
+               for k, split in ((5, (2, 3)), (6, (2, 4)), (6, (3, 3)))
+               for directed in (False, True)]
+
+
+def _same_maps(d1, d2, initial=None):
+    for limit in (None, 1, 2):
+        ours = list(_search_maps(d1, d2, dict(initial or {}), limit))
+        assert ours == list(pairwise_search_maps(d1, d2, dict(initial or {}), limit))
+
+
+class TestSignatureSearch:
+    """``_search_maps`` yields the maps of the pairwise search, in its order."""
+
+    @pytest.mark.parametrize("m,n", DESK_PAIRS)
+    def test_every_small_class(self, m, n):
+        rng = random.Random(m * 10 + n)
+        for d in census_classes(m, n):
+            _same_maps(d, d)
+            for initial in _random_partial_isos(d, d, rng, 2):
+                _same_maps(d, d, initial)
+
+    def test_side_regular_four_by_four_classes(self):
+        assert len(SIDE_REGULAR_4X4) == 21
+        rng = random.Random(44)
+        for d in SIDE_REGULAR_4X4:
+            other = shuffled_copy(d, rng)
+            _same_maps(d, d)
+            _same_maps(d, other)
+            for initial in _random_partial_isos(d, other, rng, 3):
+                _same_maps(d, other, initial)
+
+    def test_seeded_random_structures(self):
+        rng = random.Random(66)
+        for _ in range(200):
+            d = shuffled_copy(random_digraph(rng, max_side=6), rng)
+            other = shuffled_copy(d, rng)
+            _same_maps(d, d)
+            _same_maps(d, other)
+            _same_maps(other, random_digraph(rng, max_side=6))
+            for initial in _random_partial_isos(d, other, rng, 2):
+                _same_maps(d, other, initial)
+
+    @pytest.mark.parametrize("one,two", CYCLE_PAIRS)
+    def test_cycles_colour_refinement_cannot_split(self, one, two):
+        rng = random.Random(len(one.left))
+        _same_maps(one, two)
+        _same_maps(one, shuffled_copy(one, rng))
+        _same_maps(two, two)
+        for initial in _random_partial_isos(one, one, rng, 3):
+            _same_maps(one, one, initial)
+
+
+class TestCountingDecider:
+    """``is_homogeneous`` gives the verdicts and counterexamples of the
+    decider that walked every valid image."""
+
+    @staticmethod
+    def _agree(d):
+        for k in (None, 1, 2, 3):
+            assert is_homogeneous(d, k) == walk_homogeneous(d, k), k
+
+    @pytest.mark.parametrize("m,n", DESK_PAIRS)
+    def test_every_small_class(self, m, n):
+        for d in census_classes(m, n):
+            self._agree(d)
+
+    def test_image_count_matches_enumeration(self):
+        # a miscount only costs a walk of the images, or hides a failing
+        # domain when it happens to equal the number of restrictions, so
+        # the count is checked on its own against listed images
+        rng = random.Random(68)
+        structures = [d for m, n in ((2, 2), (2, 3), (3, 2)) for d in census_classes(m, n)]
+        structures += [random_digraph(rng, max_side=3) for _ in range(20)]
+        for d in structures:
+            mat, left, right = d.pair_states(), d.left, d.right
+            for size in range(len(d.vertices()) + 1):
+                for dom in combinations(d.vertices(), size):
+                    dl = [v for v in dom if v in d.row_of]
+                    dr = [v for v in dom if v in d.col_of]
+                    want = [tuple(mat[d.row_of[x]][d.col_of[y]] for x in dl) for y in dr]
+                    listed = sum(
+                        is_valid_partial_iso(d, d, PartialMap.from_dict(
+                            dict(zip(dl + dr, il + ir))))
+                        for il in permutations(left, len(dl))
+                        for ir in permutations(right, len(dr)))
+                    assert _image_count(mat, len(right), len(dl), want) == listed
+
+    def test_side_regular_four_by_four_classes(self):
+        for d in SIDE_REGULAR_4X4:
+            self._agree(d)
+
+    def test_seeded_random_structures(self):
+        rng = random.Random(67)
+        for _ in range(60):
+            self._agree(shuffled_copy(random_digraph(rng, max_side=5), rng))
+
+    @pytest.mark.parametrize("one,two", CYCLE_PAIRS)
+    def testcycle_structure(self, one, two):
+        self._agree(one)
+        self._agree(two)
+
+
+class TestLargeCyclePairs:
+    """10x10 cycle pairs that colour refinement cannot split: without
+    cuts the search would try every one of the 10! left orders."""
+
+    def test_twenty_cycle_against_eight_plus_twelve(self):
+        assert are_isomorphic(cycle_structure((10,), False), cycle_structure((4, 6), False)) is None
+
+    def test_relabelled_twenty_cycle(self):
+        one = cycle_structure((10,), False)
+        two = shuffled_copy(one, random.Random(20))
+        pmap = are_isomorphic(one, two)
+        assert pmap is not None and len(pmap) == 20
+        assert is_valid_partial_iso(one, two, pmap)
+
+    def test_extension_agrees_with_pairwise_search(self):
+        # left-side maps: the pairwise search then only places right vertices
+        d = cycle_structure((10,), False)
+        ring = sorted(d.left, key=lambda v: int(v.split("_")[1]))
+        maps = [dict(zip(ring, ring[3:] + ring[:3])),        # a rotation
+                dict(zip(ring, ring[::-1])),                 # a reflection
+                dict(zip(ring, ring[1:2] + ring[:1] + ring[2:]))]  # a transposition
+        verdicts = []
+        for mapping in maps:
+            expected = any(True for _ in pairwise_search_maps(d, d, mapping, limit=1))
+            verdicts.append(extends_to_automorphism(d, PartialMap.from_dict(mapping)))
+            assert verdicts[-1] == expected
+        assert verdicts == [True, True, False]
