@@ -61,7 +61,7 @@ _MODES = {"bipartite": Mode.BIPARTITE, "2partite": Mode.TWO_PARTITE,
 def _pmap_obj(pm: PartialMap | None):
     if pm is None:
         return None
-    return {"pairs": [[s, t] for (s, t) in pm.pairs]}
+    return {"pairs": pm.pairs}   # json writes the pair tuples as arrays
 
 
 def _verdict_obj(v: HomogeneityVerdict):

@@ -14,24 +14,31 @@ its colour, extended by its pair state to every assigned vertex on the
 other side.  A vertex only takes a candidate of equal signature, and a
 partial map is dropped as soon as the open signatures of the two
 structures stop matching as multisets, which also separates vertices
-that colour refinement leaves together.  The homogeneity decider runs
-the kernel once, to enumerate the automorphism group.  It then counts
-the valid images of each domain and compares the count with the number
-of distinct restrictions of the automorphisms to that domain.
+that colour refinement leaves together.  The tables the kernel reads
+are built once per structure, so the homogeneity decider, which runs
+many short searches on one structure, refines its colours once.  The
+decider never lists the automorphism group: limit-1 searches down a
+stabiliser chain give the group's order and generators, the distinct
+restrictions of the group to a domain are counted as a product of
+stabiliser orbit sizes, and the count is compared with the number of
+valid images of the domain.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations, permutations, product
 from math import factorial, perm, prod
-from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .core import FLIPPED, PAIR_LR, PAIR_RL, TwoPartiteDigraph
 from .errors import AutGroupTooLarge, InvalidPartialMap, ValidationError
 
+# The largest automorphism group that ``automorphisms`` lists and that
+# ``is_homogeneous`` accepts; the decider only computes the group's order.
 DEFAULT_AUT_CAP = 10 ** 6
 
 CanonicalForm = bytes
@@ -203,10 +210,30 @@ def _uniform_state(line) -> int:
     return line[0] if len(set(line)) == 1 else -1
 
 
-def _search_maps(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph, initial: dict[str, str],
+def _search_tables(digraph: TwoPartiteDigraph) -> tuple:
+    """What :func:`_search_maps` reads of one structure, built once per
+    structure.  Each entry holds one item per side (0 left, 1 right):
+    the vertex ids, their indexes, each vertex's line of pair states to
+    the other side, the one state of that line (-1 when it holds
+    several), each vertex's colour rank and the sorted colours.  A
+    colour's rank is its place among the structure's distinct colours,
+    so two structures with equal palettes rank colours alike."""
+    col = _refined_colors(digraph)
+    mat = digraph.pair_states()
+    ids = (digraph.left, digraph.right)
+    lines = (mat, list(zip(*mat)) if mat else [()] * len(digraph.right))
+    rank = {c: r for r, c in enumerate(sorted(set(col.values())))}
+    return (ids, (digraph.row_of, digraph.col_of), lines,
+            [list(map(_uniform_state, side)) for side in lines],
+            [[rank[col[v]] for v in side] for side in ids],
+            [sorted(col[v] for v in side) for side in ids])
+
+
+def _search_maps(t1: tuple, t2: tuple, initial: dict[str, str],
                  limit: int | None) -> Iterator[dict[str, str]]:
     """Backtracking enumeration of total side-preserving bijections
-    d1 -> d2 that preserve all pair states and extend ``initial``.
+    d1 -> d2 that preserve all pair states and extend ``initial``, where
+    ``t1`` and ``t2`` are the :func:`_search_tables` of d1 and d2.
     ``initial`` must already be consistent.  Yields at most ``limit``
     maps when limit is not None.
 
@@ -222,31 +249,15 @@ def _search_maps(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph, initial: dict[str
     the subtree has no completion and is cut.  Cuts lose no map, so the
     maps come in the order of the unpruned search.
     """
-    m, n = len(d1.left), len(d1.right)
-    if len(d2.left) != m or len(d2.right) != n:
-        return
-    col1 = _refined_colors(d1)
-    col2 = col1 if d2 is d1 else _refined_colors(d2)
-    if sorted(col1[v] for v in d1.left) != sorted(col2[v] for v in d2.left):
-        return
-    if sorted(col1[v] for v in d1.right) != sorted(col2[v] for v in d2.right):
-        return
-    for s, t in initial.items():
-        if col1[s] != col2[t]:
-            return  # colours are isomorphism invariants; no completion exists
-
     # side 0 is left, side 1 is right; a vertex's line holds its pair
     # states to the other side's vertices, by index
-    ids1, ids2 = (d1.left, d1.right), (d2.left, d2.right)
-    index1, index2 = (d1.row_of, d1.col_of), (d2.row_of, d2.col_of)
-    mat1, mat2 = d1.pair_states(), d2.pair_states()
-    lines1 = (mat1, [tuple(row[j] for row in mat1) for j in range(n)])
-    lines2 = (mat2, [tuple(row[j] for row in mat2) for j in range(n)])
-    uniform = [list(map(_uniform_state, lines)) for lines in lines1]
-    rank = {c: r for r, c in enumerate(dict.fromkeys(col1.values()))}
-    sig1 = [[rank[col1[v]] for v in ids] for ids in ids1]
-    sig2 = [[rank[col2[v]] for v in ids] for ids in ids2]
-    used = [[False] * m, [False] * n]
+    ids1, index1, lines1, uniform, ranks1, palette1 = t1
+    ids2, index2, lines2, _, ranks2, palette2 = t2
+    if palette1 != palette2:
+        return  # colours are isomorphism invariants; no map exists
+    # extend() replaces a side's signature list, never mutates one
+    sig1, sig2 = list(ranks1), list(ranks2)
+    used = [[False] * len(ids) for ids in ids1]
 
     def extend(side: int, a: int, b: int) -> bool:
         # a and b on ``side`` are assigned: the other side's signatures
@@ -267,8 +278,10 @@ def _search_maps(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph, initial: dict[str
 
     assigned = dict(initial)
     for s, t in initial.items():
-        side = 0 if s in d1.row_of else 1
+        side = 0 if s in index1[0] else 1
         a, b = index1[side][s], index2[side][t]
+        if ranks1[side][a] != ranks2[side][b]:
+            return  # s and t differ in colour; no completion exists
         used[side][b] = True
         extend(side, a, b)
     open1 = [[u for u, v in enumerate(ids) if v not in assigned] for ids in ids1]
@@ -313,7 +326,7 @@ def _search_maps(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph, initial: dict[str
 
 def are_isomorphic(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph) -> PartialMap | None:
     """A total side-preserving isomorphism, or None."""
-    for mapping in _search_maps(d1, d2, {}, limit=1):
+    for mapping in _search_maps(_search_tables(d1), _search_tables(d2), {}, limit=1):
         return PartialMap.from_dict(mapping)
     return None
 
@@ -323,7 +336,8 @@ def _automorphism_maps(digraph: TwoPartiteDigraph, cap: int) -> Iterator[dict[st
     raises AutGroupTooLarge instead of yielding a map past ``cap``."""
     if cap < 0:
         raise ValidationError(f"automorphism cap must be non-negative, got {cap}")
-    for count, mapping in enumerate(_search_maps(digraph, digraph, {}, limit=cap + 1)):
+    tables = _search_tables(digraph)
+    for count, mapping in enumerate(_search_maps(tables, tables, {}, limit=cap + 1)):
         if count == cap:
             raise AutGroupTooLarge(cap)
         yield mapping
@@ -336,7 +350,10 @@ def automorphisms(digraph: TwoPartiteDigraph,
     Raises AutGroupTooLarge when more than ``cap`` maps exist, and
     ValidationError when ``cap`` is negative.
     """
-    return [PartialMap.from_dict(m) for m in _automorphism_maps(digraph, cap)]
+    # every map is total and injective: its pairs only need the sources sorted
+    ids = sorted(digraph.vertices())
+    return [PartialMap(tuple(zip(ids, map(g.__getitem__, ids))))
+            for g in _automorphism_maps(digraph, cap)]
 
 
 def is_valid_partial_iso(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph,
@@ -367,7 +384,8 @@ def extends_to_automorphism(digraph: TwoPartiteDigraph, pmap: PartialMap) -> boo
     """
     if not is_valid_partial_iso(digraph, digraph, pmap):
         raise InvalidPartialMap("not a valid partial isomorphism of the structure")
-    for _ in _search_maps(digraph, digraph, pmap.as_dict(), limit=1):
+    tables = _search_tables(digraph)
+    for _ in _search_maps(tables, tables, pmap.as_dict(), limit=1):
         return True
     return False
 
@@ -382,9 +400,21 @@ def _image_count(mat, n: int, a: int, want: list[tuple]) -> int:
     groups = Counter(want).items()
     total = 0
     for img_l in permutations(mat, a):
-        have = Counter(zip(*img_l))
-        total += prod(perm(have[col], k) for col, k in groups)
+        have = list(zip(*img_l))
+        total += prod(perm(have.count(col), k) for col, k in groups)
     return total
+
+
+def _orbit(points, gens) -> set:
+    """The closure of ``points`` under the position maps ``gens``."""
+    orbit, todo = set(points), list(points)
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                todo.append(g[x])
+    return orbit
 
 
 def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
@@ -393,48 +423,116 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
 
     Every isomorphism between induced substructures on at most ``k``
     vertices must extend to a side-preserving automorphism.  The
-    automorphism group is enumerated once, so memory grows with the
-    group, which is bounded by ``aut_cap`` (AutGroupTooLarge beyond
-    it).  A partial isomorphism out of a domain S extends exactly when
-    it is the restriction g|S of some automorphism g, and every such
+    automorphism group is never listed.  Its order comes from a
+    stabiliser chain over the vertices in stored order: the orbit of
+    each vertex under the maps that fix every earlier one is found by
+    one search for each candidate image that the maps found so far do
+    not already reach, and the group order is the product of the orbit
+    sizes.  A candidate with the vertex's own pair states is its twin,
+    reached by swapping the two, with no search.  AutGroupTooLarge is
+    raised before any domain is checked when that order exceeds
+    ``aut_cap``; the maps found generate the group.  Memory therefore
+    grows with the number of domains, not with the group, and
+    ``aut_cap`` bounds the group's order only.
+
+    A partial isomorphism out of a domain S extends exactly when it is
+    the restriction g|S of some automorphism g, and every such
     restriction is a valid image of S, so S passes exactly when it has
-    as many valid images as distinct restrictions.  The valid images are
-    counted, not listed: for each image of S's left part, the right
-    images are counted as a product of falling factorials, one per
-    group of S's right vertices with equal pair states to the left
-    part.  Only a failing domain walks its images in order to find the
-    first one that is not a restriction.  Domains are enumerated
-    smallest first and reduced to one per automorphism orbit, so a
-    failing verdict carries a smallest counterexample.  A negative
+    as many valid images as distinct restrictions.  The restrictions
+    number the product over i of the orbit sizes of S[i] under the maps
+    that fix S[:i], found as in the chain and kept by prefix.  The valid
+    images are counted, not listed: for each image of S's left part,
+    the right images are counted as a product of falling factorials,
+    one per group of S's right vertices with equal pair states to the
+    left part.  Only a failing domain walks its images, and returns the
+    first one from which the search finds no automorphism.  Domains are
+    enumerated smallest first and reduced to one per automorphism orbit,
+    so a failing verdict carries a smallest counterexample.  A negative
     ``k`` or ``aut_cap`` raises ValidationError.
     """
     if k is not None and k < 0:
         raise ValidationError(f"domain size bound must be non-negative, got {k}")
+    if aut_cap < 0:
+        raise ValidationError(f"automorphism cap must be non-negative, got {aut_cap}")
+    tables = _search_tables(digraph)
     vertices = digraph.vertices()
-    m, n = len(digraph.left), len(digraph.right)
+    m, total = len(digraph.left), len(vertices)
     # vertices are numbered by position in ``vertices``: left 0..m-1,
-    # right m..m+n-1; automorphisms become tuples of positions
+    # right m..total-1; maps become tuples of positions
     pos = {v: p for p, v in enumerate(vertices)}
-    auts = [tuple(pos[g[v]] for v in vertices) for g in _automorphism_maps(digraph, aut_cap)]
-    mat = digraph.pair_states()
-    column = {m + j: tuple(row[j] for row in mat) for j in range(n)}
+    _, _, lines, _, ranks, _ = tables
+    rank = list(chain(*ranks))
+    line = list(chain(*lines))   # a position's pair states to the other side
+    found: list[tuple[int, ...]] = []   # automorphisms met by the searches
 
-    seen: set[frozenset[int]] = set()
-    for size in range(1, (m + n if k is None else k) + 1):
-        for subset in combinations(range(m + n), size):
+    def extends(source, image) -> bool:
+        initial = {vertices[s]: vertices[t] for s, t in zip(source, image)}
+        for g in _search_maps(tables, tables, initial, 1):
+            found.append(tuple(pos[g[v]] for v in vertices))
+            return True
+        return False
+
+    @cache
+    def orbit_size(prefix: tuple[int, ...]) -> int:
+        # the orbit of prefix[-1] under the maps that fix the rest of the
+        # prefix; an image must have its colour and its pair states to
+        # the fixed vertices on the other side, or the map is invalid
+        fixed, p = prefix[:-1], prefix[-1]
+        if p < m:
+            side, cross = range(m), [f - m for f in fixed if f >= m]
+        else:
+            side, cross = range(m, total), [f for f in fixed if f < m]
+        states = [line[p][c] for c in cross]
+        images = [q for q in side if rank[q] == rank[p] and q not in fixed
+                  and [line[q][c] for c in cross] == states]
+        if len(images) == 1:
+            return 1
+        gens = [g for g in found if all(g[f] == f for f in fixed)]
+        orbit = _orbit([p], gens)
+        for q in images:
+            if q in orbit:
+                continue
+            if line[q] == line[p]:
+                # twins: swapping p and q alone is an automorphism
+                g = list(range(total))
+                g[p], g[q] = q, p
+                found.append(tuple(g))
+            elif not extends(prefix, fixed + (q,)):
+                continue
+            gens.append(found[-1])
+            orbit = _orbit(orbit, gens)
+        return len(orbit)
+
+    # the deepest stabiliser first, so the maps found so far all fix
+    # the current prefix and prune its orbit
+    if prod(orbit_size(tuple(range(p + 1))) for p in reversed(range(total))) > aut_cap:
+        raise AutGroupTooLarge(aut_cap)
+    bit = [1 << p for p in range(total)]
+    moves = [[bit[q] for q in g] for g in found]   # the found maps on bitmasks
+    mat = digraph.pair_states()
+    n = total - m
+
+    seen: set[int] = set()
+    for size in range(1, (total if k is None else k) + 1):
+        masks = map(sum, combinations(bit, size))
+        for subset, mask in zip(combinations(range(total), size), masks):
             # a domain fails exactly when every domain in its orbit does,
             # so the first of each orbit in this order stands for them all
-            if frozenset(subset) in seen:
+            if mask in seen:
                 continue
-            restrict = itemgetter(*subset)
-            if size == 1:
-                restrictions = {(restrict(g),) for g in auts}
-            else:
-                restrictions = set(map(restrict, auts))
-            seen.update(map(frozenset, restrictions))
-            a = sum(1 for p in subset if p < m)
-            want = [tuple(column[j][i] for i in subset[:a]) for j in subset[a:]]
-            if _image_count(mat, n, a, want) == len(restrictions):
+            seen.add(mask)
+            todo = [subset]
+            while todo:
+                members = todo.pop()
+                for images in moves:
+                    image = sum(map(images.__getitem__, members))
+                    if image not in seen:
+                        seen.add(image)
+                        todo.append([q for q in range(total) if image & bit[q]])
+            a = bisect_left(subset, m)
+            want = [tuple(line[j][i] for i in subset[:a]) for j in subset[a:]]
+            restrictions = prod(orbit_size(subset[:i]) for i in range(1, size + 1))
+            if _image_count(mat, n, a, want) == restrictions:
                 continue
             # Images are not filtered by colour: a map between induced
             # substructures only has to preserve the induced structure,
@@ -443,11 +541,13 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
             for img_l in permutations(range(m), a):
                 # pair states are preserved iff each right image's column
                 # over the left images equals its source's column
-                key = {j: tuple(col[i] for i in img_l) for j, col in column.items()}
-                for img_r in permutations(range(m, m + n), size - a):
-                    if [key[j] for j in img_r] == want and img_l + img_r not in restrictions:
+                key = {j: tuple(line[j][i] for i in img_l) for j in range(m, total)}
+                for img_r in permutations(range(m, total), size - a):
+                    target = img_l + img_r   # the identity always extends
+                    if ([key[j] for j in img_r] == want and target != subset
+                            and not extends(subset, target)):
                         return HomogeneityVerdict(False, PartialMap.from_dict(
-                            {vertices[p]: vertices[q] for p, q in zip(subset, img_l + img_r)}))
+                            {vertices[p]: vertices[q] for p, q in zip(subset, target)}))
     return HomogeneityVerdict(True, None)
 
 

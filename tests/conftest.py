@@ -53,6 +53,7 @@ from twopartite.iso import (
     PartialMap,
     _refined_colors,
     _search_maps,
+    _search_tables,
     canonical_form,
 )
 
@@ -147,11 +148,12 @@ def search_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
     mat = digraph.pair_states()
     lidx, ridx = digraph.row_of, digraph.col_of
 
+    tables = _search_tables(digraph)
     use_orbits = len(vertices) > orbit_threshold
     auts: list[dict[str, str]] | None = None
     if use_orbits:
         auts = []
-        for mapping in _search_maps(digraph, digraph, {}, limit=aut_cap + 1):
+        for mapping in _search_maps(tables, tables, {}, limit=aut_cap + 1):
             auts.append(mapping)
             if len(auts) > aut_cap:
                 raise AutGroupTooLarge(aut_cap)
@@ -187,7 +189,7 @@ def search_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
                     phi = dict(zip(s_left, img_l))
                     phi.update(zip(s_right, img_r))
                     extends = False
-                    for _ in _search_maps(digraph, digraph, phi, limit=1):
+                    for _ in _search_maps(tables, tables, phi, limit=1):
                         extends = True
                         break
                     if not extends:

@@ -233,6 +233,14 @@ class TestBafEnumVerify:
         assert payload["ok"] and payload["classes_scanned"] == 6327
         assert payload["homogeneous_classes"] == 53
 
+    def test_one_row_group_over_cap_exits_two(self, tmp_path):
+        # the decider refuses a group above its cap (10! here) at once,
+        # from the group order alone
+        code, out, err = cli("check-hom", "--exact", "--in",
+                             write(tmp_path, "row.json", empty_digraph(1, 10)))
+        assert (code, out) == (2, "")
+        assert err == "error: automorphism group exceeds cap of 1000000 maps\n"
+
     def test_verify_four_by_four_forced(self):
         from twopartite.census import _catalog_in_range
         from twopartite.iso import canonical_form

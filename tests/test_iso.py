@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from twopartite import build
+from twopartite import build, iso
 from twopartite.catalog import (
     complete_bipartite_digraph,
     empty_digraph,
@@ -17,6 +17,7 @@ from twopartite.iso import (
     PartialMap,
     _image_count,
     _search_maps,
+    _search_tables,
     are_isomorphic,
     automorphisms,
     canonical_form,
@@ -340,7 +341,8 @@ CYCLE_PAIRS = [(cycle_structure((k,), directed), cycle_structure(split, directed
 
 def _same_maps(d1, d2, initial=None):
     for limit in (None, 1, 2):
-        ours = list(_search_maps(d1, d2, dict(initial or {}), limit))
+        ours = list(_search_maps(_search_tables(d1), _search_tables(d2),
+                                 dict(initial or {}), limit))
         assert ours == list(pairwise_search_maps(d1, d2, dict(initial or {}), limit))
 
 
@@ -388,12 +390,22 @@ class TestSignatureSearch:
 
 class TestCountingDecider:
     """``is_homogeneous`` gives the verdicts and counterexamples of the
-    decider that walked every valid image."""
+    deciders that listed the group: the one that walked every valid
+    image and the one that searched once per candidate map.  The order
+    of its stabiliser chain is the number of automorphisms."""
 
     @staticmethod
     def _agree(d):
         for k in (None, 1, 2, 3):
-            assert is_homogeneous(d, k) == walk_homogeneous(d, k), k
+            verdict = is_homogeneous(d, k)
+            assert verdict == walk_homogeneous(d, k), k
+            # orbit-reduced at every size, which keeps 6x6 inputs quick
+            assert verdict == search_homogeneous(d, k, orbit_threshold=0), k
+        # k = 0 checks no domain, so only the group order can raise
+        order = len(automorphisms(d))
+        assert is_homogeneous(d, 0, aut_cap=order).holds
+        with pytest.raises(AutGroupTooLarge):
+            is_homogeneous(d, 0, aut_cap=order - 1)
 
     @pytest.mark.parametrize("m,n", DESK_PAIRS)
     def test_every_small_class(self, m, n):
@@ -427,13 +439,21 @@ class TestCountingDecider:
 
     def test_seeded_random_structures(self):
         rng = random.Random(67)
-        for _ in range(60):
-            self._agree(shuffled_copy(random_digraph(rng, max_side=5), rng))
+        for _ in range(200):
+            self._agree(shuffled_copy(random_digraph(rng, max_side=6), rng))
 
     @pytest.mark.parametrize("one,two", CYCLE_PAIRS)
     def testcycle_structure(self, one, two):
         self._agree(one)
         self._agree(two)
+
+    def test_group_is_never_listed(self, monkeypatch):
+        def listed(*args, **kwargs):
+            raise AssertionError("the decider listed the automorphism group")
+        monkeypatch.setattr(iso, "_automorphism_maps", listed)
+        monkeypatch.setattr(iso, "automorphisms", listed)
+        assert is_homogeneous(empty_digraph(6, 6)).holds
+        assert is_homogeneous(matching_digraph(5)).holds
 
 
 class TestLargeCyclePairs:
