@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice, repeat
 
 from .core import PAIR_LR, PAIR_NONE, PAIR_RL, Side, TwoPartiteDigraph, _assemble, _index, build
 from .errors import (
@@ -169,7 +170,8 @@ def generic_bipartite_approx(spec: ApproximantSpec,
     edge = PAIR_LR if direction is Direction.LEFT_TO_RIGHT else PAIR_RL
 
     def draw(rng: random.Random) -> TwoPartiteDigraph:
-        matrix = [[edge if rng.getrandbits(1) else PAIR_NONE for _ in right] for _ in left]
+        # one bit per pair, PAIR_NONE for 0 and ``edge`` for 1
+        matrix = [list(map(edge.__mul__, map(rng.getrandbits, repeat(1, n)))) for _ in left]
         return _assemble(left, right, matrix, row_of, col_of)
 
     return _randomized_build(spec, Mode.BIPARTITE, draw)
@@ -183,7 +185,8 @@ def generic_2partite_approx(spec: ApproximantSpec) -> TwoPartiteDigraph:
     row_of, col_of = _index(left), _index(right)
 
     def draw(rng: random.Random) -> TwoPartiteDigraph:
-        matrix = [[PAIR_LR if rng.getrandbits(1) else PAIR_RL for _ in right] for _ in left]
+        # one bit per pair, PAIR_RL (2) for 0 and PAIR_LR (1) for 1
+        matrix = [list(map(PAIR_RL.__sub__, map(rng.getrandbits, repeat(1, n)))) for _ in left]
         return _assemble(left, right, matrix, row_of, col_of)
 
     return _randomized_build(spec, Mode.TWO_PARTITE, draw)
@@ -197,8 +200,10 @@ def generic_orientation_approx(spec: ApproximantSpec) -> TwoPartiteDigraph:
     row_of, col_of = _index(left), _index(right)
 
     def draw(rng: random.Random) -> TwoPartiteDigraph:
-        # randrange(3) is PAIR_NONE, PAIR_LR or PAIR_RL
-        matrix = [[rng.randrange(3) for _ in right] for _ in left]
+        # PAIR_NONE, PAIR_LR or PAIR_RL, each with probability 1/3: the
+        # stream of randrange(3), which draws two bits until they are not 3
+        states = filter((3).__ne__, map(rng.getrandbits, repeat(2)))
+        matrix = [list(islice(states, n)) for _ in left]
         return _assemble(left, right, matrix, row_of, col_of)
 
     return _randomized_build(spec, Mode.ORIENTATION, draw)

@@ -23,14 +23,19 @@ Finite structures can only certify a finite level, never genuine
 genericity.
 
 One kernel, ``_scan_size``, serves all three modes and every size.  It
-reads two bitmap tables built from one pass over the pair-state matrix: per
+reads bitmaps built from one pass over the pair-state matrix: per
 element, the witnesses that accept it in each slot, and per witness
-(the opposite side's table), the elements it accepts.  It walks
-requirement prefixes, keeping the witnesses that survive each prefix,
-and finds the failing last demands of a prefix by OR-ing the columns of
-its survivors.  ``achieved_level`` scans one size at a time across both
-sides, so one call both accepts a build attempt and reports how far a
-failed attempt got.
+(the opposite side's bitmaps), the elements it accepts.  It walks
+requirement prefixes, keeping the witnesses that survive each prefix.
+The failing last demands of a prefix are a Boolean matrix product, so
+they come from byte tables in the manner of Arlazarov, Dinic, Kronrod
+and Faradzev ("Four Russians"): for each run of 8 witnesses and each
+subset of it, the last demands that no witness of the subset accepts,
+all slots packed into one integer.  A prefix ANDs one entry per nonzero
+byte of its survivor bitmap.  ``achieved_level`` builds the tables once
+per structure and scans one size at a time across both sides, so one
+call both accepts a build attempt and reports how far a failed attempt
+got.
 
 Reports carry their defects as rows ``(side, a, b, c)`` of sorted id
 tuples.  Each scan's raw assignments are ordered by one packed integer
@@ -47,7 +52,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .core import PAIR_LR, PAIR_RL, Side, TwoPartiteDigraph
+from .core import PAIR_LR, PAIR_NONE, PAIR_RL, Side, TwoPartiteDigraph
 from .errors import InvalidRequirement, ValidationError
 
 from enum import Enum
@@ -182,22 +187,32 @@ def iter_requirements(left_pool: Sequence[str], right_pool: Sequence[str],
 # say which elements a witness accepts, with a and b exchanged in the
 # directed modes (y in N+(x) exactly when x in N-(y)).
 
+# Per pair state, the byte translation that turns a line of pair states
+# into binary digits: 1 where the pair holds that state.
+_DIGITS = {state: bytes.maketrans(bytes((PAIR_NONE, PAIR_LR, PAIR_RL)),
+                                  bytes(b"01"[s == state] for s in (PAIR_NONE, PAIR_LR, PAIR_RL)))
+           for state in (PAIR_NONE, PAIR_LR, PAIR_RL)}
+
+
+def _line_bitmaps(reversed_lines, states) -> tuple[list[int], ...]:
+    """Per state, the bitmap of each line's positions that hold it.  The
+    lines come last position first, so that they read as binary numerals
+    with position 0 as the lowest bit."""
+    bitmaps = tuple([] for _ in states)
+    for line in reversed_lines:
+        text = bytes(line)
+        for out, state in zip(bitmaps, states):
+            out.append(int(text.translate(_DIGITS[state]) or b"0", 2))
+    return bitmaps
+
+
 def _digraph_tables_by_side(digraph: TwoPartiteDigraph):
-    m, n = len(digraph.left), len(digraph.right)
-    l_a, l_b, l_c = [0] * m, [0] * m, [0] * m
-    r_a, r_b, r_c = [0] * n, [0] * n, [0] * n
-    for i, row in enumerate(digraph.pair_states()):
-        x_bit = 1 << i
-        for j, s in enumerate(row):
-            if s == PAIR_RL:      # y_j -> x_i: x_i in N+(y_j), y_j in N-(x_i)
-                l_a[i] |= 1 << j
-                r_b[j] |= x_bit
-            elif s == PAIR_LR:    # x_i -> y_j: x_i in N-(y_j), y_j in N+(x_i)
-                l_b[i] |= 1 << j
-                r_a[j] |= x_bit
-            else:
-                l_c[i] |= 1 << j
-                r_c[j] |= x_bit
+    matrix = digraph.pair_states()
+    rows = (row[::-1] for row in matrix)
+    columns = zip(*matrix[::-1]) if matrix else [()] * len(digraph.right)
+    # y_j -> x_i puts x_i in N+(y_j) and y_j in N-(x_i); x_i -> y_j the reverse
+    l_a, l_b, l_c = _line_bitmaps(rows, (PAIR_RL, PAIR_LR, PAIR_NONE))
+    r_a, r_b, r_c = _line_bitmaps(columns, (PAIR_LR, PAIR_RL, PAIR_NONE))
     return {Side.LEFT: (digraph.left, digraph.right, l_a, l_b, l_c),
             Side.RIGHT: (digraph.right, digraph.left, r_a, r_b, r_c)}
 
@@ -217,20 +232,22 @@ _COLUMN_SLOTS = {
 }
 
 
-def _scan_size(rows: list[list[int]], cols: list[list[int]], pool_size: int,
+def _scan_size(rows: list[list[int]], tables: list[list[int]], pool_size: int,
                wit_count: int, size: int, limit: int | None) -> list[tuple]:
     """Unwitnessed requirements of exactly ``size`` demands, as tuples of
     (element index, slot index) assignments.
 
     ``rows[t][i]`` is the bitmap of witnesses that accept element ``i`` in
-    slot ``t``, and ``cols[t][w]`` its transpose: the bitmap of elements
-    that witness ``w`` accepts in slot ``t``.  The scan walks requirement
-    prefixes of ``size - 1`` demands and keeps ``pm``, the bitmap of
-    witnesses that satisfy the prefix.  A last demand puts an element
-    above the prefix into slot ``t``; it fails for exactly the elements in
-    ``above & ~OR(cols[t][w] for w in pm)``, and the OR stops once it
-    covers ``above``.  A prefix with many surviving witnesses therefore
-    costs a few column reads instead of one AND per element.
+    slot ``t``.  ``tables`` holds, per run of ``_CHUNK`` witnesses, the
+    failing last demands of every subset of that run (``_packed_tables``):
+    every slot is packed into one integer, slot ``t`` at bit offset
+    ``t * pool_size``.  The scan walks requirement prefixes of ``size - 1``
+    demands and keeps ``pm``, the bitmap of witnesses that satisfy the
+    prefix.  A last demand puts an element above the prefix into some
+    slot; the ones that fail are those no survivor accepts, the AND of one
+    table entry per nonzero byte of ``pm``, which stops once nothing is
+    left.  A prefix with many surviving witnesses therefore costs a few
+    table reads for all slots at once instead of one AND per element.
 
     Defects come out in a fixed order, which ``limit`` truncates: for
     sizes up to 3 by element tuple, then slot tuple; for larger sizes by
@@ -240,37 +257,42 @@ def _scan_size(rows: list[list[int]], cols: list[list[int]], pool_size: int,
     if size == 0:
         return [()] if full == 0 else []
     slots = range(len(rows))
+    shifts = [t * pool_size for t in slots]
     everyone = (1 << pool_size) - 1
+    spread = sum(1 << shift for shift in shifts)
+    packed_everyone = everyone * spread
+    width = len(tables)
     by_element = size <= 3
     defects: list[tuple] = []
 
     def close(group: list, start: int) -> bool:
         # group: (assignment so far, pm) for each slot assignment of one
         # element prefix; returns True once ``limit`` defects are collected
-        above = everyone >> start << start
-        fails = []
+        above = packed_everyone ^ ((1 << start) - 1) * spread
+        failed = []
+        for assigned, pm in group:
+            rem = above
+            for table, byte in zip(tables, pm.to_bytes(width, "little")):
+                if byte:
+                    rem &= table[byte]
+                    if not rem:
+                        break
+            if rem:
+                failed.append((assigned, [rem >> shift & everyone for shift in shifts]))
         hit = 0
-        for _, pm in group:
-            for col in cols:
-                rem, ws = above, pm
-                while ws and rem:
-                    low = ws & -ws
-                    rem &= ~col[low.bit_length() - 1]
-                    ws ^= low
-                fails.append(rem)
-                hit |= rem
+        for _, fails in failed:
+            for fail in fails:
+                hit |= fail
         while hit:
             low = hit & -hit
             hit ^= low
             last = low.bit_length() - 1
-            k = 0
-            for assigned, _ in group:
-                for t in slots:
-                    if fails[k] & low:
+            for assigned, fails in failed:
+                for t, fail in enumerate(fails):
+                    if fail & low:
                         defects.append(assigned + ((last, t),))
                         if len(defects) == limit:
                             return True
-                    k += 1
         return False
 
     def walk(group: list, depth: int, start: int) -> bool:
@@ -288,14 +310,43 @@ def _scan_size(rows: list[list[int]], cols: list[list[int]], pool_size: int,
     return defects
 
 
+# Witnesses per table: each run of _CHUNK witnesses gets a table of
+# 2**_CHUNK entries, indexed by one byte of a survivor bitmap.
+_CHUNK = 8
+
+
+def _packed_tables(cols: list[list[int]], pool_size: int) -> list[list[int]]:
+    """Per run of ``_CHUNK`` witnesses, indexed by a subset of the run (bit
+    ``r`` for its ``r``-th witness): the last demands that no witness of
+    the subset accepts, with slot ``t`` packed at bit offset
+    ``t * pool_size``.
+
+    ``cols[t][w]`` is the bitmap of elements that witness ``w`` accepts in
+    slot ``t``.  Each is masked to the pool before packing: a cut pool
+    (``witness_closure``) leaves bits above it that would land in the next
+    slot."""
+    everyone = (1 << pool_size) - 1
+    packed_everyone = sum(everyone << t * pool_size for t in range(len(cols)))
+    refused = [packed_everyone ^ sum((col[w] & everyone) << t * pool_size
+                                     for t, col in enumerate(cols))
+               for w in range(len(cols[0]))]
+    tables = []
+    for base in range(0, len(refused), _CHUNK):
+        table = [packed_everyone]
+        for mask in refused[base:base + _CHUNK]:
+            table += [entry & mask for entry in table]
+        tables.append(table)
+    return tables
+
+
 def _kernel_tables(tables_by_side, side: Side, mode: Mode):
-    """Pool, witnesses, and the kernel's row and column bitmaps for
+    """Pool, witnesses, the kernel's row bitmaps and its packed tables for
     requirements on ``side``."""
     pool, wit, *masks = tables_by_side[side]
     own = _named_masks(masks, mode)
     opposite = _named_masks(tables_by_side[side.opposite][2:], mode)
     return (pool, wit, [own[name] for name in _SLOTS[mode]],
-            [opposite[name] for name in _COLUMN_SLOTS[mode]])
+            _packed_tables([opposite[name] for name in _COLUMN_SLOTS[mode]], len(pool)))
 
 
 def _named_masks(masks, mode: Mode) -> dict[str, list[int]]:
@@ -363,17 +414,15 @@ def _scan_task(args):
 
 
 def _collect_defects(tables_by_side, level: int, mode: Mode,
-                     jobs: int = 1, limit: int | None = None,
-                     only_total: int | None = None) -> list[DefectRow]:
+                     jobs: int = 1, limit: int | None = None) -> list[DefectRow]:
     """Unwitnessed requirements as rows, in requirement order.  ``limit``
     cuts the scan order (by side, then size, then kernel order) before the
     rows are sorted."""
-    sizes = (only_total,) if only_total is not None else tuple(range(level + 1))
     tasks = []
     for side in (Side.LEFT, Side.RIGHT):
-        pool, wit, rows, cols = _kernel_tables(tables_by_side, side, mode)
-        for size in sizes:
-            tasks.append((side, pool, size, (rows, cols, len(pool), len(wit), size)))
+        pool, wit, rows, packed = _kernel_tables(tables_by_side, side, mode)
+        for size in range(level + 1):
+            tasks.append((side, pool, size, (rows, packed, len(pool), len(wit), size)))
 
     if jobs > 1 and limit is None:
         with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
@@ -452,7 +501,9 @@ def achieved_level(digraph: TwoPartiteDigraph, mode: Mode, max_level: int) -> in
     if mode is Mode.TWO_PARTITE and digraph.first_nonadjacent_pair() is not None:
         return -1
     tables = _digraph_tables_by_side(digraph)
-    for total in range(0, max_level + 1):
-        if _collect_defects(tables, max_level, mode, limit=1, only_total=total):
-            return total - 1
+    kernels = [_kernel_tables(tables, side, mode) for side in (Side.LEFT, Side.RIGHT)]
+    for total in range(max_level + 1):
+        for pool, wit, rows, packed in kernels:
+            if _scan_size(rows, packed, len(pool), len(wit), total, limit=1):
+                return total - 1
     return max_level

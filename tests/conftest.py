@@ -472,9 +472,9 @@ def materialized_defects(tables_by_side, level: int, mode: Mode,
     sizes = (only_total,) if only_total is not None else tuple(range(level + 1))
     tasks = []
     for side in (Side.LEFT, Side.RIGHT):
-        pool, wit, rows, cols = _kernel_tables(tables_by_side, side, mode)
+        pool, wit, rows, packed = _kernel_tables(tables_by_side, side, mode)
         for size in sizes:
-            tasks.append((side, pool, (rows, cols, len(pool), len(wit), size)))
+            tasks.append((side, pool, (rows, packed, len(pool), len(wit), size)))
 
     defects: list[Requirement] = []
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from twopartite import genericity
+from twopartite import catalog, genericity
 from twopartite.catalog import (
     ApproximantSpec,
     Direction,
@@ -184,19 +184,42 @@ class TestBipartiteCheck:
 
     def test_kernel_tables_are_adjacency_tables(self):
         # the a slot is adjacency in either direction and the c slot its
-        # complement, for rows and for the opposite side's columns alike
+        # complement.  Each packed table entry is the AND, over the
+        # witnesses of its subset, of the complemented columns masked to
+        # the pool: slot a at offset 0 holds the elements adjacent to none
+        # of them, slot c at offset p those adjacent to all of them.  Pools
+        # are cut at random, as the closure cuts them.
         rng = random.Random(300)
-        for _ in range(300):
-            d = random_digraph(rng, max_side=6)
-            tables = genericity._digraph_tables_by_side(d)
+        for _ in range(120):
+            d = random_digraph(rng, max_side=11)
+            cut = {side: rng.randint(0, len(d.side(side))) for side in (Side.LEFT, Side.RIGHT)}
+            tables = {side: (pool[:cut[side]], *rest)
+                      for side, (pool, *rest) in genericity._digraph_tables_by_side(d).items()}
             for side in (Side.LEFT, Side.RIGHT):
-                pool, wit, rows, cols = genericity._kernel_tables(tables, side, Mode.BIPARTITE)
-                for elements, witnesses, (adjacent, apart) in ((pool, wit, rows), (wit, pool, cols)):
-                    for i, v in enumerate(elements):
-                        nbrs = set(d.out_neighbourhood(v)) | set(d.in_neighbourhood(v))
-                        bits = sum(1 << k for k, w in enumerate(witnesses) if w in nbrs)
-                        assert adjacent[i] == bits
-                        assert apart[i] == ((1 << len(witnesses)) - 1) & ~bits
+                pool, wit, rows, packed = genericity._kernel_tables(tables, side, Mode.BIPARTITE)
+                adjacent, apart = rows
+                for i, v in enumerate(pool):
+                    nbrs = set(d.out_neighbourhood(v)) | set(d.in_neighbourhood(v))
+                    bits = sum(1 << k for k, w in enumerate(wit) if w in nbrs)
+                    assert adjacent[i] == bits
+                    assert apart[i] == ((1 << len(wit)) - 1) & ~bits
+                p = len(pool)
+                everyone = (1 << p) - 1
+                columns = []
+                for w in wit:
+                    nbrs = set(d.out_neighbourhood(w)) | set(d.in_neighbourhood(w))
+                    columns.append(sum(1 << i for i, v in enumerate(pool) if v in nbrs))
+                assert len(packed) == -(-len(wit) // genericity._CHUNK)
+                for c, table in enumerate(packed):
+                    run = columns[c * genericity._CHUNK:(c + 1) * genericity._CHUNK]
+                    assert len(table) == 1 << len(run)
+                    for subset, entry in enumerate(table):
+                        untouched, shared = everyone, everyone
+                        for r, column in enumerate(run):
+                            if subset >> r & 1:
+                                untouched &= ~column
+                                shared &= column
+                        assert entry == untouched | shared << p
 
 
 class TestReportProperties:
@@ -249,7 +272,7 @@ class TestReportProperties:
 
 # -- the transposed kernel against the unrolled scan it replaced --------------
 
-def _unrolled_kernel(rows, cols, pool_size, wit_count, size, limit):
+def _unrolled_kernel(rows, packed, pool_size, wit_count, size, limit):
     return unrolled_scan(rows, pool_size, wit_count, size, limit)
 
 
@@ -263,15 +286,32 @@ def _skewed_digraph(rng, max_side=7):
     """Random structure whose non-adjacency rate varies between draws, so
     that both dense and sparse defect sets occur."""
     m, n = rng.randint(0, max_side), rng.randint(0, max_side)
-    p_none = rng.choice((0.0, 0.0, 0.1, 1 / 3, 0.7))
+    return _skewed_sides(rng, m, n, rng.choice((0.0, 0.0, 0.1, 1 / 3, 0.7)))
+
+
+def _skewed_sides(rng, m, n, p_none, p_lr=0.5):
     left = [f"x{i}" for i in range(1, m + 1)]
     right = [f"y{j}" for j in range(1, n + 1)]
     edges = []
     for x in left:
         for y in right:
             if rng.random() >= p_none:
-                edges.append((x, y) if rng.random() < 0.5 else (y, x))
+                edges.append((x, y) if rng.random() < p_lr else (y, x))
     return build(left, right, edges)
+
+
+# side sizes on both sides of a run boundary of genericity._CHUNK witnesses
+WIDE_SIDES = (8, 9, 15, 16, 17, 20)
+
+
+def _wide_digraph(rng):
+    """Sides from WIDE_SIDES, one of them empty one time in five, with a
+    skewed non-adjacency rate and orientation bias."""
+    m, n = rng.choice(WIDE_SIDES), rng.choice(WIDE_SIDES)
+    if rng.random() < 0.2:
+        m, n = rng.choice(((0, n), (m, 0)))
+    return _skewed_sides(rng, m, n, rng.choice((0.0, 0.1, 1 / 3, 0.7, 0.9)),
+                         rng.choice((0.5, 0.2, 0.9)))
 
 
 def _mode_inputs(digraph):
@@ -313,10 +353,10 @@ class TestTransposedKernel:
             for mode, structure in _mode_inputs(d):
                 tables = genericity._digraph_tables_by_side(structure)
                 for side in (Side.LEFT, Side.RIGHT):
-                    pool, wit, rows, cols = genericity._kernel_tables(tables, side, mode)
+                    pool, wit, rows, packed = genericity._kernel_tables(tables, side, mode)
                     for size in self.LEVELS:
                         for limit in (None, 1, 2):
-                            got = genericity._scan_size(rows, cols, len(pool), len(wit),
+                            got = genericity._scan_size(rows, packed, len(pool), len(wit),
                                                         size, limit)
                             want = unrolled_scan(rows, len(pool), len(wit), size, limit)
                             assert got == want, (d, mode, side, size, limit)
@@ -331,6 +371,54 @@ class TestTransposedKernel:
                             == _with_unrolled(first_defect, structure, level, mode))
                     assert (achieved_level(structure, mode, level)
                             == _with_unrolled(achieved_level, structure, mode, level))
+
+    def test_scans_across_witness_runs(self):
+        # the structures above have sides of at most 7, inside one run of
+        # _CHUNK witnesses; these cross one or two run boundaries
+        rng = random.Random(8128)
+        for _ in range(16):
+            d = _wide_digraph(rng)
+            for mode, structure in _mode_inputs(d):
+                tables = genericity._digraph_tables_by_side(structure)
+                for side in (Side.LEFT, Side.RIGHT):
+                    pool, wit, rows, packed = genericity._kernel_tables(tables, side, mode)
+                    assert len(packed) == -(-len(wit) // genericity._CHUNK)
+                    for size in range(4):
+                        for limit in (None, 1, 2):
+                            got = genericity._scan_size(rows, packed, len(pool), len(wit),
+                                                        size, limit)
+                            want = unrolled_scan(rows, len(pool), len(wit), size, limit)
+                            assert got == want, (d, mode, side, size, limit)
+                for limit in (None, 1, 2):
+                    got = genericity._collect_defects(tables, 3, mode, limit=limit)
+                    want = _with_unrolled(genericity._collect_defects,
+                                          tables, 3, mode, limit=limit)
+                    assert got == want, (d, mode, limit)
+                assert (achieved_level(structure, mode, 3)
+                        == _with_unrolled(achieved_level, structure, mode, 3))
+
+    def test_closure_cut_pools_across_witness_runs(self):
+        # original sides of 8 or more, so the cut pools and the grown
+        # witness sides span several runs; the defects left at the cap are
+        # exactly the requirements over the original vertices that no
+        # vertex of the partial structure witnesses, in requirement order
+        rng = random.Random(4711)
+        capped = 0
+        for _ in range(8):
+            d = _wide_digraph(rng)
+            for mode, structure in _mode_inputs(d):
+                try:
+                    closed = witness_closure(structure, mode, 2, cap=12)
+                except CapExceeded as exc:
+                    capped += 1
+                    closed, defects = exc.partial, exc.defects
+                else:
+                    defects = ()
+                want = [req for req in iter_requirements(structure.left, structure.right,
+                                                         2, mode)
+                        if naive_witness(closed, req, mode) is None]
+                assert list(defects) == sorted(want, key=requirement_sort_key), (d, mode)
+        assert capped > 8
 
     def test_parallel_path(self):
         rng = random.Random(5)
@@ -384,11 +472,6 @@ class TestDefectRows:
                     got = genericity._collect_defects(tables, level, mode, limit=limit)
                     assert got == _oracle_rows(tables, level, mode, limit=limit), \
                         (d, mode, level, limit)
-                for total, limit in [(t, 1) for t in self.LEVELS] + [(2, None)]:
-                    got = genericity._collect_defects(tables, 4, mode, limit=limit,
-                                                      only_total=total)
-                    assert got == _oracle_rows(tables, 4, mode, limit=limit,
-                                               only_total=total)
                 report = CHECKS[mode](structure, 2)
                 want = materialized_defects(tables, 2, mode)
                 assert report.rows == tuple(map(defect_row, want))
@@ -446,6 +529,21 @@ PINNED_BUILDS = [
      "55347f727870a46f9f1960ac9090f8c8e9e098af0759445c4e8633a74509c50f"),
 ]
 
+# Builds that reject some attempts first, so the digest also covers the
+# random stream across attempts: (builder, spec, attempts, digest), computed
+# with the draws written as ``randrange(3)`` and ``getrandbits(1)`` per pair.
+PINNED_RETRIED_BUILDS = [
+    (generic_2partite_approx, ApproximantSpec(20, 2, seed=1), 19,
+     "73d8c8d234828f77ae25ef1ac44705287e419ca710150989bf1cb877e3f1fc23"),
+    (generic_orientation_approx, ApproximantSpec(12, 1, seed=8), 5,
+     "62ee43a9d77524b145805de06c35d778482791be7feb19487ac0e210d9cb1e5f"),
+    (generic_bipartite_approx, ApproximantSpec(32, 2, seed=7), 2,
+     "ecedfb0718a1205e9ac586e9b1460d6417452c1d980724126c8b42cbcba5ce80"),
+    (lambda spec: generic_bipartite_approx(spec, Direction.RIGHT_TO_LEFT),
+     ApproximantSpec(36, 2, seed=5), 2,
+     "5e6401617eacbd94222c7ab4f0cace015ac2561b1be885140d7c97a1979adcd4"),
+]
+
 PINNED_UNREACHABLE = [
     (generic_2partite_approx, ApproximantSpec(8, 3, seed=1), 1),
     (generic_orientation_approx, ApproximantSpec(12, 2, seed=4), 1),
@@ -458,6 +556,27 @@ class TestSeededBuilds:
     def test_output_pinned(self, builder, spec, digest):
         text = to_json_text(builder(spec))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("builder,spec,attempts,digest", PINNED_RETRIED_BUILDS)
+    def test_retried_output_pinned(self, builder, spec, attempts, digest):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return achieved_level(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(catalog, "achieved_level", counted)
+            text = to_json_text(builder(spec))
+        assert len(calls) == attempts
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_unreachable_message_pinned(self):
+        with pytest.raises(ApproximantNotFound) as info:
+            generic_2partite_approx(ApproximantSpec(40, 3, seed=1))
+        assert info.value.best_level == 2
+        assert str(info.value) == ("no attempt out of 32 reached level 3 at side size 40 "
+                                   "(best level achieved: 2)")
 
     @pytest.mark.parametrize("builder,spec,best", PINNED_UNREACHABLE)
     def test_unreachable_best_level_pinned(self, builder, spec, best):
