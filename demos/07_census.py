@@ -7,14 +7,16 @@ homogeneous survivors are classified.  The audit then cross-checks the
 outcome against the catalog: nothing unexpected may appear, and every
 catalog structure in range must be found.
 
-A homogeneous structure is side-regular (every row has the same count
-of each pair state, and so has every column), so the census decides
-only the side-regular classes and counts the rest by Burnside's lemma.
-Sides up to 3 (991 classes) take well under a second.  Use the CLI for
-the desk-scale audit, and ``--force`` past 12 cross pairs:
+A homogeneous structure is line-symmetric (its columns are closed under
+permuting the rows, and its rows under permuting the columns), so the
+census generates and decides only the line-symmetric classes, a handful
+per pair of sides, and counts the rest by Burnside's lemma.  Sides up to
+6 take a second or two.  Use the CLI for the desk-scale audit, and
+``--force`` past 12 cross pairs:
 
     twopartite verify --max-x 3 --max-y 3
     twopartite verify --max-x 4 --max-y 4 --force    # under a second
+    twopartite verify --max-x 6 --max-y 6 --force    # about a second
 """
 
 from collections import Counter

@@ -6,19 +6,19 @@ nonadjacent), so the labelled structures on fixed sides are exactly the
 order and keeps the first representative of each side-preserving
 isomorphism class, deduplicating by canonical form.
 
-The census only needs the side-regular structures: those in which every
-row has the same count of each pair state, and so does every column.
-Each map between two vertices of one side is a partial isomorphism, so
-a homogeneous structure has an automorphism group that is transitive on
-each side, and is side-regular; any other structure already fails at
-domain size 1.  The census walks the side-regular state vectors alone,
-still in lexicographic order, so every class keeps the representative
-that the full walk gives it (51 of the 19,683 vectors at 3x3, 106,563
-of 3^25 at 5x5).  It runs the exact homogeneity decider over their
-classes and records the classification of the homogeneous ones.  The
-number of classes scanned in all comes from Burnside's lemma over the
-side permutations instead of from a walk (Harary and Palmer, *Graphical
-Enumeration*, 1973).
+The census only needs the line-symmetric structures: their multiset of
+columns is closed under permuting the rows, and their multiset of rows
+under permuting the columns.  No pair inside a side carries a state, so
+each bijection between left vertices is a partial isomorphism, and in a
+homogeneous structure it extends to an automorphism, which permutes the
+columns among themselves; the same holds on the right.  The census
+generates the line-symmetric classes (3 on each non-square pair of
+non-empty sides, 9 on each square pair from 3x3 up), each as the least
+row-major state vector of its class, which is the representative the
+full walk gives it.  It runs the exact homogeneity decider over them
+and records the classification of the homogeneous ones.  The number of
+classes scanned in all comes from Burnside's lemma over the side
+permutations (Harary and Palmer, *Graphical Enumeration*, 1973).
 
 ``verify_classification`` cross-checks the census against the catalog:
 every homogeneous class must be a one-direction structure or a
@@ -29,9 +29,10 @@ package is tested against.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import factorial, gcd
 from typing import Iterable, Iterator
 
@@ -95,48 +96,39 @@ def _classes(m: int, n: int, vectors: Iterable[tuple[int, ...]]
             yield key, candidate
 
 
-def _side_regular_states(m: int, n: int) -> Iterator[tuple[int, ...]]:
-    """The row-major state vectors, in lexicographic order, in which all
-    rows have the same count of each pair state, and so do all columns.
+def _line_symmetric_states(m: int, n: int) -> list[tuple[int, ...]]:
+    """The least row-major state vector of each line-symmetric class on
+    sides of size m and n, in increasing order.
 
-    Row 0 fixes the row counts c, and with them the column counts
-    u = m*c/n; the later rows are the rows with counts c, taken in
-    lexicographic order, that keep every column within u.
+    Every row permutation keeps the column multiset, so it holds each
+    orbit (the columns with given state counts) a whole number of times,
+    and sorting its columns gives the least vector.  It is kept when the
+    adjacent transpositions of columns, which generate all, keep its rows.
     """
-    if m == 0 or n == 0:
-        yield ()
-        return
-    # The room left for state s in column j is one field of an integer,
-    # with a guard bit on top; taking a row subtracts 1 from its fields,
-    # and a field that had no room left clears its guard bit.
-    width = m.bit_length() + 1
-    guard = sum(1 << (k * width + width - 1) for k in range(3 * n))
+    def columns(counts: tuple[int, ...]) -> list[tuple[int, ...]]:
+        if not any(counts):
+            return [()]
+        return [(s,) + rest for s in range(3) if counts[s]
+                for rest in columns(counts[:s] + (counts[s] - 1,) + counts[s + 1:])]
 
-    def taken(row: tuple[int, ...]) -> int:
-        return sum(1 << (s * n + j) * width for j, s in enumerate(row))
+    orbits = [columns((c0, c1, m - c0 - c1)) for c0 in range(m + 1) for c1 in range(m + 1 - c0)
+              if factorial(m) // (factorial(c0) * factorial(c1) * factorial(m - c0 - c1)) <= n]
 
-    def rec(prefix: tuple[int, ...], room: int, same: list[tuple[tuple[int, ...], int]]
-            ) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == m * n:
-            yield prefix
-            return
-        for r, t in same:
-            rest = room - t
-            if rest & guard == guard:
-                yield from rec(prefix + r, rest, same)
+    def multisets(i: int, room: int) -> Iterator[list[tuple[int, ...]]]:
+        if room == 0:
+            yield []
+        elif i < len(orbits):
+            for k in range(room // len(orbits[i]) + 1):
+                for rest in multisets(i + 1, room - k * len(orbits[i])):
+                    yield orbits[i] * k + rest
 
-    counts_of = {r: (r.count(0), r.count(1), r.count(2))
-                 for r in product((0, 1, 2), repeat=n)}
-    rows_with: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
-    for r, counts in counts_of.items():
-        rows_with.setdefault(counts, []).append(r)
-    for first, counts in counts_of.items():
-        if any(m * c % n for c in counts):
-            continue
-        room = guard + sum(m * c // n << (s * n + j) * width
-                           for s, c in enumerate(counts) for j in range(n))
-        same = [(r, taken(r)) for r in rows_with[counts]]
-        yield from rec(first, room - taken(first), same)
+    found = []
+    for cols in multisets(0, n):
+        rows = list(zip(*sorted(cols)))
+        if all(Counter(r[:j] + (r[j + 1], r[j]) + r[j + 2:] for r in rows) == Counter(rows)
+               for j in range(n - 1)):
+            found.append(tuple(chain.from_iterable(rows)))
+    return sorted(found)
 
 
 def _burnside_count(m: int, n: int) -> int:
@@ -182,14 +174,14 @@ def _entry(canonical: CanonicalForm, digraph: TwoPartiteDigraph) -> CensusEntry:
 
 def _census_all(max_left: int, max_right: int, force: bool = False,
                 jobs: int = 1) -> list[CensusEntry]:
-    """Census entries of the side-regular classes, which include every
+    """Census entries of the line-symmetric classes, which include every
     homogeneous class."""
     if jobs < 1:
         raise ValidationError(f"worker count must be at least 1, got {jobs}")
     # refuse the whole range up front rather than partway through
     _check_budget(max_left, max_right, force)
     classes = [pair for m in range(max_left + 1) for n in range(max_right + 1)
-               for pair in _classes(m, n, _side_regular_states(m, n))]
+               for pair in _classes(m, n, _line_symmetric_states(m, n))]
     if jobs == 1:
         return [_entry(*pair) for pair in classes]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -394,7 +394,9 @@ def _image_count(mat, n: int, a: int, want: list[tuple]) -> int:
     """The number of valid images of a domain with ``a`` left vertices
     whose right vertices have the pair-state columns ``want`` over them:
     a right image must have its source's column over the left images,
-    and the right images of one column group are distinct."""
+    and the right images of one column group are distinct.  Given the
+    columns and the domain's rows over its right part, it counts the
+    same images by their right parts."""
     if a == 0:
         return perm(n, len(want))
     groups = Counter(want).items()
@@ -444,8 +446,9 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
     images are counted, not listed: for each image of S's left part,
     the right images are counted as a product of falling factorials,
     one per group of S's right vertices with equal pair states to the
-    left part.  Only a failing domain walks its images, and returns the
-    first one from which the search finds no automorphism.  Domains are
+    left part, or the other way round when S's right part has fewer
+    ordered images.  Only a failing domain walks its images, and returns
+    the first one from which the search finds no automorphism.  Domains are
     enumerated smallest first and reduced to one per automorphism orbit,
     so a failing verdict carries a smallest counterexample.  A negative
     ``k`` or ``aut_cap`` raises ValidationError.
@@ -532,7 +535,12 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
             a = bisect_left(subset, m)
             want = [tuple(line[j][i] for i in subset[:a]) for j in subset[a:]]
             restrictions = prod(orbit_size(subset[:i]) for i in range(1, size + 1))
-            if _image_count(mat, n, a, want) == restrictions:
+            if perm(n, size - a) < perm(m, a):
+                rows = [tuple(line[i][j - m] for j in subset[a:]) for i in subset[:a]]
+                count = _image_count(lines[1], m, size - a, rows)
+            else:
+                count = _image_count(mat, n, a, want)
+            if count == restrictions:
                 continue
             # Images are not filtered by colour: a map between induced
             # substructures only has to preserve the induced structure,

@@ -19,8 +19,11 @@ the transposed kernel ``genericity._scan_size`` replaced;
 ``materialized_defects``, the defect collector that built a
 ``Requirement`` per defect and sorted them by ``requirement_sort_key``,
 which the packed integer keys of ``genericity._collect_defects``
-replaced (it shares the kernel); and ``full_census``, the census over
-every class, which the side-regular census replaced.
+replaced (it shares the kernel); ``full_census``, the census over
+every class, which the side-regular census replaced; and
+``side_regular_census``, the census over the classes of the side-regular
+walk ``side_regular_states``, which the generated line-symmetric classes
+replaced (it shares ``_classes`` and ``_entry``).
 """
 
 import random
@@ -35,7 +38,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from twopartite import build
-from twopartite.census import CensusEntry, enumerate_all
+from twopartite.census import CensusEntry, _classes, _entry, enumerate_all
 from twopartite.classify import classify_exact
 from twopartite.core import Side, TwoPartiteDigraph
 from twopartite.errors import AutGroupTooLarge, ValidationError
@@ -563,6 +566,59 @@ def full_census(max_left: int, max_right: int) -> list[CensusEntry]:
     order: the census before it was cut to side-regular structures."""
     return [e for m in range(max_left + 1) for n in range(max_right + 1)
             for e in _full_entries(m, n)]
+
+
+# -- side-regular census -------------------------------------------------------
+
+def side_regular_states(m: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The row-major state vectors, in lexicographic order, in which all
+    rows have the same count of each pair state, and so do all columns.
+
+    Row 0 fixes the row counts c, and with them the column counts
+    u = m*c/n; the later rows are the rows with counts c, taken in
+    lexicographic order, that keep every column within u.
+    """
+    if m == 0 or n == 0:
+        yield ()
+        return
+    # The room left for state s in column j is one field of an integer,
+    # with a guard bit on top; taking a row subtracts 1 from its fields,
+    # and a field that had no room left clears its guard bit.
+    width = m.bit_length() + 1
+    guard = sum(1 << (k * width + width - 1) for k in range(3 * n))
+
+    def taken(row: tuple[int, ...]) -> int:
+        return sum(1 << (s * n + j) * width for j, s in enumerate(row))
+
+    def rec(prefix: tuple[int, ...], room: int, same: list[tuple[tuple[int, ...], int]]
+            ) -> Iterator[tuple[int, ...]]:
+        if len(prefix) == m * n:
+            yield prefix
+            return
+        for r, t in same:
+            rest = room - t
+            if rest & guard == guard:
+                yield from rec(prefix + r, rest, same)
+
+    counts_of = {r: (r.count(0), r.count(1), r.count(2))
+                 for r in product((0, 1, 2), repeat=n)}
+    rows_with: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
+    for r, counts in counts_of.items():
+        rows_with.setdefault(counts, []).append(r)
+    for first, counts in counts_of.items():
+        if any(m * c % n for c in counts):
+            continue
+        room = guard + sum(m * c // n << (s * n + j) * width
+                           for s, c in enumerate(counts) for j in range(n))
+        same = [(r, taken(r)) for r in rows_with[counts]]
+        yield from rec(first, room - taken(first), same)
+
+
+def side_regular_census(max_left: int, max_right: int) -> list[CensusEntry]:
+    """Census entries of the side-regular classes, which include every
+    homogeneous class: the census before its candidates were generated."""
+    return [_entry(*pair) for m in range(max_left + 1) for n in range(max_right + 1)
+            for pair in _classes(m, n, side_regular_states(m, n))]
 
 
 # -- structure generation -----------------------------------------------------

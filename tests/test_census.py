@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -7,7 +8,8 @@ from twopartite.catalog import Direction, matching_complement_pair, matching_dig
 from twopartite.census import (
     CensusEntry,
     _burnside_count,
-    _side_regular_states,
+    _classes,
+    _line_symmetric_states,
     census_homogeneous,
     enumerate_all,
     verify_classification,
@@ -16,7 +18,14 @@ from twopartite.classify import ClassCase, classify_exact
 from twopartite.errors import EnumerationBudgetExceeded, ValidationError
 from twopartite.iso import automorphisms, canonical_form, is_homogeneous
 
-from conftest import DESK_PAIRS, burnside_class_count, census_classes, full_census
+from conftest import (
+    DESK_PAIRS,
+    burnside_class_count,
+    census_classes,
+    full_census,
+    side_regular_census,
+    side_regular_states,
+)
 
 L2R, R2L = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
 
@@ -37,6 +46,29 @@ def is_side_regular(rows):
     do all columns."""
     return len(set(map(state_counts, rows))) <= 1 and \
         len(set(map(state_counts, zip(*rows)))) <= 1
+
+
+def closed_under_permutations(lines):
+    """Whether the multiset ``lines`` is closed under permuting the
+    entries of a line: each line with given state counts is in it, and
+    all of them equally often."""
+    if not lines:
+        return True
+    size = len(lines[0])
+    mult = Counter(lines)
+    for counts in set(map(state_counts, mult)):
+        group = [line for line in mult if state_counts(line) == counts]
+        orbit = math.factorial(size) // math.prod(map(math.factorial, counts))
+        if len(group) != orbit or len({mult[line] for line in group}) != 1:
+            return False
+    return True
+
+
+def is_line_symmetric(rows):
+    """Whether the columns are closed under permuting the rows, and the
+    rows under permuting the columns."""
+    rows = [tuple(r) for r in rows]
+    return closed_under_permutations(list(zip(*rows))) and closed_under_permutations(rows)
 
 
 def filtered_product_walk(m, n):
@@ -170,12 +202,12 @@ class TestSideRegularCensus:
                                      if m * n <= 12])
     def test_walk_is_the_filtered_product_walk(self, m, n):
         # order included: the census keeps each class's first vector
-        assert list(_side_regular_states(m, n)) == list(filtered_product_walk(m, n))
+        assert list(side_regular_states(m, n)) == list(filtered_product_walk(m, n))
 
     @pytest.mark.parametrize("m,n", [(3, 3), (2, 4), (4, 4), (5, 5)])
     def test_walk_sizes(self, m, n):
         expected = {(3, 3): 51, (2, 4): 21, (4, 4): 1065, (5, 5): 106563}[m, n]
-        assert sum(1 for _ in _side_regular_states(m, n)) == expected
+        assert sum(1 for _ in side_regular_states(m, n)) == expected
 
     @pytest.mark.parametrize("m,n", DESK_PAIRS)
     def test_classes_that_are_not_side_regular_fail_at_size_one(self, m, n):
@@ -198,3 +230,37 @@ class TestSideRegularCensus:
         assert _burnside_count(3, 4) == _burnside_count(4, 3) == 5053
         assert _burnside_count(4, 4) == 90492
         assert burnside_class_count(3, 4) == 5053
+
+
+# the side pairs with m*n <= 16 on which the walk's table of all 3^n rows
+# stays small; 1x16 alone would tabulate 43 million rows
+WALKABLE_PAIRS = [(m, n) for m in range(17) for n in range(11) if m * n <= 16]
+
+
+class TestLineSymmetricCensus:
+    @pytest.mark.parametrize("m,n", WALKABLE_PAIRS + [(5, 5)])
+    def test_generator_is_the_filtered_walk(self, m, n):
+        # order included: each class keeps the first vector the walk meets
+        walked = [v for v in side_regular_states(m, n)
+                  if is_line_symmetric([v[i * n:(i + 1) * n] for i in range(m)])]
+        first = [sum(map(tuple, d.pair_states()), ()) for _, d in _classes(m, n, walked)]
+        assert _line_symmetric_states(m, n) == first
+
+    @pytest.mark.parametrize("m,n,count", [(6, 6, 9), (7, 7, 9), (8, 8, 9), (1, 16, 3),
+                                           (16, 1, 3), (6, 10, 3), (12, 12, 9)])
+    def test_beyond_the_walk(self, m, n, count):
+        states = _line_symmetric_states(m, n)
+        assert len(states) == count and states == sorted(set(states))
+        for v in states:
+            assert is_line_symmetric([v[i * n:(i + 1) * n] for i in range(m)])
+
+    @pytest.mark.parametrize("m,n", DESK_PAIRS)
+    def test_classes_that_are_not_line_symmetric_fail_on_a_side(self, m, n):
+        # a whole side is a domain whose every permutation must extend
+        for d in census_classes(m, n):
+            if not is_line_symmetric(d.pair_states()):
+                assert is_homogeneous(d, max(m, n)).holds is False
+
+    def test_equals_the_side_regular_census(self):
+        expected = [e for e in side_regular_census(4, 4) if e.verdict.holds]
+        assert census_homogeneous(4, 4, force=True) == expected

@@ -23,6 +23,14 @@ from twopartite.cli import run
 from conftest import cycle_structure, shuffled_copy
 
 
+# SHA-256 of the stdout of the 5x5 census commands with --force, computed
+# with the census that canonicalised every side-regular state vector.
+PINNED_FIVE_BY_FIVE = {
+    "enum": "9a844a73a80a3a72c45970414f50e93e27245ada6e27ff304eefca65fddd48e4",
+    "verify": "10ac55848e173d6606c6554e375d37f7fe3c81a503b3ad299c844dfbf6eed7cf",
+}
+
+
 def cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), stdout=out, stderr=err)
@@ -252,6 +260,23 @@ class TestBafEnumVerify:
         # every homogeneous class in range is a catalog structure
         catalog = {canonical_form(s) for _, s in _catalog_in_range(4, 4)}
         assert payload["homogeneous_classes"] == len(catalog) == 72
+
+    def test_verify_six_by_six_forced(self):
+        from twopartite.census import _catalog_in_range
+        from twopartite.iso import canonical_form
+        code, out, _ = cli("verify", "--max-x", "6", "--max-y", "6", "--force")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ok"] and payload["discrepancies"] == []
+        assert payload["classes_scanned"] == 308_036_488_045
+        catalog = {canonical_form(s) for _, s in _catalog_in_range(6, 6)}
+        assert payload["homogeneous_classes"] == len(catalog) == 148
+
+    @pytest.mark.parametrize("command", sorted(PINNED_FIVE_BY_FIVE))
+    def test_five_by_five_forced_payload(self, command):
+        code, out, _ = cli(command, "--max-x", "5", "--max-y", "5", "--force")
+        assert code == 0
+        assert _sha(out) == PINNED_FIVE_BY_FIVE[command]
 
     @pytest.mark.parametrize("command", ["enum", "verify"])
     def test_negative_census_bound_exits_two(self, command):
