@@ -11,12 +11,13 @@ A homogeneous structure is line-symmetric (its columns are closed under
 permuting the rows, and its rows under permuting the columns), so the
 census generates and decides only the line-symmetric classes, a handful
 per pair of sides, and counts the rest by Burnside's lemma.  Sides up to
-6 take a second or two.  Use the CLI for the desk-scale audit, and
-``--force`` past 12 cross pairs:
+6 take a second or two.  A range is refused at once when m!n! on its
+largest sides exceeds the decider's automorphism cap (10^6), so 7x7 is
+out.  Use the CLI for the desk-scale audit:
 
     twopartite verify --max-x 3 --max-y 3
-    twopartite verify --max-x 4 --max-y 4 --force    # under a second
-    twopartite verify --max-x 6 --max-y 6 --force    # about a second
+    twopartite verify --max-x 4 --max-y 4    # under a second
+    twopartite verify --max-x 6 --max-y 6    # about a second
 """
 
 from collections import Counter

@@ -238,7 +238,10 @@ def uniqueness_demo(side_size: int, target_size: int, seed1: int, seed2: int,
         return UniquenessReport(mode, side_size, target_size, level, seed1, seed2,
                                 status="build-failed", detail=str(exc))
     try:
-        result, trace = back_and_forth(first, second, mode, target_size)
+        # the builders verified both at ``level``, which covers a target
+        # no larger than it
+        result, trace = back_and_forth(first, second, mode, target_size,
+                                       precheck=level < target_size)
     except InsufficientGenericity as exc:
         return UniquenessReport(mode, side_size, target_size, level, seed1, seed2,
                                 status="insufficient-genericity",

@@ -126,7 +126,6 @@ class ApproximantSpec:
     side_size: int
     level: int
     seed: int
-    growth_cap: int = 64
 
     def __post_init__(self):
         if self.side_size < 1:
@@ -137,8 +136,6 @@ class ApproximantSpec:
             raise InvalidSpec(
                 f"level {self.level} exceeds side_size {self.side_size}: a demand "
                 "can never be larger than the opposite side")
-        if self.growth_cap < 1:
-            raise InvalidSpec("growth_cap must be positive")
 
 
 def _randomized_build(spec: ApproximantSpec, mode: Mode, draw):

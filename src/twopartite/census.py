@@ -20,6 +20,13 @@ and records the classification of the homogeneous ones.  The number of
 classes scanned in all comes from Burnside's lemma over the side
 permutations (Harary and Palmer, *Graphical Enumeration*, 1973).
 
+The census has one bound, the decider's automorphism cap.  The empty
+structure on the largest sides is always a candidate, and its group
+S_m x S_n, of order m!n!, is the largest in range, so the decider
+refuses some candidate exactly when m!n! exceeds the cap.  The census
+checks that product before it builds any class and refuses the whole
+range at once.
+
 ``verify_classification`` cross-checks the census against the catalog:
 every homogeneous class must be a one-direction structure or a
 matching/complement pair, and every catalog structure in range must
@@ -46,8 +53,8 @@ from .catalog import (
 )
 from .classify import ClassCase, ClassLabel, classify_exact
 from .core import PAIR_LR, PAIR_RL, TwoPartiteDigraph, _assemble
-from .errors import EnumerationBudgetExceeded, ValidationError
-from .iso import CanonicalForm, HomogeneityVerdict, canonical_form
+from .errors import AutGroupTooLarge, EnumerationBudgetExceeded, ValidationError
+from .iso import DEFAULT_AUT_CAP, CanonicalForm, HomogeneityVerdict, canonical_form
 
 DEFAULT_PAIR_BUDGET = 12
 
@@ -55,14 +62,6 @@ DEFAULT_PAIR_BUDGET = 12
 def _check_bounds(m: int, n: int) -> None:
     if m < 0 or n < 0:
         raise ValidationError(f"side bounds must be non-negative, got {m} and {n}")
-
-
-def _check_budget(m: int, n: int, force: bool) -> None:
-    _check_bounds(m, n)
-    if m * n > DEFAULT_PAIR_BUDGET and not force:
-        raise EnumerationBudgetExceeded(
-            f"{3 ** (m * n)} labelled structures at sides {m}x{n}; "
-            f"pass force=True to enumerate anyway")
 
 
 def enumerate_all(m: int, n: int, force: bool = False) -> Iterator[TwoPartiteDigraph]:
@@ -73,7 +72,11 @@ def enumerate_all(m: int, n: int, force: bool = False) -> Iterator[TwoPartiteDig
     m*n > 12 are refused (eagerly, before any iteration) unless
     ``force`` is given.  A negative side size raises ValidationError.
     """
-    _check_budget(m, n, force)
+    _check_bounds(m, n)
+    if m * n > DEFAULT_PAIR_BUDGET and not force:
+        raise EnumerationBudgetExceeded(
+            f"3^{m * n} labelled structures at sides {m}x{n}; "
+            f"pass force=True to enumerate anyway")
     return (d for _, d in _classes(m, n, product((0, 1, 2), repeat=m * n)))
 
 
@@ -172,14 +175,20 @@ def _entry(canonical: CanonicalForm, digraph: TwoPartiteDigraph) -> CensusEntry:
     return CensusEntry(canonical, digraph, verdict, label)
 
 
-def _census_all(max_left: int, max_right: int, force: bool = False,
-                jobs: int = 1) -> list[CensusEntry]:
+def _census_all(max_left: int, max_right: int, jobs: int = 1) -> list[CensusEntry]:
     """Census entries of the line-symmetric classes, which include every
-    homogeneous class."""
+    homogeneous class.  A range whose empty largest structure has more
+    automorphisms than the decider's cap raises AutGroupTooLarge before
+    any class is built."""
     if jobs < 1:
         raise ValidationError(f"worker count must be at least 1, got {jobs}")
-    # refuse the whole range up front rather than partway through
-    _check_budget(max_left, max_right, force)
+    _check_bounds(max_left, max_right)
+    order = 1
+    # multiply up only until the cap is passed: a bound may be huge
+    for k in chain(range(2, max_left + 1), range(2, max_right + 1)):
+        order *= k
+        if order > DEFAULT_AUT_CAP:
+            raise AutGroupTooLarge(DEFAULT_AUT_CAP)
     classes = [pair for m in range(max_left + 1) for n in range(max_right + 1)
                for pair in _classes(m, n, _line_symmetric_states(m, n))]
     if jobs == 1:
@@ -188,12 +197,12 @@ def _census_all(max_left: int, max_right: int, force: bool = False,
         return list(pool.map(_entry, *zip(*classes), chunksize=16))
 
 
-def census_homogeneous(max_left: int, max_right: int, force: bool = False,
-                       jobs: int = 1) -> list[CensusEntry]:
+def census_homogeneous(max_left: int, max_right: int, jobs: int = 1) -> list[CensusEntry]:
     """Census of the homogeneous isomorphism classes with side sizes up
     to the given bounds, each entry carrying its classification.  A
-    negative bound raises ValidationError."""
-    return [e for e in _census_all(max_left, max_right, force=force, jobs=jobs)
+    negative bound raises ValidationError, and a range past the
+    automorphism cap AutGroupTooLarge."""
+    return [e for e in _census_all(max_left, max_right, jobs=jobs)
             if e.verdict.holds]
 
 
@@ -234,7 +243,7 @@ def _catalog_in_range(max_left: int, max_right: int) -> Iterator[tuple[str, TwoP
 
 def verify_classification(max_left: int, max_right: int,
                           census: list[CensusEntry] | None = None,
-                          force: bool = False, jobs: int = 1) -> AuditReport:
+                          jobs: int = 1) -> AuditReport:
     """Audit the classification at desk scale.
 
     Checks that every homogeneous class is labelled as a one-direction
@@ -242,12 +251,13 @@ def verify_classification(max_left: int, max_right: int,
     and that every catalog structure within the bounds appears among the
     homogeneous classes.  A census can be injected for fault testing;
     otherwise it is computed here.  A negative bound raises
-    ValidationError.
+    ValidationError, and a computed census past the automorphism cap
+    AutGroupTooLarge.
     """
     _check_bounds(max_left, max_right)
     discrepancies: list[Discrepancy] = []
     if census is None:
-        census = [e for e in _census_all(max_left, max_right, force=force, jobs=jobs)
+        census = [e for e in _census_all(max_left, max_right, jobs=jobs)
                   if e.verdict.holds]
         scanned = sum(_burnside_count(m, n) for m in range(max_left + 1)
                       for n in range(max_right + 1))

@@ -231,8 +231,7 @@ def _cmd_baf(args, out, err) -> int:
 
 
 def _cmd_enum(args, out, err) -> int:
-    entries = census_mod.census_homogeneous(args.max_x, args.max_y,
-                                            force=args.force, jobs=args.jobs)
+    entries = census_mod.census_homogeneous(args.max_x, args.max_y, jobs=args.jobs)
     for entry in entries:
         _emit(out, _entry_obj(entry))
     print(f"{len(entries)} homogeneous classes", file=err)
@@ -240,8 +239,7 @@ def _cmd_enum(args, out, err) -> int:
 
 
 def _cmd_verify(args, out, err) -> int:
-    report = census_mod.verify_classification(args.max_x, args.max_y,
-                                              force=args.force, jobs=args.jobs)
+    report = census_mod.verify_classification(args.max_x, args.max_y, jobs=args.jobs)
     _emit(out, {
         "ok": report.ok,
         "max_x": report.max_left,
@@ -335,14 +333,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enum", help="homogeneous census as JSON lines")
     p.add_argument("--max-x", type=int, required=True)
     p.add_argument("--max-y", type=int, required=True)
-    p.add_argument("--force", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=_cmd_enum)
 
     p = sub.add_parser("verify", help="audit the classification at desk scale")
     p.add_argument("--max-x", type=int, required=True)
     p.add_argument("--max-y", type=int, required=True)
-    p.add_argument("--force", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=_cmd_verify)
 

@@ -70,12 +70,6 @@ class PartialMap:
     def targets(self) -> tuple[str, ...]:
         return tuple(t for (_, t) in self.pairs)
 
-    def apply(self, v: str) -> str:
-        for (s, t) in self.pairs:
-            if s == v:
-                return t
-        raise KeyError(v)
-
     def inverse(self) -> "PartialMap":
         return PartialMap.from_dict({t: s for (s, t) in self.pairs})
 
@@ -87,11 +81,6 @@ class PartialMap:
             if t in other:
                 out[s] = other[t]
         return PartialMap.from_dict(out)
-
-    def extended(self, source: str, target: str) -> "PartialMap":
-        d = self.as_dict()
-        d[source] = target
-        return PartialMap.from_dict(d)
 
     def is_identity(self) -> bool:
         return all(s == t for (s, t) in self.pairs)

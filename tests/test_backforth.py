@@ -135,6 +135,20 @@ class TestUniquenessDemo:
         assert report.status == "success"
         assert len(report.result) == 2
 
+    def test_builder_level_covering_the_target_skips_the_precheck(self, monkeypatch):
+        import twopartite.backforth as backforth
+        calls = []
+        original = backforth.first_defect
+        monkeypatch.setattr(backforth, "first_defect",
+                            lambda *args: calls.append(args) or original(*args))
+        assert uniqueness_demo(16, 2, 3, 4, Mode.TWO_PARTITE).status == "success"
+        assert uniqueness_demo(32, 1, 3, 4, Mode.ORIENTATION).status == "success"
+        assert uniqueness_demo(16, 1, 3, 4, Mode.TWO_PARTITE, build_level=2).status == "success"
+        assert calls == []
+        # a build level below the target keeps the check
+        report = uniqueness_demo(16, 2, 3, 4, Mode.TWO_PARTITE, build_level=1)
+        assert report.status == "insufficient-genericity" and calls
+
     def test_insufficient_level_reported_not_raised(self):
         # approximants verified only to level 2 cannot back a target of 4
         report = uniqueness_demo(48, 4, 100, 200, Mode.TWO_PARTITE, build_level=2)

@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from twopartite.catalog import Direction, matching_complement_pair, matching_digraph
+import twopartite.census as census_mod
+from twopartite.catalog import Direction, empty_digraph, matching_complement_pair, matching_digraph
 from twopartite.census import (
     CensusEntry,
     _burnside_count,
@@ -15,7 +16,7 @@ from twopartite.census import (
     verify_classification,
 )
 from twopartite.classify import ClassCase, classify_exact
-from twopartite.errors import EnumerationBudgetExceeded, ValidationError
+from twopartite.errors import AutGroupTooLarge, EnumerationBudgetExceeded, ValidationError
 from twopartite.iso import automorphisms, canonical_form, is_homogeneous
 
 from conftest import (
@@ -98,6 +99,11 @@ class TestEnumerateAll:
     def test_budget_guard(self):
         with pytest.raises(EnumerationBudgetExceeded):
             next(enumerate_all(4, 4))
+
+    def test_budget_guard_names_the_exponent(self):
+        # 3^10000 has more digits than Python will print
+        with pytest.raises(EnumerationBudgetExceeded, match=r"3\^10000 labelled"):
+            enumerate_all(100, 100)
 
     def test_negative_bounds_rejected(self):
         for m, n in ((-1, 2), (2, -1)):
@@ -263,4 +269,29 @@ class TestLineSymmetricCensus:
 
     def test_equals_the_side_regular_census(self):
         expected = [e for e in side_regular_census(4, 4) if e.verdict.holds]
-        assert census_homogeneous(4, 4, force=True) == expected
+        assert census_homogeneous(4, 4) == expected
+
+
+class TestAutomorphismCapBound:
+    def test_refused_before_any_class_is_built(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the census built a class before refusing")
+        monkeypatch.setattr(census_mod, "canonical_form", no_work)
+        monkeypatch.setattr(census_mod, "classify_exact", no_work)
+        for run in (lambda: census_homogeneous(7, 7), lambda: verify_classification(1, 10),
+                    lambda: census_homogeneous(10 ** 9, 1)):
+            with pytest.raises(AutGroupTooLarge):
+                run()
+
+    def test_refuses_exactly_what_the_decider_refuses(self, monkeypatch):
+        # the empty structure on the largest sides has the largest group;
+        # with no candidates the census does nothing past its bound
+        monkeypatch.setattr(census_mod, "_line_symmetric_states", lambda m, n: [])
+        for m, n in product(range(11), repeat=2):
+            try:
+                is_homogeneous(empty_digraph(m, n), 0)
+            except AutGroupTooLarge:
+                with pytest.raises(AutGroupTooLarge):
+                    census_homogeneous(m, n)
+            else:
+                assert census_homogeneous(m, n) == [], (m, n)

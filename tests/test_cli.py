@@ -23,8 +23,9 @@ from twopartite.cli import run
 from conftest import cycle_structure, shuffled_copy
 
 
-# SHA-256 of the stdout of the 5x5 census commands with --force, computed
-# with the census that canonicalised every side-regular state vector.
+# SHA-256 of the stdout of the 5x5 census commands, computed with the
+# census that canonicalised every side-regular state vector (then behind
+# --force).
 PINNED_FIVE_BY_FIVE = {
     "enum": "9a844a73a80a3a72c45970414f50e93e27245ada6e27ff304eefca65fddd48e4",
     "verify": "10ac55848e173d6606c6554e375d37f7fe3c81a503b3ad299c844dfbf6eed7cf",
@@ -219,9 +220,25 @@ class TestBafEnumVerify:
         assert all(e["holds"] for e in entries)
         assert "6 homogeneous classes" in err
 
-    def test_enum_budget(self):
-        code, _, err = cli("enum", "--max-x", "4", "--max-y", "4")
-        assert code == 2 and "force" in err
+    def test_enum_four_by_four(self):
+        # the stdout of ``enum --max-x 4 --max-y 4 --force`` from the census
+        # that also had a budget of 12 labelled pairs
+        code, out, err = cli("enum", "--max-x", "4", "--max-y", "4")
+        assert (code, err) == (0, "72 homogeneous classes\n")
+        assert _sha(out) == "8df7e98db9dd7f2234b9aac8ed3ae64eb71ddba471c9107652cf4933498b9554"
+
+    @pytest.mark.parametrize("argv", [["verify", "--max-x", "7", "--max-y", "7"],
+                                      ["enum", "--max-x", "100", "--max-y", "100"]])
+    def test_range_over_the_automorphism_cap_exits_two(self, argv):
+        # 7!7! and 100!100! exceed the decider's cap of 10^6
+        code, out, err = cli(*argv)
+        assert (code, out) == (2, "")
+        assert err == "error: automorphism group exceeds cap of 1000000 maps\n"
+
+    @pytest.mark.parametrize("command", ["enum", "verify"])
+    def test_force_is_a_usage_error(self, command):
+        code, out, err = cli(command, "--max-x", "2", "--max-y", "2", "--force")
+        assert (code, out) == (2, "") and "unrecognized arguments: --force" in err
 
     def test_enum_jobs_deterministic(self):
         _, seq, _ = cli("enum", "--max-x", "1", "--max-y", "1")
@@ -252,7 +269,7 @@ class TestBafEnumVerify:
     def test_verify_four_by_four_forced(self):
         from twopartite.census import _catalog_in_range
         from twopartite.iso import canonical_form
-        code, out, _ = cli("verify", "--max-x", "4", "--max-y", "4", "--force")
+        code, out, _ = cli("verify", "--max-x", "4", "--max-y", "4")
         assert code == 0
         payload = json.loads(out)
         assert payload["ok"] and payload["discrepancies"] == []
@@ -264,7 +281,7 @@ class TestBafEnumVerify:
     def test_verify_six_by_six_forced(self):
         from twopartite.census import _catalog_in_range
         from twopartite.iso import canonical_form
-        code, out, _ = cli("verify", "--max-x", "6", "--max-y", "6", "--force")
+        code, out, _ = cli("verify", "--max-x", "6", "--max-y", "6")
         assert code == 0
         payload = json.loads(out)
         assert payload["ok"] and payload["discrepancies"] == []
@@ -274,7 +291,7 @@ class TestBafEnumVerify:
 
     @pytest.mark.parametrize("command", sorted(PINNED_FIVE_BY_FIVE))
     def test_five_by_five_forced_payload(self, command):
-        code, out, _ = cli(command, "--max-x", "5", "--max-y", "5", "--force")
+        code, out, _ = cli(command, "--max-x", "5", "--max-y", "5")
         assert code == 0
         assert _sha(out) == PINNED_FIVE_BY_FIVE[command]
 
@@ -398,6 +415,10 @@ PINNED_CHECK_GENERIC = {
     "2partite": "d866963ad36649020976c314358688cd206d3650cf4d66a5c90a80bcb80c4aa9",
     "orientation": "a13c0a688d84581c99562b3f91e21c647acd590b93adc6cf8ccec653f879f778",
 }
+# SHA-256 of a baf transcript (a success in each mode, then approximants
+# built below the target), computed while uniqueness_demo re-checked both
+# approximants at the target before every alignment.
+PINNED_BAF = "375f59523d049c60c22dd64feffa7872befa542938e39bbf6488691f4f2a0d65"
 PINNED_CAP_EXCEEDED = "5319645eb253ed2f966ee3108489079e3c7a5be093029deeb61b4c4b9d21d986"
 
 # SHA-256 of the payloads of the map search and the decider, computed with
@@ -449,6 +470,15 @@ class TestPinnedPayloads:
                   "--jobs", "2"] for path in paths[:2]]
         assert _sha(_transcript(runs).replace(str(tmp_path), "")) == PINNED_CHECK_GENERIC[mode]
 
+    def test_baf_transcript(self):
+        runs = [["baf", "--mode", "2partite", "--size", "16", "--level", "2",
+                 "--seed1", "3", "--seed2", "4"],
+                ["baf", "--mode", "orientation", "--size", "32", "--level", "1",
+                 "--seed1", "3", "--seed2", "4"],
+                ["baf", "--mode", "2partite", "--size", "16", "--level", "2",
+                 "--build-level", "1", "--seed1", "3", "--seed2", "4"]]
+        assert _sha(_transcript(runs)) == PINNED_BAF
+
     def test_closure_cap_exceeded_transcript(self, tmp_path):
         three = write(tmp_path, "three.json", _odd_structure(4, 3))
         one = write(tmp_path, "one.json", _odd_structure(5, 3).underlying_bipartite())
@@ -483,7 +513,7 @@ _STRUCTURES = st.fixed_dictionaries({
     "edges": st.lists(st.lists(_ENDPOINT, min_size=2, max_size=2) | _JUNK, max_size=6),
 })
 _INT = st.integers(-2, 3).map(str) | st.sampled_from(["", "x"])
-_BOUND = st.integers(-2, 2).map(str)
+_BOUND = st.integers(-2, 2).map(str) | st.sampled_from(["100", "1000000000"])
 _JOBS = st.integers(-1, 1).map(str)
 
 _FILE_COMMANDS = {
