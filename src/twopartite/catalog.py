@@ -37,7 +37,7 @@ from .genericity import (
     DefectRow,
     Mode,
     _collect_defects,
-    _digraph_tables_by_side,
+    _kernel_inputs,
     _requirement,
     achieved_level,
     validate_level,
@@ -247,9 +247,7 @@ def witness_closure(digraph: TwoPartiteDigraph, mode: Mode, level: int,
     while True:
         # witnesses are appended, so cutting each side's pool to its first
         # (original) vertices scans exactly the requirements over them
-        tables = {side: (pool[:originals[side]], *rest)
-                  for side, (pool, *rest) in _digraph_tables_by_side(current).items()}
-        rows = _collect_defects(tables, level, mode)
+        rows = _collect_defects(_kernel_inputs(current, mode, originals), level)
         if not rows:
             return current
         if added >= cap:

@@ -22,34 +22,35 @@ as oracles, so no sampling) and report every unwitnessed requirement.
 Finite structures can only certify a finite level, never genuine
 genericity.
 
-One kernel, ``_scan_size``, serves all three modes and every size.  It
-reads bitmaps built from one pass over the pair-state matrix: per
-element, the witnesses that accept it in each slot, and per witness
-(the opposite side's bitmaps), the elements it accepts.  It walks
-requirement prefixes, keeping the witnesses that survive each prefix.
+One kernel serves all three modes and every size.  It reads bitmaps
+built from one pass over the pair-state lines, with each pool indexed in
+sorted-id order: per element, the witnesses that accept it in each slot,
+and per witness, the elements it accepts.  The scan walks requirement
+prefixes in report order (the ``a`` demands, then ``b``, then ``c``,
+each slot increasing) and keeps the witnesses that survive each prefix.
 The failing last demands of a prefix are a Boolean matrix product, so
 they come from byte tables in the manner of Arlazarov, Dinic, Kronrod
 and Faradzev ("Four Russians"): for each run of 8 witnesses and each
 subset of it, the last demands that no witness of the subset accepts,
 all slots packed into one integer.  A prefix ANDs one entry per nonzero
-byte of its survivor bitmap.  ``achieved_level`` builds the tables once
-per structure and scans one size at a time across both sides, so one
-call both accepts a build attempt and reports how far a failed attempt
-got.
+byte of its survivor bitmap, and that one read serves every shape that
+extends the prefix.  Each shape then reads the bits of its own slot, so
+the rows ``(side, a, b, c)`` come out in report order with no sort, and
+a limit cuts that order.  ``GenericityReport.defects`` builds
+:class:`Requirement` objects from the rows on first access.
 
-Reports carry their defects as rows ``(side, a, b, c)`` of sorted id
-tuples.  Each scan's raw assignments are ordered by one packed integer
-per requirement (``_sorted_rows``) and decoded straight into rows, so a
-dense report builds no :class:`Requirement` objects;
-``GenericityReport.defects`` builds them on first access.
+``achieved_level`` asks only whether a defect exists, so it leaves the
+pools unsorted.  It builds the tables once per structure and scans one
+size at a time across both sides, so one call both accepts a build
+attempt and reports how far a failed attempt got.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import combinations, compress
 from typing import Iterable, Iterator, Sequence
 
 from .core import PAIR_LR, PAIR_NONE, PAIR_RL, Side, TwoPartiteDigraph
@@ -102,10 +103,10 @@ class GenericityReport:
     completeness fails.
 
     ``rows`` holds the defects as ``(side, a, b, c)`` rows of sorted id
-    tuples, ordered by side, then total size, then shape (larger ``a``
-    first, then smaller ``c``), then the sorted ids of ``a``, ``b`` and
-    ``c``.  ``defects`` is the same list as :class:`Requirement` objects,
-    built on first access."""
+    tuples in report order: by side, then total size, then shape (larger
+    ``a`` first, then smaller ``c``), then the sorted ids of ``a``, ``b``
+    and ``c``.  The scan emits them in this order.  ``defects`` is the same
+    list as :class:`Requirement` objects, built on first access."""
 
     mode: Mode
     level: int
@@ -178,136 +179,75 @@ def iter_requirements(left_pool: Sequence[str], right_pool: Sequence[str],
                                               frozenset(b_set), frozenset(c_set))
 
 
-# -- witness tables ---------------------------------------------------------
+# -- kernel tables ----------------------------------------------------------
 #
-# For requirements on a given side, witnesses live on the opposite side.
-# For each element index i of the requirement side, three bitmaps over
-# witness indices say which witnesses would accept i in a / b / c.  The
-# opposite side's bitmaps are the transpose: over element indices, they
-# say which elements a witness accepts, with a and b exchanged in the
-# directed modes (y in N+(x) exactly when x in N-(y)).
+# Requirements on a side draw their demands from that side's *pool* and
+# find their witnesses on the opposite side.  One pass over the pair-state
+# matrix gives, per vertex, the bitmap of the opposite vertices whose pair
+# with it is in a given set of states.  A side's bitmaps serve as its
+# kernel's rows and, transposed, as the opposite kernel's columns.
 
-# Per pair state, the byte translation that turns a line of pair states
-# into binary digits: 1 where the pair holds that state.
-_DIGITS = {state: bytes.maketrans(bytes((PAIR_NONE, PAIR_LR, PAIR_RL)),
-                                  bytes(b"01"[s == state] for s in (PAIR_NONE, PAIR_LR, PAIR_RL)))
-           for state in (PAIR_NONE, PAIR_LR, PAIR_RL)}
+_STATES = bytes((PAIR_NONE, PAIR_LR, PAIR_RL))
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
 
-
-def _line_bitmaps(reversed_lines, states) -> tuple[list[int], ...]:
-    """Per state, the bitmap of each line's positions that hold it.  The
-    lines come last position first, so that they read as binary numerals
-    with position 0 as the lowest bit."""
-    bitmaps = tuple([] for _ in states)
-    for line in reversed_lines:
-        text = bytes(line)
-        for out, state in zip(bitmaps, states):
-            out.append(int(text.translate(_DIGITS[state]) or b"0", 2))
-    return bitmaps
-
-
-def _digraph_tables_by_side(digraph: TwoPartiteDigraph):
-    matrix = digraph.pair_states()
-    rows = (row[::-1] for row in matrix)
-    columns = zip(*matrix[::-1]) if matrix else [()] * len(digraph.right)
-    # y_j -> x_i puts x_i in N+(y_j) and y_j in N-(x_i); x_i -> y_j the reverse
-    l_a, l_b, l_c = _line_bitmaps(rows, (PAIR_RL, PAIR_LR, PAIR_NONE))
-    r_a, r_b, r_c = _line_bitmaps(columns, (PAIR_LR, PAIR_RL, PAIR_NONE))
-    return {Side.LEFT: (digraph.left, digraph.right, l_a, l_b, l_c),
-            Side.RIGHT: (digraph.right, digraph.left, r_a, r_b, r_c)}
-
-
-# Per mode: the demand slots, and for each the slot of the opposite
-# side's table that holds its transpose.  BIPARTITE mode's ``a`` slot is
-# adjacency in either direction, so it is its own transpose.
+# Per mode, the demand slots in report order, each as the position of its
+# ids in a report row: 0 for a, 1 for b, 2 for c.
 _SLOTS = {
-    Mode.TWO_PARTITE: ("a", "b"),
-    Mode.BIPARTITE: ("a", "c"),
-    Mode.ORIENTATION: ("a", "b", "c"),
-}
-_COLUMN_SLOTS = {
-    Mode.TWO_PARTITE: ("b", "a"),
-    Mode.BIPARTITE: ("a", "c"),
-    Mode.ORIENTATION: ("b", "a", "c"),
+    Mode.TWO_PARTITE: (0, 1),
+    Mode.BIPARTITE: (0, 2),
+    Mode.ORIENTATION: (0, 1, 2),
 }
 
 
-def _scan_size(rows: list[list[int]], tables: list[list[int]], pool_size: int,
-               wit_count: int, size: int, limit: int | None) -> list[tuple]:
-    """Unwitnessed requirements of exactly ``size`` demands, as tuples of
-    (element index, slot index) assignments.
+def _slot_states(side: Side, mode: Mode) -> list[tuple[int, ...]]:
+    """Per demand slot, the pair states (left vertex first) under which a
+    witness accepts an element of ``side`` there.  An ``a`` demand is a
+    successor of the witness, so on the left it needs the pair oriented
+    right to left; BIPARTITE mode's ``a`` is adjacency in either
+    direction."""
+    into, out_of = (PAIR_RL, PAIR_LR) if side is Side.LEFT else (PAIR_LR, PAIR_RL)
+    accepts = ((PAIR_LR, PAIR_RL) if mode is Mode.BIPARTITE else (into,), (out_of,), (PAIR_NONE,))
+    return [accepts[code] for code in _SLOTS[mode]]
 
-    ``rows[t][i]`` is the bitmap of witnesses that accept element ``i`` in
-    slot ``t``.  ``tables`` holds, per run of ``_CHUNK`` witnesses, the
-    failing last demands of every subset of that run (``_packed_tables``):
-    every slot is packed into one integer, slot ``t`` at bit offset
-    ``t * pool_size``.  The scan walks requirement prefixes of ``size - 1``
-    demands and keeps ``pm``, the bitmap of witnesses that satisfy the
-    prefix.  A last demand puts an element above the prefix into some
-    slot; the ones that fail are those no survivor accepts, the AND of one
-    table entry per nonzero byte of ``pm``, which stops once nothing is
-    left.  A prefix with many surviving witnesses therefore costs a few
-    table reads for all slots at once instead of one AND per element.
 
-    Defects come out in a fixed order, which ``limit`` truncates: for
-    sizes up to 3 by element tuple, then slot tuple; for larger sizes by
-    ``(i, ti, j, tj, ...)``.
-    """
-    full = (1 << wit_count) - 1
-    if size == 0:
-        return [()] if full == 0 else []
-    slots = range(len(rows))
-    shifts = [t * pool_size for t in slots]
-    everyone = (1 << pool_size) - 1
-    spread = sum(1 << shift for shift in shifts)
-    packed_everyone = everyone * spread
-    width = len(tables)
-    by_element = size <= 3
-    defects: list[tuple] = []
+def _kernel_inputs(digraph: TwoPartiteDigraph, mode: Mode,
+                   originals: dict[Side, int] | None = None, sort: bool = True) -> list[tuple]:
+    """Per side, left first: ``(side, mode, pool, rows, cols)``, where
+    ``rows[t][i]`` is the bitmap of witnesses that accept pool element
+    ``i`` in slot ``t`` and ``cols[t][w]`` that of the side's vertices that
+    witness ``w`` accepts there.
 
-    def close(group: list, start: int) -> bool:
-        # group: (assignment so far, pm) for each slot assignment of one
-        # element prefix; returns True once ``limit`` defects are collected
-        above = packed_everyone ^ ((1 << start) - 1) * spread
-        failed = []
-        for assigned, pm in group:
-            rem = above
-            for table, byte in zip(tables, pm.to_bytes(width, "little")):
-                if byte:
-                    rem &= table[byte]
-                    if not rem:
-                        break
-            if rem:
-                failed.append((assigned, [rem >> shift & everyone for shift in shifts]))
-        hit = 0
-        for _, fails in failed:
-            for fail in fails:
-                hit |= fail
-        while hit:
-            low = hit & -hit
-            hit ^= low
-            last = low.bit_length() - 1
-            for assigned, fails in failed:
-                for t, fail in enumerate(fails):
-                    if fail & low:
-                        defects.append(assigned + ((last, t),))
-                        if len(defects) == limit:
-                            return True
-        return False
-
-    def walk(group: list, depth: int, start: int) -> bool:
-        if depth == size - 1:
-            return close(group, start)
-        for i in range(start, pool_size):
-            grown = [(assigned + ((i, t),), pm & rows[t][i])
-                     for assigned, pm in group for t in slots]
-            groups = (grown,) if by_element else ([state] for state in grown)
-            if any(walk(g, depth + 1, i + 1) for g in groups):
-                return True
-        return False
-
-    walk([((), full)], 0, 0)
-    return defects
+    Each side's vertices are indexed pool first.  ``originals`` cuts each
+    pool to the side's first vertices in stored order, which are the
+    original vertices of a closure; the vertices past the cut follow as
+    witnesses only.  The pool is sorted by id unless ``sort`` is false, so
+    that ascending pool indices are ascending ids."""
+    matrix = digraph.pair_states()
+    pools, orders = {}, {}
+    for side in (Side.LEFT, Side.RIGHT):
+        ids = digraph.side(side)
+        cut = len(ids) if originals is None else originals[side]
+        pool = sorted(range(cut), key=ids.__getitem__) if sort else range(cut)
+        pools[side] = tuple(ids[i] for i in pool)
+        orders[side] = [*pool, *range(cut, len(ids))]
+    # permute the pair-state lines, not the bitmaps built from them
+    right = orders[Side.RIGHT]
+    lines = ([bytes(map(matrix[i].__getitem__, right)) for i in orders[Side.LEFT]] if sort
+             else list(map(bytes, matrix)))
+    columns = list(map(bytes, zip(*lines))) if lines else [b""] * len(right)
+    bitmaps = {}
+    for side, side_lines in ((Side.LEFT, lines), (Side.RIGHT, columns)):
+        # reversed, a line reads as a binary numeral with position 0 lowest
+        reversed_lines = [line[::-1] for line in side_lines]
+        for accepted in _slot_states(side, mode):
+            digits = bytes.maketrans(_STATES, bytes(b"01"[s in accepted] for s in _STATES))
+            bitmaps[side, accepted] = [int(line.translate(digits) or b"0", 2)
+                                       for line in reversed_lines]
+    # both sides' slots accept the same sets of states, in another order
+    return [(side, mode, pools[side],
+             [bitmaps[side, accepted][:len(pools[side])] for accepted in _slot_states(side, mode)],
+             [bitmaps[side.opposite, accepted] for accepted in _slot_states(side, mode)])
+            for side in (Side.LEFT, Side.RIGHT)]
 
 
 # Witnesses per table: each run of _CHUNK witnesses gets a table of
@@ -339,108 +279,173 @@ def _packed_tables(cols: list[list[int]], pool_size: int) -> list[list[int]]:
     return tables
 
 
-def _kernel_tables(tables_by_side, side: Side, mode: Mode):
-    """Pool, witnesses, the kernel's row bitmaps and its packed tables for
-    requirements on ``side``."""
-    pool, wit, *masks = tables_by_side[side]
-    own = _named_masks(masks, mode)
-    opposite = _named_masks(tables_by_side[side.opposite][2:], mode)
-    return (pool, wit, [own[name] for name in _SLOTS[mode]],
-            _packed_tables([opposite[name] for name in _COLUMN_SLOTS[mode]], len(pool)))
+def _kernel(side: Side, mode: Mode, pool: tuple[str, ...], rows, cols) -> tuple:
+    """Everything the scan reads for requirements on ``side``, from its
+    ``_kernel_inputs``: the side, the mode, the pool, the number of
+    witnesses, the rows and the packed tables."""
+    return (side, mode, pool, len(cols[0]), rows, _packed_tables(cols, len(pool)))
 
 
-def _named_masks(masks, mode: Mode) -> dict[str, list[int]]:
-    a, b, c = masks
-    if mode is Mode.BIPARTITE:  # adjacency in either direction
-        return {"a": [x | y for x, y in zip(a, b)], "c": c}
-    return {"a": a, "b": b, "c": c}
+# -- the scan -----------------------------------------------------------------
 
 
-# Slot digits of the requirement key: element ``i`` demanded in slot
-# ``a``, ``b`` or ``c`` is the digit ``rank``, ``p + rank`` or
-# ``2p + rank``, with ``rank`` its position in sorted-id order.
-_SLOT_CODES = {"a": 0, "b": 1, "c": 2}
+@lru_cache(maxsize=64)
+def _shape_groups(size: int, mode: Mode) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The shapes of ``size >= 1`` demands in ``_splits`` order, grouped by
+    the prefix they share: ``(prefix, lasts)``, where ``prefix`` lists the
+    slot of each prefix demand and ``lasts`` the slots of the last demand.
+    A shape's last demand sits in its last nonempty slot, so the shapes of
+    one prefix are consecutive."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for split in _splits(size, mode):
+        counts = [split[code] for code in _SLOTS[mode]]
+        last = max(t for t, n in enumerate(counts) if n)
+        counts[last] -= 1
+        prefix = tuple(t for t, n in enumerate(counts) for _ in range(n))
+        groups.setdefault(prefix, []).append(last)
+    return tuple((prefix, tuple(lasts)) for prefix, lasts in groups.items())
 
 
-def _sorted_rows(side: Side, pool: Sequence[str], slot_names, size: int,
-                 raw: list[tuple]) -> list[DefectRow]:
-    """One ``(side, size)`` scan's assignments as rows, in requirement
-    order.
+@lru_cache(maxsize=64)
+def _allowed(p: int, slots: int, s: int) -> tuple[int, ...]:
+    """Per last prefix element ``x`` in slot ``s``, the last demands that may
+    follow it, packed: slot ``s`` above ``x``, and every later slot but
+    ``x``."""
+    everyone = (1 << p) - 1
+    later_spread = sum(1 << t * p for t in range(s + 1, slots))
+    later = everyone * later_spread
+    return tuple((everyone ^ ((2 << x) - 1)) << s * p | later ^ later_spread << x
+                 for x in range(p))
 
-    Each requirement packs into one integer: its shape code
-    ``(nb + nc) * (size + 1) + nc``, then its demand digits in ascending
-    order, in base ``3p`` for a pool of ``p`` elements.  The digits list
-    the ``a``, ``b`` and ``c`` demands in turn, each set by id, so the
-    integers sort as the requirements do.
-    """
+
+def _failing_prefixes(kernel: tuple, prefix: tuple[int, ...]) -> Iterator[tuple]:
+    """Prefixes with the given slots that some last demand fails, in report
+    order: ``(indices, fails)``, with ``fails`` the failing last demands of
+    every slot packed as in ``_packed_tables``.
+
+    Each slot's elements increase and avoid the earlier slots' elements.
+    The scan keeps ``pm``, the bitmap of witnesses that satisfy the
+    prefix.  A last demand in the prefix's last slot lies above that
+    slot's last element; one in a later slot may be any unused element.
+    Those that fail are the ones no survivor accepts: the AND of one table
+    entry per nonzero byte of ``pm``, which stops once nothing is left.  So
+    a prefix costs a few table reads for all its last demands at once."""
+    _, _, pool, wit_count, rows, tables = kernel
     p = len(pool)
-    base = 3 * p
-    names = sorted(pool)
-    rank = {v: r for r, v in enumerate(names)}
-    codes = [_SLOT_CODES[name] for name in slot_names]
-    digits = [[code * p + rank[v] for v in pool] for code in codes]
-    # a b demand adds 1 to nb + nc, a c demand also adds 1 to nc
-    shape_share = [(0, size + 1, size + 2)[code] for code in codes]
-    keys = []
-    for assignment in raw:
-        shape = 0
-        demands = []
-        for i, t in assignment:
-            shape += shape_share[t]
-            demands.append(digits[t][i])
-        demands.sort()
-        key = shape
-        for d in demands:
-            key = key * base + d
-        keys.append(key)
-    keys.sort()
+    everyone = (1 << p) - 1
+    spread = sum(1 << t * p for t in range(len(rows)))
+    packed_everyone = everyone * spread
+    width = len(tables)
+    full = (1 << wit_count) - 1
+    if not prefix:
+        rem = packed_everyone
+        for table, byte in zip(tables, full.to_bytes(width, "little")):
+            rem &= table[byte]
+        if rem:
+            yield (), rem
+        return
+    allow = _allowed(p, len(rows), prefix[-1])
+    deepest = len(prefix) - 1
 
-    by_digit = names * 3
-    rows = []
-    for key in keys:
-        last_first = []
-        for _ in range(size):
-            key, d = divmod(key, base)
-            last_first.append(by_digit[d])
-        ids = tuple(last_first[::-1])
-        nb_nc, nc = divmod(key, size + 1)
-        na = size - nb_nc
-        rows.append((side, ids[:na], ids[na:size - nc], ids[size - nc:]))
-    return rows
+    def walk(depth: int, start: int, pm: int, used: int, chosen: tuple) -> Iterator[tuple]:
+        row = rows[prefix[depth]]
+        if depth == deepest:
+            keep = packed_everyone ^ used * spread
+            for x in range(start, p):
+                if used >> x & 1:
+                    continue
+                rem = allow[x] & keep
+                for table, byte in zip(tables, (pm & row[x]).to_bytes(width, "little")):
+                    if byte:
+                        rem &= table[byte]
+                        if not rem:
+                            break
+                if rem:
+                    yield chosen + (x,), rem
+            return
+        same = prefix[depth + 1] == prefix[depth]
+        for x in range(start, p):
+            if not used >> x & 1:
+                yield from walk(depth + 1, x + 1 if same else 0, pm & row[x],
+                                used | 1 << x, chosen + (x,))
+
+    yield from walk(0, 0, full, 0, ())
 
 
-def _scan_task(args):
-    return _scan_size(*args, limit=None)
+def _scan(kernel: tuple, size: int, limit: int | None = None) -> list[DefectRow]:
+    """Unwitnessed requirements of exactly ``size`` demands, as rows in
+    report order, cut to the first ``limit``.
+
+    Each group of shapes walks its prefixes once.  Then each shape reads
+    its own slot of every failing prefix's packed fails: prefixes come in
+    order and a slot's bits are its last demands in ascending id order, so
+    the rows come out sorted."""
+    side, mode, pool, wit_count, _, _ = kernel
+    if size == 0:
+        return [] if wit_count else [(side, (), (), ())]
+    p = len(pool)
+    everyone = (1 << p) - 1
+    codes = _SLOTS[mode]
+    singles = [(v,) for v in pool]
+    out: list[DefectRow] = []
+    for prefix, lasts in _shape_groups(size, mode):
+        # the prefix's ids of slots a, b and c end at these positions
+        ends = [sum(codes[t] <= code for t in prefix) for code in range(3)]
+        found = []
+        first_count = len(out)
+        for chosen, rem in _failing_prefixes(kernel, prefix):
+            ids = tuple(pool[i] for i in chosen)
+            found.append((ids[:ends[0]], ids[ends[0]:ends[1]], ids[ends[1]:], rem))
+            if limit is not None:
+                # the group's first shape alone fills the limit
+                first_count += (rem >> lasts[0] * p & everyone).bit_count()
+                if first_count >= limit:
+                    break
+        for last in lasts:
+            shift, code = last * p, codes[last]
+            for a, b, c, rem in found:
+                bits = rem >> shift & everyone
+                if not bits:
+                    continue
+                tails = compress(singles, bin(bits)[:1:-1].encode().translate(_ZERO_ONE))
+                if code == 0:
+                    out += [(side, a + z, b, c) for z in tails]
+                elif code == 1:
+                    out += [(side, a, b + z, c) for z in tails]
+                else:
+                    out += [(side, a, b, c + z) for z in tails]
+            if limit is not None and len(out) >= limit:
+                return out[:limit]
+    return out
 
 
-def _collect_defects(tables_by_side, level: int, mode: Mode,
-                     jobs: int = 1, limit: int | None = None) -> list[DefectRow]:
-    """Unwitnessed requirements as rows, in requirement order.  ``limit``
-    cuts the scan order (by side, then size, then kernel order) before the
-    rows are sorted."""
-    tasks = []
-    for side in (Side.LEFT, Side.RIGHT):
-        pool, wit, rows, packed = _kernel_tables(tables_by_side, side, mode)
-        for size in range(level + 1):
-            tasks.append((side, pool, size, (rows, packed, len(pool), len(wit), size)))
-
-    if jobs > 1 and limit is None:
-        with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
-            results = list(pool_exec.map(_scan_task, [task[3] for task in tasks]))
-    else:
-        results = []
-        found = 0
-        for task in tasks:
-            remaining = None if limit is None else limit - found
-            if remaining is not None and remaining <= 0:
-                break
-            results.append(_scan_size(*task[3], limit=remaining))
-            found += len(results[-1])
-
+def _side_defects(task: tuple) -> list[DefectRow]:
+    """One side's rows: ``task`` is its ``_kernel_inputs``, the level and the
+    limit."""
+    *inputs, level, limit = task
+    kernel = _kernel(*inputs)
     defects: list[DefectRow] = []
-    for (side, pool, size, _), raw in zip(tasks, results):
-        defects += _sorted_rows(side, pool, _SLOTS[mode], size, raw)
+    for size in range(level + 1):
+        if len(defects) == limit:
+            break
+        defects += _scan(kernel, size, None if limit is None else limit - len(defects))
     return defects
+
+
+def _collect_defects(inputs: list[tuple], level: int, jobs: int = 1,
+                     limit: int | None = None) -> list[DefectRow]:
+    """Unwitnessed requirements as rows, in report order, cut to the first
+    ``limit``.  ``inputs`` is ``_kernel_inputs`` output.  With ``jobs``
+    above 1 and no limit, each side is one task, which builds its tables in
+    its worker."""
+    tasks = [(*side, level, limit) for side in inputs]
+    if jobs > 1 and limit is None:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool_exec:
+            return [row for rows in pool_exec.map(_side_defects, tasks) for row in rows]
+    defects = _side_defects(tasks[0])
+    if len(defects) != limit:
+        defects += _side_defects(tasks[1])
+    return defects[:limit]
 
 
 def validate_level(level: int, jobs: int = 1) -> None:
@@ -459,8 +464,7 @@ def check_generic_2partite(digraph: TwoPartiteDigraph, level: int,
     reported via ``nonadjacent`` and makes the verdict fail."""
     validate_level(level, jobs)
     nonadj = digraph.first_nonadjacent_pair()
-    rows = _collect_defects(_digraph_tables_by_side(digraph), level,
-                            Mode.TWO_PARTITE, jobs=jobs)
+    rows = _collect_defects(_kernel_inputs(digraph, Mode.TWO_PARTITE), level, jobs=jobs)
     holds = not rows and nonadj is None
     return GenericityReport(Mode.TWO_PARTITE, level, holds, tuple(rows), nonadj)
 
@@ -469,8 +473,7 @@ def check_generic_orientation(digraph: TwoPartiteDigraph, level: int,
                               jobs: int = 1) -> GenericityReport:
     """Extension property with successor/predecessor/non-neighbour demands."""
     validate_level(level, jobs)
-    rows = _collect_defects(_digraph_tables_by_side(digraph), level,
-                            Mode.ORIENTATION, jobs=jobs)
+    rows = _collect_defects(_kernel_inputs(digraph, Mode.ORIENTATION), level, jobs=jobs)
     return GenericityReport(Mode.ORIENTATION, level, not rows, tuple(rows))
 
 
@@ -479,17 +482,16 @@ def check_generic_bipartite(digraph: TwoPartiteDigraph, level: int,
     """Undirected extension property: adjacency/non-adjacency demands,
     where an edge in either direction counts as adjacency."""
     validate_level(level, jobs)
-    rows = _collect_defects(_digraph_tables_by_side(digraph), level,
-                            Mode.BIPARTITE, jobs=jobs)
+    rows = _collect_defects(_kernel_inputs(digraph, Mode.BIPARTITE), level, jobs=jobs)
     return GenericityReport(Mode.BIPARTITE, level, not rows, tuple(rows))
 
 
 def first_defect(digraph: TwoPartiteDigraph, level: int, mode: Mode) -> Requirement | None:
-    """Cheapest evidence that a level check would fail: the first defect
-    in scan order, or None when the level holds.  In TWO_PARTITE mode
+    """Cheapest evidence that a level check would fail: the report's first
+    defect, or None when the level holds.  In TWO_PARTITE mode
     the structural completeness clause is not consulted here."""
     validate_level(level)
-    rows = _collect_defects(_digraph_tables_by_side(digraph), level, mode, limit=1)
+    rows = _collect_defects(_kernel_inputs(digraph, mode), level, limit=1)
     return _requirement(rows[0]) if rows else None
 
 
@@ -500,10 +502,9 @@ def achieved_level(digraph: TwoPartiteDigraph, mode: Mode, max_level: int) -> in
     validate_level(max_level)
     if mode is Mode.TWO_PARTITE and digraph.first_nonadjacent_pair() is not None:
         return -1
-    tables = _digraph_tables_by_side(digraph)
-    kernels = [_kernel_tables(tables, side, mode) for side in (Side.LEFT, Side.RIGHT)]
+    # existence does not depend on the order, so the pools stay unsorted
+    kernels = [_kernel(*inputs) for inputs in _kernel_inputs(digraph, mode, sort=False)]
     for total in range(max_level + 1):
-        for pool, wit, rows, packed in kernels:
-            if _scan_size(rows, packed, len(pool), len(wit), total, limit=1):
-                return total - 1
+        if any(_scan(kernel, total, limit=1) for kernel in kernels):
+            return total - 1
     return max_level

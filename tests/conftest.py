@@ -15,11 +15,14 @@ domain, which the counting decider replaced (it runs on
 ``lexmin_canonical_form``, the canonical form that tries every pair of
 side orderings, which the sorted-column form replaced (it shares the
 colour refinement); ``unrolled_scan``, the row-wise extension scan that
-the transposed kernel ``genericity._scan_size`` replaced;
-``materialized_defects``, the defect collector that built a
-``Requirement`` per defect and sorted them by ``requirement_sort_key``,
-which the packed integer keys of ``genericity._collect_defects``
-replaced (it shares the kernel); ``full_census``, the census over
+the transposed element-order kernel ``_scan_size`` replaced;
+``sorted_scan_rows``, which ran that kernel and sorted its assignments
+into rows by packed integer keys (``_sorted_rows``), and which the
+report-order scan ``genericity._scan`` replaced (it shares the tables of
+``genericity._kernel``); ``materialized_defects``, the defect collector
+that built a ``Requirement`` per defect and sorted them by
+``requirement_sort_key``, which the packed keys replaced (it runs on
+either kernel); ``full_census``, the census over
 every class, which the side-regular census replaced; and
 ``side_regular_census``, the census over the classes of the side-regular
 walk ``side_regular_states``, which the generated line-symmetric classes
@@ -31,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import pytest
 from hypothesis import settings
@@ -44,11 +47,10 @@ from twopartite.core import Side, TwoPartiteDigraph
 from twopartite.errors import AutGroupTooLarge, ValidationError
 from twopartite.genericity import (
     _SLOTS,
+    DefectRow,
     Mode,
     Requirement,
-    _kernel_tables,
-    _scan_size,
-    _scan_task,
+    _kernel,
 )
 from twopartite.iso import (
     DEFAULT_AUT_CAP,
@@ -458,6 +460,178 @@ def unrolled_scan(slot_masks: list[list[int]], pool_size: int, wit_count: int,
     return defects
 
 
+# -- the element-order kernel and the packed sort -----------------------------
+#
+# The extension kernel and the row sort that the report-order scan
+# ``genericity._scan`` replaced, kept verbatim.  They read the tables of
+# ``genericity._kernel``, whose pools may come in any order.
+
+def kernels_of(inputs) -> dict[Side, tuple]:
+    """The scan's kernel per side from ``genericity._kernel_inputs``."""
+    return {side_inputs[0]: _kernel(*side_inputs) for side_inputs in inputs}
+
+
+def _scan_size(rows: list[list[int]], tables: list[list[int]], pool_size: int,
+               wit_count: int, size: int, limit: int | None) -> list[tuple]:
+    """Unwitnessed requirements of exactly ``size`` demands, as tuples of
+    (element index, slot index) assignments.
+
+    ``rows[t][i]`` is the bitmap of witnesses that accept element ``i`` in
+    slot ``t``.  ``tables`` holds, per run of ``_CHUNK`` witnesses, the
+    failing last demands of every subset of that run (``_packed_tables``):
+    every slot is packed into one integer, slot ``t`` at bit offset
+    ``t * pool_size``.  The scan walks requirement prefixes of ``size - 1``
+    demands and keeps ``pm``, the bitmap of witnesses that satisfy the
+    prefix.  A last demand puts an element above the prefix into some
+    slot; the ones that fail are those no survivor accepts, the AND of one
+    table entry per nonzero byte of ``pm``, which stops once nothing is
+    left.  A prefix with many surviving witnesses therefore costs a few
+    table reads for all slots at once instead of one AND per element.
+
+    Defects come out in a fixed order, which ``limit`` truncates: for
+    sizes up to 3 by element tuple, then slot tuple; for larger sizes by
+    ``(i, ti, j, tj, ...)``.
+    """
+    full = (1 << wit_count) - 1
+    if size == 0:
+        return [()] if full == 0 else []
+    slots = range(len(rows))
+    shifts = [t * pool_size for t in slots]
+    everyone = (1 << pool_size) - 1
+    spread = sum(1 << shift for shift in shifts)
+    packed_everyone = everyone * spread
+    width = len(tables)
+    by_element = size <= 3
+    defects: list[tuple] = []
+
+    def close(group: list, start: int) -> bool:
+        # group: (assignment so far, pm) for each slot assignment of one
+        # element prefix; returns True once ``limit`` defects are collected
+        above = packed_everyone ^ ((1 << start) - 1) * spread
+        failed = []
+        for assigned, pm in group:
+            rem = above
+            for table, byte in zip(tables, pm.to_bytes(width, "little")):
+                if byte:
+                    rem &= table[byte]
+                    if not rem:
+                        break
+            if rem:
+                failed.append((assigned, [rem >> shift & everyone for shift in shifts]))
+        hit = 0
+        for _, fails in failed:
+            for fail in fails:
+                hit |= fail
+        while hit:
+            low = hit & -hit
+            hit ^= low
+            last = low.bit_length() - 1
+            for assigned, fails in failed:
+                for t, fail in enumerate(fails):
+                    if fail & low:
+                        defects.append(assigned + ((last, t),))
+                        if len(defects) == limit:
+                            return True
+        return False
+
+    def walk(group: list, depth: int, start: int) -> bool:
+        if depth == size - 1:
+            return close(group, start)
+        for i in range(start, pool_size):
+            grown = [(assigned + ((i, t),), pm & rows[t][i])
+                     for assigned, pm in group for t in slots]
+            groups = (grown,) if by_element else ([state] for state in grown)
+            if any(walk(g, depth + 1, i + 1) for g in groups):
+                return True
+        return False
+
+    walk([((), full)], 0, 0)
+    return defects
+
+
+# Slot digits of the requirement key: element ``i`` demanded in slot
+# ``a``, ``b`` or ``c`` is the digit ``rank``, ``p + rank`` or
+# ``2p + rank``, with ``rank`` its position in sorted-id order.
+_SLOT_CODES = {"a": 0, "b": 1, "c": 2}
+
+
+def mode_slot_names(mode: Mode) -> tuple[str, ...]:
+    """The names of the mode's demand slots, in ``genericity._SLOTS`` order."""
+    return tuple("abc"[code] for code in _SLOTS[mode])
+
+
+def _sorted_rows(side: Side, pool: Sequence[str], slot_names, size: int,
+                 raw: list[tuple]) -> list[DefectRow]:
+    """One ``(side, size)`` scan's assignments as rows, in requirement
+    order.
+
+    Each requirement packs into one integer: its shape code
+    ``(nb + nc) * (size + 1) + nc``, then its demand digits in ascending
+    order, in base ``3p`` for a pool of ``p`` elements.  The digits list
+    the ``a``, ``b`` and ``c`` demands in turn, each set by id, so the
+    integers sort as the requirements do.
+    """
+    p = len(pool)
+    base = 3 * p
+    names = sorted(pool)
+    rank = {v: r for r, v in enumerate(names)}
+    codes = [_SLOT_CODES[name] for name in slot_names]
+    digits = [[code * p + rank[v] for v in pool] for code in codes]
+    # a b demand adds 1 to nb + nc, a c demand also adds 1 to nc
+    shape_share = [(0, size + 1, size + 2)[code] for code in codes]
+    keys = []
+    for assignment in raw:
+        shape = 0
+        demands = []
+        for i, t in assignment:
+            shape += shape_share[t]
+            demands.append(digits[t][i])
+        demands.sort()
+        key = shape
+        for d in demands:
+            key = key * base + d
+        keys.append(key)
+    keys.sort()
+
+    by_digit = names * 3
+    rows = []
+    for key in keys:
+        last_first = []
+        for _ in range(size):
+            key, d = divmod(key, base)
+            last_first.append(by_digit[d])
+        ids = tuple(last_first[::-1])
+        nb_nc, nc = divmod(key, size + 1)
+        na = size - nb_nc
+        rows.append((side, ids[:na], ids[na:size - nc], ids[size - nc:]))
+    return rows
+
+
+def _scan_task(args):
+    return _scan_size(*args, limit=None)
+
+
+def sorted_scan_rows(inputs, level: int, mode: Mode,
+                     jobs: int = 1, scan=_scan_size) -> list[DefectRow]:
+    """The full report as the element-order kernel and the packed sort made
+    it: each ``(side, size)`` scan's assignments sorted into rows.  ``scan``
+    is that kernel or ``unrolled_kernel``; the workers run that kernel."""
+    tasks = []
+    for side in (Side.LEFT, Side.RIGHT):
+        _, _, pool, wit_count, rows, packed = kernels_of(inputs)[side]
+        for size in range(level + 1):
+            tasks.append((side, pool, size, (rows, packed, len(pool), wit_count, size)))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
+            results = list(pool_exec.map(_scan_task, [task[3] for task in tasks]))
+    else:
+        results = [scan(*task[3], limit=None) for task in tasks]
+    defects: list[DefectRow] = []
+    for (side, pool, size, _), raw in zip(tasks, results):
+        defects += _sorted_rows(side, pool, mode_slot_names(mode), size, raw)
+    return defects
+
+
 # -- materialised defect lists -------------------------------------------------
 
 def requirement_sort_key(req: Requirement):
@@ -468,16 +642,26 @@ def requirement_sort_key(req: Requirement):
             tuple(sorted(req.a)), tuple(sorted(req.b)), tuple(sorted(req.c)))
 
 
-def materialized_defects(tables_by_side, level: int, mode: Mode,
+def unrolled_kernel(rows, packed, pool_size, wit_count, size, limit):
+    """``unrolled_scan`` with the element-order kernel's arguments."""
+    return unrolled_scan(rows, pool_size, wit_count, size, limit)
+
+
+def materialized_defects(inputs, level: int, mode: Mode,
                          jobs: int = 1, limit: int | None = None,
-                         only_total: int | None = None) -> list[Requirement]:
-    slot_names = _SLOTS[mode]
+                         only_total: int | None = None,
+                         scan=_scan_size) -> list[Requirement]:
+    """Every unwitnessed requirement as a :class:`Requirement`, sorted by
+    ``requirement_sort_key``.  ``scan`` is the element-order kernel or
+    ``unrolled_kernel``; ``limit`` cuts its scan order before the sort,
+    so a limited list only tells whether a defect exists."""
+    names = mode_slot_names(mode)
     sizes = (only_total,) if only_total is not None else tuple(range(level + 1))
     tasks = []
     for side in (Side.LEFT, Side.RIGHT):
-        pool, wit, rows, packed = _kernel_tables(tables_by_side, side, mode)
+        _, _, pool, wit_count, rows, packed = kernels_of(inputs)[side]
         for size in sizes:
-            tasks.append((side, pool, (rows, packed, len(pool), len(wit), size)))
+            tasks.append((side, pool, (rows, packed, len(pool), wit_count, size)))
 
     defects: list[Requirement] = []
 
@@ -485,7 +669,7 @@ def materialized_defects(tables_by_side, level: int, mode: Mode,
         for assignment in raw:
             sets: dict[str, list[str]] = {"a": [], "b": [], "c": []}
             for (i, t) in assignment:
-                sets[slot_names[t]].append(pool[i])
+                sets[names[t]].append(pool[i])
             defects.append(Requirement(side, frozenset(sets["a"]),
                                        frozenset(sets["b"]), frozenset(sets["c"])))
 
@@ -499,7 +683,7 @@ def materialized_defects(tables_by_side, level: int, mode: Mode,
             remaining = None if limit is None else limit - len(defects)
             if remaining is not None and remaining <= 0:
                 break
-            raw = _scan_size(*args, limit=remaining)
+            raw = scan(*args, limit=remaining)
             materialize(side, pool, raw)
 
     defects.sort(key=requirement_sort_key)

@@ -417,8 +417,9 @@ PINNED_CHECK_GENERIC = {
 }
 # SHA-256 of a baf transcript (a success in each mode, then approximants
 # built below the target), computed while uniqueness_demo re-checked both
-# approximants at the target before every alignment.
-PINNED_BAF = "375f59523d049c60c22dd64feffa7872befa542938e39bbf6488691f4f2a0d65"
+# approximants at the target before every alignment.  The failed precheck
+# names the level report's first defect, ``a=[x4, x7]``.
+PINNED_BAF = "a859edaf25f266fa3767e6c9cc8079327a89146575130ec2ecf882e1eee07047"
 PINNED_CAP_EXCEEDED = "5319645eb253ed2f966ee3108489079e3c7a5be093029deeb61b4c4b9d21d986"
 
 # SHA-256 of the payloads of the map search and the decider, computed with

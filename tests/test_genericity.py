@@ -35,12 +35,15 @@ from twopartite.genericity import (
 )
 
 from conftest import (
+    _scan_size,
     defect_row,
+    kernels_of,
     materialized_defects,
     naive_witness,
     random_digraph,
     requirement_sort_key,
-    unrolled_scan,
+    sorted_scan_rows,
+    unrolled_kernel,
 )
 
 
@@ -188,15 +191,21 @@ class TestBipartiteCheck:
         # witnesses of its subset, of the complemented columns masked to
         # the pool: slot a at offset 0 holds the elements adjacent to none
         # of them, slot c at offset p those adjacent to all of them.  Pools
-        # are cut at random, as the closure cuts them.
+        # are cut at random, as the closure cuts them, and then sorted by id
+        # (``x10`` before ``x2``).
         rng = random.Random(300)
         for _ in range(120):
             d = random_digraph(rng, max_side=11)
             cut = {side: rng.randint(0, len(d.side(side))) for side in (Side.LEFT, Side.RIGHT)}
-            tables = {side: (pool[:cut[side]], *rest)
-                      for side, (pool, *rest) in genericity._digraph_tables_by_side(d).items()}
+            kernels = kernels_of(genericity._kernel_inputs(d, Mode.BIPARTITE, cut))
             for side in (Side.LEFT, Side.RIGHT):
-                pool, wit, rows, packed = genericity._kernel_tables(tables, side, Mode.BIPARTITE)
+                _, _, pool, wit_count, rows, packed = kernels[side]
+                assert pool == tuple(sorted(d.side(side)[:cut[side]]))
+                # witnesses come in the order of the opposite side's vertices:
+                # its pool, then the vertices past its cut
+                other = side.opposite
+                wit = kernels[other][2] + d.side(other)[cut[other]:]
+                assert wit_count == len(wit)
                 adjacent, apart = rows
                 for i, v in enumerate(pool):
                     nbrs = set(d.out_neighbourhood(v)) | set(d.in_neighbourhood(v))
@@ -270,16 +279,41 @@ class TestReportProperties:
         assert seq == par
 
 
-# -- the transposed kernel against the unrolled scan it replaced --------------
+# -- the report-order scan against the oracle kernels ---------------------------
 
-def _unrolled_kernel(rows, packed, pool_size, wit_count, size, limit):
-    return unrolled_scan(rows, pool_size, wit_count, size, limit)
+def _oracle_rows(inputs, level, mode, limit=None, scan=_scan_size, jobs=1):
+    """The oracle's full report at ``level`` as rows, truncated to
+    ``limit``.  The report runs by side and then by size, so a truncated
+    list materialises only the sizes it reaches."""
+    if limit is None:
+        return [defect_row(r) for r in materialized_defects(inputs, level, mode,
+                                                            jobs=jobs, scan=scan)]
+    by_size: dict[int, list] = {}
+    rows = []
+    for side in (Side.LEFT, Side.RIGHT):
+        for size in range(level + 1):
+            if size not in by_size:
+                by_size[size] = [defect_row(r) for r in materialized_defects(
+                    inputs, level, mode, only_total=size, scan=scan)]
+            rows += [row for row in by_size[size] if row[0] is side]
+            if len(rows) >= limit:
+                return rows[:limit]
+    return rows
 
 
-def _with_unrolled(fn, *args, **kwargs):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(genericity, "_scan_size", _unrolled_kernel)
-        return fn(*args, **kwargs)
+def _oracle_achieved_level(structure, mode, max_level, scan=_scan_size):
+    if mode is Mode.TWO_PARTITE and structure.first_nonadjacent_pair() is not None:
+        return -1
+    inputs = genericity._kernel_inputs(structure, mode)
+    for total in range(max_level + 1):
+        if materialized_defects(inputs, max_level, mode, limit=1, only_total=total, scan=scan):
+            return total - 1
+    return max_level
+
+
+def _first_row(structure, level, mode):
+    defect = first_defect(structure, level, mode)
+    return None if defect is None else defect_row(defect)
 
 
 def _skewed_digraph(rng, max_side=7):
@@ -306,7 +340,8 @@ WIDE_SIDES = (8, 9, 15, 16, 17, 20)
 
 def _wide_digraph(rng):
     """Sides from WIDE_SIDES, one of them empty one time in five, with a
-    skewed non-adjacency rate and orientation bias."""
+    skewed non-adjacency rate and orientation bias.  Ids run ``x1`` to
+    ``x20``, so their string order differs from the stored order."""
     m, n = rng.choice(WIDE_SIDES), rng.choice(WIDE_SIDES)
     if rng.random() < 0.2:
         m, n = rng.choice(((0, n), (m, 0)))
@@ -325,6 +360,8 @@ CHECKS = {Mode.TWO_PARTITE: check_generic_2partite,
 
 
 class TestTransposedKernel:
+    """The report-order scan against full reports of the unrolled scan."""
+
     LEVELS = range(5)
 
     def test_collect_defects_in_unrolled_order(self):
@@ -337,65 +374,69 @@ class TestTransposedKernel:
             d = _skewed_digraph(rng)
             cases = limited + [(3 if index % 4 else 4, None)]
             for mode, structure in _mode_inputs(d):
-                tables = genericity._digraph_tables_by_side(structure)
+                inputs = genericity._kernel_inputs(structure, mode)
                 for level, limit in cases:
-                    got = genericity._collect_defects(tables, level, mode, limit=limit)
-                    want = _with_unrolled(genericity._collect_defects,
-                                          tables, level, mode, limit=limit)
+                    got = genericity._collect_defects(inputs, level, limit=limit)
+                    want = _oracle_rows(inputs, level, mode, limit, scan=unrolled_kernel)
                     assert got == want, (d, mode, level, limit)
 
-    def test_raw_scan_order_matches(self):
-        # the sort in _collect_defects hides the scan order unless a limit
-        # cuts it; compare the raw assignment lists too
+    def test_scan_rows_per_side_and_size(self):
         rng = random.Random(77)
         for _ in range(200):
             d = _skewed_digraph(rng)
             for mode, structure in _mode_inputs(d):
-                tables = genericity._digraph_tables_by_side(structure)
+                inputs = genericity._kernel_inputs(structure, mode)
+                parts: dict[tuple, list] = {}
+                for row in sorted_scan_rows(inputs, max(self.LEVELS), mode,
+                                            scan=unrolled_kernel):
+                    parts.setdefault((row[0], sum(map(len, row[1:]))), []).append(row)
                 for side in (Side.LEFT, Side.RIGHT):
-                    pool, wit, rows, packed = genericity._kernel_tables(tables, side, mode)
+                    kernel = kernels_of(inputs)[side]
                     for size in self.LEVELS:
+                        side_rows = parts.get((side, size), [])
                         for limit in (None, 1, 2):
-                            got = genericity._scan_size(rows, packed, len(pool), len(wit),
-                                                        size, limit)
-                            want = unrolled_scan(rows, len(pool), len(wit), size, limit)
-                            assert got == want, (d, mode, side, size, limit)
+                            got = genericity._scan(kernel, size, limit)
+                            assert got == side_rows[:limit], (d, mode, side, size, limit)
 
     def test_first_defect_and_achieved_level(self):
         rng = random.Random(4048)
         for _ in range(200):
             d = _skewed_digraph(rng)
             for mode, structure in _mode_inputs(d):
+                inputs = genericity._kernel_inputs(structure, mode)
                 for level in self.LEVELS:
-                    assert (first_defect(structure, level, mode)
-                            == _with_unrolled(first_defect, structure, level, mode))
+                    want = _oracle_rows(inputs, level, mode, 1, scan=unrolled_kernel)
+                    assert _first_row(structure, level, mode) == (want[0] if want else None)
                     assert (achieved_level(structure, mode, level)
-                            == _with_unrolled(achieved_level, structure, mode, level))
+                            == _oracle_achieved_level(structure, mode, level,
+                                                      scan=unrolled_kernel))
 
     def test_scans_across_witness_runs(self):
         # the structures above have sides of at most 7, inside one run of
-        # _CHUNK witnesses; these cross one or two run boundaries
+        # _CHUNK witnesses; these cross one or two run boundaries.  Level 4
+        # goes to the faster element-order oracle, and only with a limit,
+        # since a sparse 20-element side fails ~10^5 requirements of size 4
         rng = random.Random(8128)
         for _ in range(16):
             d = _wide_digraph(rng)
             for mode, structure in _mode_inputs(d):
-                tables = genericity._digraph_tables_by_side(structure)
+                inputs = genericity._kernel_inputs(structure, mode)
                 for side in (Side.LEFT, Side.RIGHT):
-                    pool, wit, rows, packed = genericity._kernel_tables(tables, side, mode)
-                    assert len(packed) == -(-len(wit) // genericity._CHUNK)
-                    for size in range(4):
-                        for limit in (None, 1, 2):
-                            got = genericity._scan_size(rows, packed, len(pool), len(wit),
-                                                        size, limit)
-                            want = unrolled_scan(rows, len(pool), len(wit), size, limit)
-                            assert got == want, (d, mode, side, size, limit)
-                for limit in (None, 1, 2):
-                    got = genericity._collect_defects(tables, 3, mode, limit=limit)
-                    want = _with_unrolled(genericity._collect_defects,
-                                          tables, 3, mode, limit=limit)
-                    assert got == want, (d, mode, limit)
+                    kernel = kernels_of(inputs)[side]
+                    _, _, _, wit_count, _, packed = kernel
+                    assert len(packed) == -(-wit_count // genericity._CHUNK)
+                for level in range(4):
+                    for limit in (None, 1, 2):
+                        got = genericity._collect_defects(inputs, level, limit=limit)
+                        want = _oracle_rows(inputs, level, mode, limit, scan=unrolled_kernel)
+                        assert got == want, (d, mode, level, limit)
+                for limit in (1, 2):
+                    got = genericity._collect_defects(inputs, 4, limit=limit)
+                    assert got == _oracle_rows(inputs, 4, mode, limit), (d, mode, limit)
                 assert (achieved_level(structure, mode, 3)
-                        == _with_unrolled(achieved_level, structure, mode, 3))
+                        == _oracle_achieved_level(structure, mode, 3, scan=unrolled_kernel))
+                assert (achieved_level(structure, mode, 4)
+                        == _oracle_achieved_level(structure, mode, 4))
 
     def test_closure_cut_pools_across_witness_runs(self):
         # original sides of 8 or more, so the cut pools and the grown
@@ -425,11 +466,13 @@ class TestTransposedKernel:
         for _ in range(2):
             d = _skewed_digraph(rng, max_side=6)
             for mode, structure in _mode_inputs(d):
-                check = CHECKS[mode]
-                assert check(structure, 3, jobs=2) == _with_unrolled(check, structure, 3)
+                inputs = genericity._kernel_inputs(structure, mode)
+                report = CHECKS[mode](structure, 3, jobs=2)
+                assert report == CHECKS[mode](structure, 3)
+                assert report.rows == tuple(_oracle_rows(inputs, 3, mode, scan=unrolled_kernel))
 
 
-# -- report rows against the materialised collector they replaced -------------
+# -- report rows against the collectors they replaced ----------------------------
 
 def _scrambled_digraph(rng, max_side=7):
     """A skewed structure under ids whose string order, stored order and
@@ -441,39 +484,28 @@ def _scrambled_digraph(rng, max_side=7):
     return d.relabel({v: f"{v[0]}{k}" for v, k in zip(old, numbers)})
 
 
-def _oracle_rows(tables, level, mode, **kwargs):
-    return [defect_row(r) for r in materialized_defects(tables, level, mode, **kwargs)]
-
-
-def _oracle_achieved_level(structure, mode, max_level):
-    if mode is Mode.TWO_PARTITE and structure.first_nonadjacent_pair() is not None:
-        return -1
-    tables = genericity._digraph_tables_by_side(structure)
-    for total in range(max_level + 1):
-        if materialized_defects(tables, max_level, mode, limit=1, only_total=total):
-            return total - 1
-    return max_level
-
-
 class TestDefectRows:
     LEVELS = range(5)
 
     def test_rows_and_reports_match_oracle(self):
         # unlimited level 4 materialises up to ~10^4 defects per structure,
-        # so only every fourth structure gets it
+        # so only every fourth structure gets it; a limited report is the
+        # full report truncated
         limited = [(level, limit) for level in self.LEVELS for limit in (1, 2)]
         rng = random.Random(808)
         for index in range(200):
             d = _scrambled_digraph(rng)
             cases = limited + [(3 if index % 4 else 4, None)]
             for mode, structure in _mode_inputs(d):
-                tables = genericity._digraph_tables_by_side(structure)
+                inputs = genericity._kernel_inputs(structure, mode)
                 for level, limit in cases:
-                    got = genericity._collect_defects(tables, level, mode, limit=limit)
-                    assert got == _oracle_rows(tables, level, mode, limit=limit), \
+                    got = genericity._collect_defects(inputs, level, limit=limit)
+                    assert got == _oracle_rows(inputs, level, mode, limit), \
                         (d, mode, level, limit)
+                    if limit is None:
+                        assert got == sorted_scan_rows(inputs, level, mode)
                 report = CHECKS[mode](structure, 2)
-                want = materialized_defects(tables, 2, mode)
+                want = materialized_defects(inputs, 2, mode)
                 assert report.rows == tuple(map(defect_row, want))
                 assert report.defects == tuple(want)
 
@@ -482,21 +514,35 @@ class TestDefectRows:
         for _ in range(200):
             d = _scrambled_digraph(rng)
             for mode, structure in _mode_inputs(d):
-                tables = genericity._digraph_tables_by_side(structure)
+                inputs = genericity._kernel_inputs(structure, mode)
                 for level in self.LEVELS:
-                    want = materialized_defects(tables, level, mode, limit=1)
-                    assert first_defect(structure, level, mode) == (want[0] if want else None)
+                    want = _oracle_rows(inputs, level, mode, 1)
+                    assert _first_row(structure, level, mode) == (want[0] if want else None)
                     assert (achieved_level(structure, mode, level)
                             == _oracle_achieved_level(structure, mode, level))
+
+    def test_first_defect_is_the_reports_first_row(self):
+        rng = random.Random(1010)
+        seen = {True: 0, False: 0}
+        for _ in range(150):
+            d = _scrambled_digraph(rng)
+            for mode, structure in _mode_inputs(d):
+                for level in range(4):
+                    defects = CHECKS[mode](structure, level).defects
+                    want = defects[0] if defects else None
+                    assert first_defect(structure, level, mode) == want, (d, mode, level)
+                    seen[want is None] += 1
+        assert min(seen.values()) > 50
 
     def test_parallel_rows(self):
         rng = random.Random(17)
         for _ in range(2):
             d = _scrambled_digraph(rng, max_side=6)
             for mode, structure in _mode_inputs(d):
-                tables = genericity._digraph_tables_by_side(structure)
+                inputs = genericity._kernel_inputs(structure, mode)
                 report = CHECKS[mode](structure, 3, jobs=2)
-                assert report.rows == tuple(_oracle_rows(tables, 3, mode, jobs=2))
+                assert report.rows == tuple(_oracle_rows(inputs, 3, mode, jobs=2))
+                assert report.rows == tuple(sorted_scan_rows(inputs, 3, mode, jobs=2))
 
     def test_closure_cut_pools(self):
         # the closure scans its partial structure over pools cut to the
@@ -510,10 +556,11 @@ class TestDefectRows:
                     witness_closure(structure, mode, 2, cap=3)
                 except CapExceeded as exc:
                     seen += 1
-                    cut = {side: (pool[:len(structure.side(side))], *rest)
-                           for side, (pool, *rest)
-                           in genericity._digraph_tables_by_side(exc.partial).items()}
+                    originals = {side: len(structure.side(side))
+                                 for side in (Side.LEFT, Side.RIGHT)}
+                    cut = genericity._kernel_inputs(exc.partial, mode, originals)
                     assert exc.defects == tuple(materialized_defects(cut, 2, mode))
+                    assert list(map(defect_row, exc.defects)) == sorted_scan_rows(cut, 2, mode)
         assert seen > 20
 
 
