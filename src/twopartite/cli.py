@@ -298,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--mode", choices=sorted(_MODES), required=True)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="workers; at most one per side runs")
     p.set_defaults(handler=_cmd_check_generic)
 
     p = sub.add_parser("classify", help="classify a structure")

@@ -39,10 +39,10 @@ the rows ``(side, a, b, c)`` come out in report order with no sort, and
 a limit cuts that order.  ``GenericityReport.defects`` builds
 :class:`Requirement` objects from the rows on first access.
 
-``achieved_level`` asks only whether a defect exists, so it leaves the
-pools unsorted.  It builds the tables once per structure and scans one
-size at a time across both sides, so one call both accepts a build
-attempt and reports how far a failed attempt got.
+``achieved_level`` asks only whether a defect exists, so it stops at the
+first failing prefix of any shape.  It builds the tables once per
+structure and scans one size at a time across both sides, so one call
+both accepts a build attempt and reports how far a failed attempt got.
 """
 
 from __future__ import annotations
@@ -211,30 +211,31 @@ def _slot_states(side: Side, mode: Mode) -> list[tuple[int, ...]]:
 
 
 def _kernel_inputs(digraph: TwoPartiteDigraph, mode: Mode,
-                   originals: dict[Side, int] | None = None, sort: bool = True) -> list[tuple]:
+                   originals: dict[Side, int] | None = None) -> list[tuple]:
     """Per side, left first: ``(side, mode, pool, rows, cols)``, where
     ``rows[t][i]`` is the bitmap of witnesses that accept pool element
     ``i`` in slot ``t`` and ``cols[t][w]`` that of the side's vertices that
     witness ``w`` accepts there.
 
-    Each side's vertices are indexed pool first.  ``originals`` cuts each
+    Each side's vertices are indexed pool first, the pool sorted by id, so
+    that ascending pool indices are ascending ids.  ``originals`` cuts each
     pool to the side's first vertices in stored order, which are the
     original vertices of a closure; the vertices past the cut follow as
-    witnesses only.  The pool is sorted by id unless ``sort`` is false, so
-    that ascending pool indices are ascending ids."""
+    witnesses only."""
     matrix = digraph.pair_states()
     pools, orders = {}, {}
     for side in (Side.LEFT, Side.RIGHT):
         ids = digraph.side(side)
         cut = len(ids) if originals is None else originals[side]
-        pool = sorted(range(cut), key=ids.__getitem__) if sort else range(cut)
+        pool = sorted(range(cut), key=ids.__getitem__)
         pools[side] = tuple(ids[i] for i in pool)
         orders[side] = [*pool, *range(cut, len(ids))]
-    # permute the pair-state lines, not the bitmaps built from them
-    right = orders[Side.RIGHT]
-    lines = ([bytes(map(matrix[i].__getitem__, right)) for i in orders[Side.LEFT]] if sort
-             else list(map(bytes, matrix)))
-    columns = list(map(bytes, zip(*lines))) if lines else [b""] * len(right)
+    # permute the pair-state lines, not the bitmaps built from them: pick
+    # the rows, transpose, pick the columns and transpose back
+    picked = [matrix[i] for i in orders[Side.LEFT]]
+    columns = list(zip(*picked)) if picked else [()] * len(orders[Side.RIGHT])
+    columns = [bytes(columns[j]) for j in orders[Side.RIGHT]]
+    lines = list(map(bytes, zip(*columns))) if columns else [b""] * len(picked)
     bitmaps = {}
     for side, side_lines in ((Side.LEFT, lines), (Side.RIGHT, columns)):
         # reversed, a line reads as a binary numeral with position 0 lowest
@@ -255,20 +256,19 @@ def _kernel_inputs(digraph: TwoPartiteDigraph, mode: Mode,
 _CHUNK = 8
 
 
-def _packed_tables(cols: list[list[int]], pool_size: int) -> list[list[int]]:
-    """Per run of ``_CHUNK`` witnesses, indexed by a subset of the run (bit
-    ``r`` for its ``r``-th witness): the last demands that no witness of
-    the subset accepts, with slot ``t`` packed at bit offset
-    ``t * pool_size``.
-
-    ``cols[t][w]`` is the bitmap of elements that witness ``w`` accepts in
-    slot ``t``.  Each is masked to the pool before packing: a cut pool
+def _kernel(side: Side, mode: Mode, pool: tuple[str, ...], rows, cols) -> tuple:
+    """Everything the scan reads for requirements on ``side``: the side,
+    the mode, the pool, the number of witnesses, the rows and the tables.
+    Per run of ``_CHUNK`` witnesses, a table indexed by a subset of the run
+    (bit ``r`` for its ``r``-th witness) holds the last demands that no
+    witness of the subset accepts, slot ``t`` packed at bit offset
+    ``t * len(pool)``.  Each column is masked to the pool first: a cut pool
     (``witness_closure``) leaves bits above it that would land in the next
     slot."""
-    everyone = (1 << pool_size) - 1
-    packed_everyone = sum(everyone << t * pool_size for t in range(len(cols)))
-    refused = [packed_everyone ^ sum((col[w] & everyone) << t * pool_size
-                                     for t, col in enumerate(cols))
+    p = len(pool)
+    everyone = (1 << p) - 1
+    packed_everyone = everyone * sum(1 << t * p for t in range(len(cols)))
+    refused = [packed_everyone ^ sum((col[w] & everyone) << t * p for t, col in enumerate(cols))
                for w in range(len(cols[0]))]
     tables = []
     for base in range(0, len(refused), _CHUNK):
@@ -276,14 +276,7 @@ def _packed_tables(cols: list[list[int]], pool_size: int) -> list[list[int]]:
         for mask in refused[base:base + _CHUNK]:
             table += [entry & mask for entry in table]
         tables.append(table)
-    return tables
-
-
-def _kernel(side: Side, mode: Mode, pool: tuple[str, ...], rows, cols) -> tuple:
-    """Everything the scan reads for requirements on ``side``, from its
-    ``_kernel_inputs``: the side, the mode, the pool, the number of
-    witnesses, the rows and the packed tables."""
-    return (side, mode, pool, len(cols[0]), rows, _packed_tables(cols, len(pool)))
+    return (side, mode, pool, len(refused), rows, tables)
 
 
 # -- the scan -----------------------------------------------------------------
@@ -321,7 +314,7 @@ def _allowed(p: int, slots: int, s: int) -> tuple[int, ...]:
 def _failing_prefixes(kernel: tuple, prefix: tuple[int, ...]) -> Iterator[tuple]:
     """Prefixes with the given slots that some last demand fails, in report
     order: ``(indices, fails)``, with ``fails`` the failing last demands of
-    every slot packed as in ``_packed_tables``.
+    every slot packed as in the tables of ``_kernel``.
 
     Each slot's elements increase and avoid the earlier slots' elements.
     The scan keeps ``pm``, the bitmap of witnesses that satisfy the
@@ -419,6 +412,13 @@ def _scan(kernel: tuple, size: int, limit: int | None = None) -> list[DefectRow]
     return out
 
 
+def _fails(kernel: tuple, size: int) -> bool:
+    """Whether some requirement of exactly ``size`` demands is unwitnessed."""
+    if size == 0:
+        return not kernel[3]
+    return any(any(_failing_prefixes(kernel, p)) for p, _ in _shape_groups(size, kernel[1]))
+
+
 def _side_defects(task: tuple) -> list[DefectRow]:
     """One side's rows: ``task`` is its ``_kernel_inputs``, the level and the
     limit."""
@@ -437,10 +437,10 @@ def _collect_defects(inputs: list[tuple], level: int, jobs: int = 1,
     """Unwitnessed requirements as rows, in report order, cut to the first
     ``limit``.  ``inputs`` is ``_kernel_inputs`` output.  With ``jobs``
     above 1 and no limit, each side is one task, which builds its tables in
-    its worker."""
+    its worker, so at most two workers run."""
     tasks = [(*side, level, limit) for side in inputs]
     if jobs > 1 and limit is None:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool_exec:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool_exec:
             return [row for rows in pool_exec.map(_side_defects, tasks) for row in rows]
     defects = _side_defects(tasks[0])
     if len(defects) != limit:
@@ -502,9 +502,8 @@ def achieved_level(digraph: TwoPartiteDigraph, mode: Mode, max_level: int) -> in
     validate_level(max_level)
     if mode is Mode.TWO_PARTITE and digraph.first_nonadjacent_pair() is not None:
         return -1
-    # existence does not depend on the order, so the pools stay unsorted
-    kernels = [_kernel(*inputs) for inputs in _kernel_inputs(digraph, mode, sort=False)]
+    kernels = [_kernel(*inputs) for inputs in _kernel_inputs(digraph, mode)]
     for total in range(max_level + 1):
-        if any(_scan(kernel, total, limit=1) for kernel in kernels):
+        if any(_fails(kernel, total) for kernel in kernels):
             return total - 1
     return max_level

@@ -478,7 +478,7 @@ def _scan_size(rows: list[list[int]], tables: list[list[int]], pool_size: int,
 
     ``rows[t][i]`` is the bitmap of witnesses that accept element ``i`` in
     slot ``t``.  ``tables`` holds, per run of ``_CHUNK`` witnesses, the
-    failing last demands of every subset of that run (``_packed_tables``):
+    failing last demands of every subset of that run (``_kernel``):
     every slot is packed into one integer, slot ``t`` at bit offset
     ``t * pool_size``.  The scan walks requirement prefixes of ``size - 1``
     demands and keeps ``pm``, the bitmap of witnesses that satisfy the

@@ -397,6 +397,7 @@ class TestTransposedKernel:
                         for limit in (None, 1, 2):
                             got = genericity._scan(kernel, size, limit)
                             assert got == side_rows[:limit], (d, mode, side, size, limit)
+                        assert genericity._fails(kernel, size) == bool(side_rows)
 
     def test_first_defect_and_achieved_level(self):
         rng = random.Random(4048)
