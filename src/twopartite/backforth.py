@@ -129,7 +129,7 @@ def back_and_forth(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph, mode: Mode,
     if mode not in (Mode.TWO_PARTITE, Mode.ORIENTATION):
         raise InvalidSpec("back-and-forth runs in TWO_PARTITE or ORIENTATION mode")
     if target_size < 0:
-        raise InvalidSpec("target size must be nonnegative")
+        raise InvalidSpec(f"target size must be non-negative, got {target_size}")
     if target_size > min(len(d1.vertices()), len(d2.vertices())):
         raise TargetExceedsStructure(
             f"target size {target_size} exceeds a structure "

@@ -129,9 +129,9 @@ class ApproximantSpec:
 
     def __post_init__(self):
         if self.side_size < 1:
-            raise InvalidSpec("side_size must be positive")
+            raise InvalidSpec(f"side size must be positive, got {self.side_size}")
         if self.level < 0:
-            raise InvalidSpec("level must be nonnegative")
+            raise InvalidSpec(f"level must be non-negative, got {self.level}")
         if self.level > self.side_size:
             raise InvalidSpec(
                 f"level {self.level} exceeds side_size {self.side_size}: a demand "

@@ -49,7 +49,14 @@ from .genericity import (
     check_generic_bipartite,
     check_generic_orientation,
 )
-from .iso import HomogeneityVerdict, PartialMap, are_isomorphic, automorphisms, is_homogeneous
+from .iso import (
+    DEFAULT_AUT_CAP,
+    HomogeneityVerdict,
+    PartialMap,
+    are_isomorphic,
+    automorphisms,
+    is_homogeneous,
+)
 
 _DIRECTIONS = {"l2r": Direction.LEFT_TO_RIGHT, "r2l": Direction.RIGHT_TO_LEFT}
 _MODES = {"bipartite": Mode.BIPARTITE, "2partite": Mode.TWO_PARTITE,
@@ -317,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", help="list side-preserving automorphisms")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cap", type=int, default=10 ** 6)
+    p.add_argument("--cap", type=int, default=DEFAULT_AUT_CAP)
     p.set_defaults(handler=_cmd_aut)
 
     p = sub.add_parser("baf", help="back-and-forth uniqueness experiment")

@@ -18,20 +18,19 @@ that colour refinement leaves together.  The tables the kernel reads
 are built once per structure, so the homogeneity decider, which runs
 many short searches on one structure, refines its colours once.  The
 decider never lists the automorphism group: limit-1 searches down a
-stabiliser chain give the group's order and generators, the distinct
-restrictions of the group to a domain are counted as a product of
-stabiliser orbit sizes, and the count is compared with the number of
-valid images of the domain.
+stabiliser chain give the group's order and generators, and once every
+smaller domain passes, a domain passes exactly when its last point's
+orbit under the maps that fix the rest is that point's whole class, the
+vertices with its pair states to the rest.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, permutations, product
-from math import factorial, perm, prod
+from math import factorial, prod
 from typing import Iterator, Mapping
 
 from .core import FLIPPED, PAIR_LR, PAIR_RL, TwoPartiteDigraph
@@ -379,23 +378,6 @@ def extends_to_automorphism(digraph: TwoPartiteDigraph, pmap: PartialMap) -> boo
     return False
 
 
-def _image_count(mat, n: int, a: int, want: list[tuple]) -> int:
-    """The number of valid images of a domain with ``a`` left vertices
-    whose right vertices have the pair-state columns ``want`` over them:
-    a right image must have its source's column over the left images,
-    and the right images of one column group are distinct.  Given the
-    columns and the domain's rows over its right part, it counts the
-    same images by their right parts."""
-    if a == 0:
-        return perm(n, len(want))
-    groups = Counter(want).items()
-    total = 0
-    for img_l in permutations(mat, a):
-        have = list(zip(*img_l))
-        total += prod(perm(have.count(col), k) for col, k in groups)
-    return total
-
-
 def _orbit(points, gens) -> set:
     """The closure of ``points`` under the position maps ``gens``."""
     orbit, todo = set(points), list(points)
@@ -426,21 +408,22 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
     grows with the number of domains, not with the group, and
     ``aut_cap`` bounds the group's order only.
 
-    A partial isomorphism out of a domain S extends exactly when it is
-    the restriction g|S of some automorphism g, and every such
-    restriction is a valid image of S, so S passes exactly when it has
-    as many valid images as distinct restrictions.  The restrictions
-    number the product over i of the orbit sizes of S[i] under the maps
-    that fix S[:i], found as in the chain and kept by prefix.  The valid
-    images are counted, not listed: for each image of S's left part,
-    the right images are counted as a product of falling factorials,
-    one per group of S's right vertices with equal pair states to the
-    left part, or the other way round when S's right part has fewer
-    ordered images.  Only a failing domain walks its images, and returns
-    the first one from which the search finds no automorphism.  Domains are
-    enumerated smallest first and reduced to one per automorphism orbit,
-    so a failing verdict carries a smallest counterexample.  A negative
-    ``k`` or ``aut_cap`` raises ValidationError.
+    Domains are enumerated smallest first and reduced to one per
+    automorphism orbit, so when a domain S is reached every smaller
+    domain has passed: every partial isomorphism on fewer vertices
+    extends.  Under that precondition S passes exactly when the orbit of
+    its last point p under the maps that fix the rest T of S is all of
+    p's class over T: the vertices outside T on p's side with p's pair
+    states to T's vertices on the other side.  A valid map f out of S
+    agrees on T with some automorphism g, and g^-1 f fixes T and sends p
+    into that class; and fixing T while sending p to any vertex of the
+    class is a valid map.  The class is not filtered by colour: a vertex
+    of another colour in it is a valid image that no automorphism
+    reaches.  The orbit is found as in the chain and kept by prefix.
+    Only a failing domain walks its images, and returns the first one
+    from which the search finds no automorphism, so a failing verdict
+    carries a smallest counterexample.  A negative ``k`` or ``aut_cap``
+    raises ValidationError.
     """
     if k is not None and k < 0:
         raise ValidationError(f"domain size bound must be non-negative, got {k}")
@@ -464,19 +447,24 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
             return True
         return False
 
-    @cache
-    def orbit_size(prefix: tuple[int, ...]) -> int:
-        # the orbit of prefix[-1] under the maps that fix the rest of the
-        # prefix; an image must have its colour and its pair states to
-        # the fixed vertices on the other side, or the map is invalid
-        fixed, p = prefix[:-1], prefix[-1]
+    def alike(fixed: tuple[int, ...], p: int) -> list[int]:
+        # the q outside ``fixed`` on p's side with p's pair states to the
+        # fixed vertices on the other side: the images of p under the
+        # valid maps that fix the rest
         if p < m:
             side, cross = range(m), [f - m for f in fixed if f >= m]
         else:
             side, cross = range(m, total), [f for f in fixed if f < m]
         states = [line[p][c] for c in cross]
-        images = [q for q in side if rank[q] == rank[p] and q not in fixed
-                  and [line[q][c] for c in cross] == states]
+        return [q for q in side if q not in fixed
+                and [line[q][c] for c in cross] == states]
+
+    @cache
+    def orbit_size(prefix: tuple[int, ...]) -> int:
+        # the orbit of prefix[-1] under the maps that fix the rest of the
+        # prefix; an automorphism also keeps colours
+        fixed, p = prefix[:-1], prefix[-1]
+        images = [q for q in alike(fixed, p) if rank[q] == rank[p]]
         if len(images) == 1:
             return 1
         gens = [g for g in found if all(g[f] == f for f in fixed)]
@@ -501,8 +489,6 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
         raise AutGroupTooLarge(aut_cap)
     bit = [1 << p for p in range(total)]
     moves = [[bit[q] for q in g] for g in found]   # the found maps on bitmasks
-    mat = digraph.pair_states()
-    n = total - m
 
     seen: set[int] = set()
     for size in range(1, (total if k is None else k) + 1):
@@ -521,16 +507,12 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
                     if image not in seen:
                         seen.add(image)
                         todo.append([q for q in range(total) if image & bit[q]])
+            # every smaller domain has passed, so this one passes when
+            # its last point's orbit fixing the rest is its whole class
+            if orbit_size(subset) == len(alike(subset[:-1], subset[-1])):
+                continue
             a = bisect_left(subset, m)
             want = [tuple(line[j][i] for i in subset[:a]) for j in subset[a:]]
-            restrictions = prod(orbit_size(subset[:i]) for i in range(1, size + 1))
-            if perm(n, size - a) < perm(m, a):
-                rows = [tuple(line[i][j - m] for j in subset[a:]) for i in subset[:a]]
-                count = _image_count(lines[1], m, size - a, rows)
-            else:
-                count = _image_count(mat, n, a, want)
-            if count == restrictions:
-                continue
             # Images are not filtered by colour: a map between induced
             # substructures only has to preserve the induced structure,
             # and maps that break ambient invariants are precisely the

@@ -94,6 +94,10 @@ class TestBackAndForth:
         with pytest.raises(TargetExceedsStructure):
             back_and_forth(matching_complement_pair(2), matching_complement_pair(2), Mode.TWO_PARTITE, 5)
 
+    def test_negative_target_names_the_value(self):
+        with pytest.raises(InvalidSpec, match=r"target size must be non-negative, got -1$"):
+            back_and_forth(matching_complement_pair(2), matching_complement_pair(2), Mode.TWO_PARTITE, -1)
+
     def test_bipartite_mode_rejected(self):
         with pytest.raises(InvalidSpec):
             back_and_forth(matching_complement_pair(2), matching_complement_pair(2), Mode.BIPARTITE, 1)

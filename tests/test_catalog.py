@@ -115,6 +115,12 @@ class TestApproximantSpec:
         with pytest.raises(InvalidSpec):
             ApproximantSpec(0, 0, seed=0)
 
+    def test_messages_name_the_value(self):
+        with pytest.raises(InvalidSpec, match=r"side size must be positive, got -3$"):
+            ApproximantSpec(-3, 0, seed=0)
+        with pytest.raises(InvalidSpec, match=r"level must be non-negative, got -1$"):
+            ApproximantSpec(2, -1, seed=0)
+
 
 class TestRandomizedBuilders:
     def test_reproducible(self):
