@@ -4,14 +4,17 @@ Machine-readable verdicts go to standard output as JSON; prose and
 diagnostics go to the error stream.  Exit codes: 0 for success or a
 holding verdict, 1 for a negative mathematical verdict (not homogeneous,
 extension check fails, not isomorphic, construction not achieved), 2 for
-usage or input errors.  All randomized subcommands require an explicit
-``--seed``; nothing is seeded from the clock.
+usage or input errors.  A standard output closed by its reader ends the
+command with exit code 1 and no traceback.  All randomized
+subcommands require an explicit ``--seed``; nothing is seeded from the
+clock.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -32,7 +35,7 @@ from .catalog import (
     witness_closure,
 )
 from .classify import ClassCase, ClassLabel, classify_exact, classify_profile
-from .core import TwoPartiteDigraph, from_json_text, to_dot, to_json_text
+from .core import Side, TwoPartiteDigraph, from_json_text, to_dot, to_json_text
 from .errors import (
     ApproximantNotFound,
     AutGroupTooLarge,
@@ -61,6 +64,9 @@ from .iso import (
 _DIRECTIONS = {"l2r": Direction.LEFT_TO_RIGHT, "r2l": Direction.RIGHT_TO_LEFT}
 _MODES = {"bipartite": Mode.BIPARTITE, "2partite": Mode.TWO_PARTITE,
           "orientation": Mode.ORIENTATION}
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+# defect rows per write of a check-generic report: about 200 KB of text
+_ROWS_PER_WRITE = 4096
 
 
 # -- JSON shapes ------------------------------------------------------------
@@ -82,15 +88,29 @@ def _req_obj(req: Requirement | None):
             "b": sorted(req.b), "c": sorted(req.c)}
 
 
-def _report_obj(report: GenericityReport):
-    return {
-        "mode": report.mode.value,
-        "level": report.level,
-        "holds": report.holds,
-        "defects": [{"side": side.value, "a": a, "b": b, "c": c}
-                    for side, a, b, c in report.rows],
-        "nonadjacent": list(report.nonadjacent) if report.nonadjacent else None,
-    }
+class _Encoded(dict):
+    """JSON text of each key, encoded on first lookup, so that a payload
+    that repeats a few id tuples many times encodes each of them once."""
+
+    def __missing__(self, key):
+        text = self[key] = _ENCODE(key)
+        return text
+
+
+def _write_report(out, report: GenericityReport) -> None:
+    """Write the report's JSON line a chunk of rows at a time, so that the
+    payload never exists whole.  The bytes are those of ``_emit`` on a dict
+    of ``mode``, ``level``, ``holds``, ``defects`` and ``nonadjacent``."""
+    ids = _Encoded((side, _ENCODE(side.value)) for side in Side)
+    rows = report.rows
+    out.write(f'{{"mode":{_ENCODE(report.mode.value)},"level":{_ENCODE(report.level)},'
+              f'"holds":{_ENCODE(report.holds)},"defects":[')
+    for start in range(0, len(rows), _ROWS_PER_WRITE):
+        out.write(("," if start else "") + ",".join(
+            f'{{"side":{ids[side]},"a":{ids[a]},"b":{ids[b]},"c":{ids[c]}}}'
+            for side, a, b, c in rows[start:start + _ROWS_PER_WRITE]))
+    nonadjacent = list(report.nonadjacent) if report.nonadjacent else None
+    out.write(f'],"nonadjacent":{_ENCODE(nonadjacent)}}}\n')
 
 
 def _label_obj(label: ClassLabel):
@@ -192,7 +212,7 @@ def _cmd_check_generic(args, out, err) -> int:
     check = {"bipartite": check_generic_bipartite, "2partite": check_generic_2partite,
              "orientation": check_generic_orientation}[args.mode]
     report = check(structure, args.level, jobs=args.jobs)
-    _emit(out, _report_obj(report))
+    _write_report(out, report)
     return 0 if report.holds else 1
 
 
@@ -218,7 +238,11 @@ def _cmd_iso(args, out, err) -> int:
 def _cmd_aut(args, out, err) -> int:
     structure = _load(args.infile)
     maps = automorphisms(structure, cap=args.cap)
-    _emit(out, {"count": len(maps), "automorphisms": [_pmap_obj(p) for p in maps]})
+    # the bytes of _emit on {"count", "automorphisms": [_pmap_obj(...)]}, each
+    # distinct (source, target) pair encoded once
+    pair = _Encoded().__getitem__
+    body = ",".join('{"pairs":[' + ",".join(map(pair, p.pairs)) + "]}" for p in maps)
+    out.write(f'{{"count":{len(maps)},"automorphisms":[{body}]}}\n')
     return 0
 
 
@@ -378,7 +402,16 @@ def run(argv, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: exit 1 without a traceback, and point stdout
+        # at the null device so that the flush at exit cannot fail again
+        # (the recipe of the "Note on SIGPIPE" in the signal module's docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

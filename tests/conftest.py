@@ -22,13 +22,15 @@ report-order scan ``genericity._scan`` replaced (it shares the tables of
 ``genericity._kernel``); ``materialized_defects``, the defect collector
 that built a ``Requirement`` per defect and sorted them by
 ``requirement_sort_key``, which the packed keys replaced (it runs on
-either kernel); ``full_census``, the census over
-every class, which the side-regular census replaced; and
+either kernel); ``report_json``, the ``check-generic`` payload encoded as
+one object, which the CLI's streamed writer replaced; ``full_census``,
+the census over every class, which the side-regular census replaced; and
 ``side_regular_census``, the census over the classes of the side-regular
 walk ``side_regular_states``, which the generated line-symmetric classes
 replaced (it shares ``_classes`` and ``_entry``).
 """
 
+import json
 import random
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
@@ -48,6 +50,7 @@ from twopartite.errors import AutGroupTooLarge, ValidationError
 from twopartite.genericity import (
     _SLOTS,
     DefectRow,
+    GenericityReport,
     Mode,
     Requirement,
     _kernel,
@@ -693,6 +696,20 @@ def materialized_defects(inputs, level: int, mode: Mode,
 def defect_row(req: Requirement) -> tuple:
     """A requirement as a report row: side, then sorted id tuples."""
     return (req.side, tuple(sorted(req.a)), tuple(sorted(req.b)), tuple(sorted(req.c)))
+
+
+def report_json(report: GenericityReport) -> str:
+    """The ``check-generic`` payload built as one dict and encoded by one
+    ``json.dumps`` call, as the CLI wrote it before it streamed the rows."""
+    obj = {
+        "mode": report.mode.value,
+        "level": report.level,
+        "holds": report.holds,
+        "defects": [{"side": side.value, "a": a, "b": b, "c": c}
+                    for side, a, b, c in report.rows],
+        "nonadjacent": list(report.nonadjacent) if report.nonadjacent else None,
+    }
+    return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 # -- orbit counting -----------------------------------------------------------

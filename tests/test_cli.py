@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -18,9 +19,11 @@ from twopartite.catalog import (
     matching_complement_pair,
     matching_digraph,
 )
-from twopartite.cli import run
+from twopartite.cli import _ROWS_PER_WRITE, _write_report, run
+from twopartite.core import Side
+from twopartite.genericity import GenericityReport, Mode, check_generic_orientation
 
-from conftest import cycle_structure, shuffled_copy
+from conftest import cycle_structure, report_json, shuffled_copy
 
 
 # SHA-256 of the stdout of the 5x5 census commands, computed with the
@@ -303,9 +306,7 @@ class TestBafEnumVerify:
 
     def test_module_entry_point(self):
         # ``python -m twopartite.cli`` runs the command and exits with its code
-        env = dict(os.environ)
-        src = str(Path(twopartite.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = _module_env()
         argv = [sys.executable, "-m", "twopartite.cli", "verify", "--max-x", "1", "--max-y", "1"]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -314,6 +315,35 @@ class TestBafEnumVerify:
         proc = subprocess.run(argv[:4] + ["--max-x", "-1", "--max-y", "1"], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2 and proc.stdout == ""
+
+    @pytest.mark.parametrize("command", ["enum", "check-generic"])
+    def test_closed_stdout_exits_one_without_traceback(self, tmp_path, command):
+        argv = ["enum", "--max-x", "3", "--max-y", "3"]
+        if command == "check-generic":
+            structure = empty_digraph(30, 30)
+            # more rows than one write of the streamed report
+            assert len(check_generic_orientation(structure, 2).rows) > _ROWS_PER_WRITE
+            argv = ["check-generic", "--mode", "orientation", "--level", "2",
+                    "--in", write(tmp_path, "empty.json", structure)]
+        # the read end is closed before the child starts, so its first write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "twopartite.cli", *argv],
+                                  env=_module_env(), stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+
+
+def _module_env() -> dict[str, str]:
+    """This environment with the package's source first on the path."""
+    env = dict(os.environ)
+    src = str(Path(twopartite.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 class TestConvertAndErrors:
@@ -497,6 +527,33 @@ class TestPinnedPayloads:
         runs = _map_search_inputs(tmp_path)[command]
         text = _transcript(runs).replace(str(tmp_path), "")
         assert _sha(text) == PINNED_MAP_SEARCH[command]
+
+
+def _odd_rows(count: int, seed: int) -> tuple:
+    """``count`` report rows on the odd ids, each demand set a sorted tuple
+    of up to two of them."""
+    import random
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(count):
+        side = rng.choice((Side.LEFT, Side.RIGHT))
+        ids = rng.sample(_ODD_LEFT if side is Side.LEFT else _ODD_RIGHT, 6)
+        rows.append((side, *(tuple(sorted(ids[2 * i:2 * i + rng.randrange(3)]))
+                              for i in range(3))))
+    return tuple(rows)
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("count", [0, 1, _ROWS_PER_WRITE, _ROWS_PER_WRITE + 1])
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("nonadjacent", [None, ('x"q', "y\u2603")])
+    def test_matches_single_object_encoding(self, count, mode, nonadjacent):
+        report = GenericityReport(mode, count % 4, not count and nonadjacent is None,
+                                  _odd_rows(count, count), nonadjacent)
+        writes = []
+        _write_report(SimpleNamespace(write=writes.append), report)
+        assert "".join(writes) == report_json(report)
+        assert max(w.count('{"side":') for w in writes) <= _ROWS_PER_WRITE
 
 
 _IDS = st.sampled_from(["x1", "x2", "x3", "y1", "y2", "y3"])

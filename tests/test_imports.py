@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -20,3 +21,20 @@ def test_runtime_is_stdlib_only():
     outside = {(path.name, name) for path in MODULES for name in _absolute_imports(path)
                if name.partition(".")[0] not in sys.stdlib_module_names | {"twopartite"}}
     assert not outside
+
+
+def test_benchmark_boundaries_are_callable():
+    # the traced benchmark wraps each of these names; one that stops
+    # resolving shows there only as a MISSING line.  Loaded by path and
+    # never installed, so no function of the package is rebound.
+    path = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.BOUNDARIES
+    for name in layers.BOUNDARIES:
+        module_name, *attrs = name.split(".")
+        owner = importlib.import_module(f"twopartite.{module_name}")
+        for attr in attrs:
+            owner = getattr(owner, attr)
+        assert callable(owner), name
