@@ -231,9 +231,9 @@ def uniqueness_demo(side_size: int, target_size: int, seed1: int, seed2: int,
     level = target_size if build_level is None else build_level
     builder = (generic_2partite_approx if mode is Mode.TWO_PARTITE
                else generic_orientation_approx)
+    specs = ApproximantSpec(side_size, level, seed1), ApproximantSpec(side_size, level, seed2)
     try:
-        first = builder(ApproximantSpec(side_size, level, seed1))
-        second = builder(ApproximantSpec(side_size, level, seed2))
+        first, second = map(builder, specs)
     except ApproximantNotFound as exc:
         return UniquenessReport(mode, side_size, target_size, level, seed1, seed2,
                                 status="build-failed", detail=str(exc))

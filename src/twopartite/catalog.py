@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, repeat
 
 from .core import PAIR_LR, PAIR_NONE, PAIR_RL, Side, TwoPartiteDigraph, _assemble, _index, build
 from .errors import (
@@ -136,17 +135,72 @@ class ApproximantSpec:
             raise InvalidSpec(
                 f"level {self.level} exceeds side_size {self.side_size}: a demand "
                 "can never be larger than the opposite side")
+        if self.seed < 0:
+            # Random(-s) seeds like Random(s), so a negative seed would
+            # silently repeat another seed's output
+            raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
+
+
+# The randomized builders draw a whole matrix from a few wide calls.
+# CPython's ``getrandbits(k)`` gives, for k <= 32, the top k bits of one
+# 32-bit Mersenne Twister word, and for k = 32 * c the next c words
+# packed lowest first (``_random_Random_getrandbits_impl`` in
+# Modules/_randommodule.c).  So the top byte of each word of one
+# ``getrandbits(32 * c)`` call holds what c calls of ``getrandbits(1)``
+# or ``getrandbits(2)`` would return, and the stream advances by the same
+# c words.  ``bytes.translate`` turns those top bytes into pair states.
+
+def _top_bytes(rng: random.Random, count: int) -> bytes:
+    """The top byte of each of the next ``count`` words of ``rng``."""
+    return rng.getrandbits(32 * count).to_bytes(4 * count, "little")[3::4]
+
+
+def _bit_table(zero: int, one: int) -> bytes:
+    """Top byte -> pair state by its top bit, the word's ``getrandbits(1)``."""
+    return bytes(one if b >> 7 else zero for b in range(256))
+
+
+_BIPARTITE_STATES = {Direction.LEFT_TO_RIGHT: _bit_table(PAIR_NONE, PAIR_LR),
+                     Direction.RIGHT_TO_LEFT: _bit_table(PAIR_NONE, PAIR_RL)}
+_TWO_PARTITE_STATES = _bit_table(PAIR_RL, PAIR_LR)
+# a word's getrandbits(2) is its top byte's top two bits; randrange(3)
+# rejects 3, which is a top byte of 0xC0 or more, and draws again
+_ORIENTATION_STATES = bytes(b >> 6 for b in range(256))
+_REJECTED = bytes(range(0xC0, 0x100))
+
+
+def _rows(states: bytes, n: int) -> list[bytes]:
+    return [states[i:i + n] for i in range(0, n * n, n)]
+
+
+def _two_state_rows(rng: random.Random, n: int, table: bytes) -> list[bytes]:
+    """An n-by-n matrix from one word per pair, mapped through ``table``."""
+    return _rows(_top_bytes(rng, n * n).translate(table), n)
+
+
+def _orientation_rows(rng: random.Random, n: int) -> list[bytes]:
+    """An n-by-n matrix from the word stream of ``randrange(3)`` per pair."""
+    states = b""
+    while len(states) < n * n:
+        # one word per missing state: a word gives at most one, so this
+        # never draws past the word that gives the last state
+        states += _top_bytes(rng, n * n - len(states)).translate(
+            _ORIENTATION_STATES, _REJECTED)
+    return _rows(states, n)
 
 
 def _randomized_build(spec: ApproximantSpec, mode: Mode, draw):
-    """Shared retry loop: ``draw(rng)`` produces a candidate, and one
-    level scan per attempt both accepts it and records how far it got.
-    All attempts consume one seeded stream, so identical specs reproduce
-    identical outputs."""
+    """Shared retry loop: ``draw(rng, n)`` gives the rows of a candidate's
+    pair-state matrix, and one level scan per attempt both accepts it and
+    records how far it got.  All attempts consume one seeded stream, so
+    identical specs reproduce identical outputs."""
+    n = spec.side_size
+    left, right = _ids("x", n), _ids("y", n)
+    row_of, col_of = _index(left), _index(right)
     rng = random.Random(spec.seed)
     best = -1
     for _ in range(MAX_BUILD_ATTEMPTS):
-        candidate = draw(rng)
+        candidate = _assemble(left, right, draw(rng, n), row_of, col_of)
         reached = achieved_level(candidate, mode, spec.level)
         if reached == spec.level:
             return candidate
@@ -161,49 +215,22 @@ def generic_bipartite_approx(spec: ApproximantSpec,
     """Random bipartite digraph (each cross pair adjacent with probability
     1/2, all edges oriented ``direction``) whose underlying graph passes
     the undirected extension check at ``spec.level``."""
-    n = spec.side_size
-    left, right = _ids("x", n), _ids("y", n)
-    row_of, col_of = _index(left), _index(right)
-    edge = PAIR_LR if direction is Direction.LEFT_TO_RIGHT else PAIR_RL
-
-    def draw(rng: random.Random) -> TwoPartiteDigraph:
-        # one bit per pair, PAIR_NONE for 0 and ``edge`` for 1
-        matrix = [list(map(edge.__mul__, map(rng.getrandbits, repeat(1, n)))) for _ in left]
-        return _assemble(left, right, matrix, row_of, col_of)
-
-    return _randomized_build(spec, Mode.BIPARTITE, draw)
+    table = _BIPARTITE_STATES[direction]
+    return _randomized_build(spec, Mode.BIPARTITE,
+                             lambda rng, n: _two_state_rows(rng, n, table))
 
 
 def generic_2partite_approx(spec: ApproximantSpec) -> TwoPartiteDigraph:
     """Complete underlying graph, each pair independently oriented with
     probability 1/2, verified at ``spec.level``."""
-    n = spec.side_size
-    left, right = _ids("x", n), _ids("y", n)
-    row_of, col_of = _index(left), _index(right)
-
-    def draw(rng: random.Random) -> TwoPartiteDigraph:
-        # one bit per pair, PAIR_RL (2) for 0 and PAIR_LR (1) for 1
-        matrix = [list(map(PAIR_RL.__sub__, map(rng.getrandbits, repeat(1, n)))) for _ in left]
-        return _assemble(left, right, matrix, row_of, col_of)
-
-    return _randomized_build(spec, Mode.TWO_PARTITE, draw)
+    return _randomized_build(spec, Mode.TWO_PARTITE,
+                             lambda rng, n: _two_state_rows(rng, n, _TWO_PARTITE_STATES))
 
 
 def generic_orientation_approx(spec: ApproximantSpec) -> TwoPartiteDigraph:
     """Each cross pair independently one of {->, <-, nonadjacent} with
     probability 1/3 each, verified at ``spec.level``."""
-    n = spec.side_size
-    left, right = _ids("x", n), _ids("y", n)
-    row_of, col_of = _index(left), _index(right)
-
-    def draw(rng: random.Random) -> TwoPartiteDigraph:
-        # PAIR_NONE, PAIR_LR or PAIR_RL, each with probability 1/3: the
-        # stream of randrange(3), which draws two bits until they are not 3
-        states = filter((3).__ne__, map(rng.getrandbits, repeat(2)))
-        matrix = [list(islice(states, n)) for _ in left]
-        return _assemble(left, right, matrix, row_of, col_of)
-
-    return _randomized_build(spec, Mode.ORIENTATION, draw)
+    return _randomized_build(spec, Mode.ORIENTATION, _orientation_rows)
 
 
 def _fresh_names(taken: set[str], count: int) -> list[str]:

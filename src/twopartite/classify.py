@@ -87,7 +87,7 @@ def classify_bipartite_graph(digraph: TwoPartiteDigraph,
     Otherwise INCONCLUSIVE.
     """
     m, n = len(digraph.left), len(digraph.right)
-    if not digraph.edges:
+    if not any(map(any, digraph.matrix)):
         return ClassLabel(ClassCase.BIPARTITE_HOMOGENEOUS, subkind=BipartiteKind.EMPTY)
     if digraph.first_nonadjacent_pair() is None:
         return ClassLabel(ClassCase.BIPARTITE_HOMOGENEOUS, subkind=BipartiteKind.COMPLETE)

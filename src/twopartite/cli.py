@@ -6,8 +6,8 @@ holding verdict, 1 for a negative mathematical verdict (not homogeneous,
 extension check fails, not isomorphic, construction not achieved), 2 for
 usage or input errors.  A standard output closed by its reader ends the
 command with exit code 1 and no traceback.  All randomized
-subcommands require an explicit ``--seed``; nothing is seeded from the
-clock.
+subcommands require an explicit, non-negative ``--seed``; nothing is
+seeded from the clock.
 """
 
 from __future__ import annotations

@@ -4,17 +4,22 @@ A 2-partite digraph consists of two disjoint, ordered vertex sides
 (*left* and *right*) together with a set of directed edges, each joining
 the two sides, with at most one direction present between any pair.
 Vertex ids are opaque strings; two structures are equal only when their
-sides and edges coincide literally: isomorphism lives elsewhere.
+sides and pair-state matrices coincide literally (given the sides, that
+is the same as equal edge lists): isomorphism lives elsewhere.
 
 The stored form is the pair-state matrix: one cell per (left, right)
 pair, holding ``PAIR_NONE``, ``PAIR_LR`` or ``PAIR_RL``.  Every query
-here reads it, and the edge list is derived from it.  An undirected
-bipartite graph is the one-direction digraph with every edge oriented
-left-to-right (:meth:`TwoPartiteDigraph.underlying_bipartite`); there
-is no separate undirected type.
+here reads it.  The edge list is derived from it on first read and
+cached, so a structure whose edges are never read (a rejected build
+attempt, a census candidate, a loaded file that is only checked) never
+lists them.  An undirected bipartite graph is the one-direction digraph
+with every edge oriented left-to-right
+(:meth:`TwoPartiteDigraph.underlying_bipartite`); there is no separate
+undirected type.
 
 Structures are immutable after construction and every operation here is
-a pure read, so values can be shared freely between threads.
+a pure read (the cached edge list is the same whichever thread derives
+it), so values can be shared freely between threads.
 
 The canonical file format is a JSON object ``{"x": [...], "y": [...],
 "edges": [[src, dst], ...]}``; the reader applies the same validation as
@@ -26,6 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -81,9 +87,9 @@ def build(left: Iterable[str], right: Iterable[str],
     """Validate and construct a 2-partite digraph.
 
     Edge order in the input is irrelevant: each edge sets one cell of the
-    pair-state matrix (a repeated edge sets it again), and the stored
-    edges are read back from the matrix, so structural equality does not
-    depend on how the edge list was written down.
+    pair-state matrix (a repeated edge sets it again).  Equality compares
+    the matrix, and ``edges`` is read back from it, so neither depends on
+    how the edge list was written down.
     """
     left_t, right_t = _validated_sides(left, right)
     row_of, col_of = _index(left_t), _index(right_t)
@@ -113,34 +119,42 @@ def build(left: Iterable[str], right: Iterable[str],
 
 def _assemble(left: tuple[str, ...], right: tuple[str, ...], matrix,
               row_of: dict[str, int], col_of: dict[str, int]) -> "TwoPartiteDigraph":
-    """The digraph with the given (already valid) pair-state matrix.  Its
-    edges are read from the matrix: left-to-right edges row by row, then
-    right-to-left edges column by column."""
-    matrix = tuple(map(tuple, matrix))
-    edges = [(x, right[j]) for x, row in zip(left, matrix)
-             for j, s in enumerate(row) if s == PAIR_LR]
-    edges += [(y, left[i]) for j, y in enumerate(right)
-              for i, row in enumerate(matrix) if row[j] == PAIR_RL]
-    return TwoPartiteDigraph(left, right, tuple(edges), matrix, row_of, col_of)
+    """The digraph with the given (already valid) pair-state matrix, a
+    sequence of rows, each a sequence of pair states."""
+    return TwoPartiteDigraph(left, right, tuple(map(tuple, matrix)), row_of, col_of)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class TwoPartiteDigraph:
     """An immutable 2-partite digraph.  Use :func:`build` to construct.
 
     ``matrix`` is the stored pair-state matrix (rows over ``left``,
     columns over ``right``), and ``row_of``/``col_of`` give each left
-    vertex its row and each right vertex its column.  ``edges`` is read
-    from the matrix.  Only the sides and the edges take part in equality,
-    hashing and ``repr``.
+    vertex its row and each right vertex its column.  Equality and
+    hashing compare the sides and the matrix.  ``edges`` is derived from
+    the matrix on first read; ``repr`` shows the sides and the edges.
     """
 
     left: tuple[str, ...]
     right: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    matrix: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    row_of: Mapping[str, int] = field(compare=False, repr=False)
-    col_of: Mapping[str, int] = field(compare=False, repr=False)
+    matrix: tuple[tuple[int, ...], ...]
+    row_of: Mapping[str, int] = field(compare=False)
+    col_of: Mapping[str, int] = field(compare=False)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """Left-to-right edges row by row, then right-to-left edges
+        column by column."""
+        left, right, matrix = self.left, self.right, self.matrix
+        edges = [(x, right[j]) for x, row in zip(left, matrix)
+                 for j, s in enumerate(row) if s == PAIR_LR]
+        edges += [(y, left[i]) for j, y in enumerate(right)
+                  for i, row in enumerate(matrix) if row[j] == PAIR_RL]
+        return tuple(edges)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(left={self.left!r}, right={self.right!r}, "
+                f"edges={self.edges!r})")
 
     # -- basic queries ----------------------------------------------------
 

@@ -27,14 +27,17 @@ one object, which the CLI's streamed writer replaced; ``full_census``,
 the census over every class, which the side-regular census replaced; and
 ``side_regular_census``, the census over the classes of the side-regular
 walk ``side_regular_states``, which the generated line-symmetric classes
-replaced (it shares ``_classes`` and ``_entry``).
+replaced (it shares ``_classes`` and ``_entry``); and
+``pairwise_bit_rows`` and ``pairwise_orientation_rows``, the randomized
+builders' draws of one ``getrandbits`` call per pair state, which the
+word-level draws of ``catalog`` replaced.
 """
 
 import json
 import random
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product, repeat
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -820,6 +823,31 @@ def side_regular_census(max_left: int, max_right: int) -> list[CensusEntry]:
     homogeneous class: the census before its candidates were generated."""
     return [_entry(*pair) for m in range(max_left + 1) for n in range(max_right + 1)
             for pair in _classes(m, n, side_regular_states(m, n))]
+
+
+# -- per-pair builder draws --------------------------------------------------
+
+def pairwise_bit_rows(rng, n: int, zero: int, one: int) -> list[list[int]]:
+    """An n-by-n matrix from one ``getrandbits(1)`` per pair: ``zero`` for
+    0 and ``one`` for 1."""
+    return [[one if rng.getrandbits(1) else zero for _ in range(n)] for _ in range(n)]
+
+
+def pairwise_orientation_rows(rng, n: int) -> list[list[int]]:
+    """An n-by-n matrix from the stream of ``randrange(3)``, which draws
+    ``getrandbits(2)`` until it is not 3."""
+    states = filter((3).__ne__, map(rng.getrandbits, repeat(2)))
+    return [list(islice(states, n)) for _ in range(n)]
+
+
+@pytest.fixture
+def refuse_edges(monkeypatch):
+    """Call it to make every later read of ``TwoPartiteDigraph.edges`` fail
+    the test."""
+    def refuse(self):
+        raise AssertionError("edge list computed")
+
+    return lambda: monkeypatch.setattr(TwoPartiteDigraph, "edges", property(refuse))
 
 
 # -- structure generation -----------------------------------------------------

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from twopartite import build
+from twopartite import build, catalog
 from twopartite.catalog import (
     ApproximantSpec,
     Direction,
@@ -17,7 +17,7 @@ from twopartite.catalog import (
     matching_digraph,
     witness_closure,
 )
-from twopartite.core import to_json_text
+from twopartite.core import PAIR_LR, PAIR_NONE, PAIR_RL, to_json_text
 from twopartite.errors import (
     ApproximantNotFound,
     CapExceeded,
@@ -34,7 +34,12 @@ from twopartite.genericity import (
     iter_requirements,
 )
 
-from conftest import naive_witness, requirement_sort_key
+from conftest import (
+    naive_witness,
+    pairwise_bit_rows,
+    pairwise_orientation_rows,
+    requirement_sort_key,
+)
 
 L2R, R2L = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
 
@@ -120,6 +125,53 @@ class TestApproximantSpec:
             ApproximantSpec(-3, 0, seed=0)
         with pytest.raises(InvalidSpec, match=r"level must be non-negative, got -1$"):
             ApproximantSpec(2, -1, seed=0)
+
+    def test_negative_seed_rejected(self):
+        # Random(-5) seeds like Random(5), so -5 would repeat seed 5's output
+        with pytest.raises(InvalidSpec, match=r"seed must be non-negative, got -5$"):
+            ApproximantSpec(24, 2, seed=-5)
+        assert ApproximantSpec(24, 2, seed=0).seed == 0
+
+
+# (word-level draw, per-pair oracle) for each randomized builder
+WORD_DRAWS = {
+    "bipartite-l2r": (
+        lambda rng, n: catalog._two_state_rows(rng, n, catalog._BIPARTITE_STATES[L2R]),
+        lambda rng, n: pairwise_bit_rows(rng, n, PAIR_NONE, PAIR_LR)),
+    "bipartite-r2l": (
+        lambda rng, n: catalog._two_state_rows(rng, n, catalog._BIPARTITE_STATES[R2L]),
+        lambda rng, n: pairwise_bit_rows(rng, n, PAIR_NONE, PAIR_RL)),
+    "2partite": (
+        lambda rng, n: catalog._two_state_rows(rng, n, catalog._TWO_PARTITE_STATES),
+        lambda rng, n: pairwise_bit_rows(rng, n, PAIR_RL, PAIR_LR)),
+    "orientation": (catalog._orientation_rows, pairwise_orientation_rows),
+}
+
+
+class TestWordDraws:
+    @pytest.mark.parametrize("name", WORD_DRAWS)
+    def test_matches_pairwise_draws(self, name):
+        """Equal matrices, and the stream left in the same state, over
+        three consecutive draws from one generator."""
+        draw, oracle = WORD_DRAWS[name]
+        for seed in range(21):
+            for n in range(1, 41):
+                fast, slow = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    assert list(map(list, draw(fast, n))) == oracle(slow, n), (seed, n)
+                    assert fast.getstate() == slow.getstate(), (seed, n)
+
+    def test_orientation_oracle_is_randrange(self):
+        for seed in range(5):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert pairwise_orientation_rows(rng, 9) == [
+                [ref.randrange(3) for _ in range(9)] for _ in range(9)]
+            assert rng.getstate() == ref.getstate()
+
+    def test_unreachable_build_never_lists_edges(self, refuse_edges):
+        refuse_edges()
+        with pytest.raises(ApproximantNotFound):
+            generic_orientation_approx(ApproximantSpec(12, 2, seed=4))
 
 
 class TestRandomizedBuilders:

@@ -190,6 +190,19 @@ class TestClassifyProfile:
         assert not classify_profile(matching_complement_pair(3), 1).evidence["mixed_perp_profile"]
 
 
+class TestBipartiteReadsMatrix:
+    def test_never_lists_edges(self, refuse_edges):
+        generic = generic_bipartite_approx(ApproximantSpec(32, 1, seed=4), R2L)
+        refuse_edges()
+        assert classify_bipartite_graph(empty_digraph(3, 2)).subkind is BipartiteKind.EMPTY
+        assert classify_bipartite_graph(empty_digraph(0, 0)).subkind is BipartiteKind.EMPTY
+        assert (classify_bipartite_graph(matching_digraph(3, R2L)).subkind
+                is BipartiteKind.PERFECT_MATCHING)
+        assert classify_bipartite_graph(generic, 1).subkind is BipartiteKind.GENERIC
+        assert classify_profile(generic, 1).subkind is BipartiteKind.GENERIC
+        assert classify_exact(matching_digraph(3)).subkind is BipartiteKind.PERFECT_MATCHING
+
+
 class TestEdgeDirection:
     def test_directions(self):
         assert edge_direction(matching_digraph(2)) is L2R

@@ -87,6 +87,15 @@ class TestGen:
         code, out, err = cli(*argv)
         assert code == 2 and out == "" and "non-negative" in err
 
+    def test_negative_seed_exits_two(self):
+        # Random(-5) seeds like Random(5): a negative seed must not alias
+        for argv in (["gen", "generic-2partite", "--size", "24", "--level", "2", "--seed", "-5"],
+                     ["baf", "--mode", "2partite", "--size", "16", "--level", "1",
+                      "--seed1", "3", "--seed2", "-4"]):
+            code, out, err = cli(*argv)
+            assert code == 2 and out == "", argv
+            assert "seed must be non-negative, got -" in err and "Traceback" not in err
+
     def test_closure(self, tmp_path):
         base = write(tmp_path, "base.json", matching_complement_pair(2))
         code, out, _ = cli("gen", "closure", "--in", base, "--mode", "2partite",
@@ -178,6 +187,14 @@ class TestVerdictCommands:
         path = write(tmp_path, "k22.json", complete_bipartite_digraph(2, 2))
         code, out, err = cli("classify", "--in", path, "--level", "-1")
         assert code == 2 and out == "" and "non-negative" in err
+
+    def test_check_generic_load_never_lists_edges(self, tmp_path, refuse_edges):
+        path = write(tmp_path, "pair.json", matching_complement_pair(4))
+        expected = cli("check-generic", "--in", path, "--mode", "orientation", "--level", "2")
+        refuse_edges()
+        assert cli("check-generic", "--in", path, "--mode", "orientation",
+                   "--level", "2") == expected
+        assert expected[0] == 1
 
     def test_check_generic_bipartite_reads_adjacency(self, tmp_path):
         # the two-direction pair and its underlying graph get one report

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from twopartite.catalog import (
     matching_complement_pair,
     matching_digraph,
 )
+from twopartite.core import TwoPartiteDigraph
 from twopartite.errors import (
     DuplicateVertex,
     MalformedInput,
@@ -108,6 +110,55 @@ class TestBuild:
             assert dict(s.row_of) == {x: i for i, x in enumerate(s.left)}
             assert dict(s.col_of) == {y: j for j, y in enumerate(s.right)}
             assert s.edges == fresh.edges and repr(s) == repr(fresh)
+
+
+class TestLazyEdges:
+    def test_order_matches_enumeration(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            d = random_digraph(rng)
+            expected = [(x, y) for x in d.left for y in d.right if d.has_edge(x, y)]
+            expected += [(y, x) for y in d.right for x in d.left if d.has_edge(y, x)]
+            assert d.edges == tuple(expected)
+
+    def test_equal_and_hash_equal_across_edge_orders(self):
+        rng = random.Random(12)
+        for _ in range(30):
+            d = random_digraph(rng)
+            edges = list(d.edges)
+            rng.shuffle(edges)
+            e = build(d.left, d.right, edges)
+            assert e == d and hash(e) == hash(d)
+            assert e.edges == d.edges
+
+    def test_matrix_decides_equality(self):
+        a = build(["x1"], ["y1"], [("x1", "y1")])
+        assert a != build(["x1"], ["y1"], [("y1", "x1")])
+        assert a != build(["x1"], ["y1"], [])
+        assert a != build(["x1"], ["y2"], [("x1", "y2")])
+
+    def test_repr_pinned(self):
+        d = build(["x1", "x2"], ["y1", "y2"], [("y2", "x1"), ("x1", "y1"), ("y1", "x2")])
+        assert repr(d) == ("TwoPartiteDigraph(left=('x1', 'x2'), right=('y1', 'y2'), "
+                           "edges=(('x1', 'y1'), ('y1', 'x2'), ('y2', 'x1')))")
+        assert repr(build([], [], [])) == "TwoPartiteDigraph(left=(), right=(), edges=())"
+
+    def test_pickle_round_trip(self):
+        rng = random.Random(13)
+        for read_edges in (False, True):
+            d = random_digraph(rng, min_side=1)
+            if read_edges:
+                d.edges
+            copy = pickle.loads(pickle.dumps(d))
+            assert copy == d and hash(copy) == hash(d)
+            assert copy.edges == d.edges and copy.row_of == d.row_of
+            assert copy.col_of == d.col_of
+
+    def test_derived_structures_never_list_edges(self, refuse_edges):
+        d = random_digraph(random.Random(14), min_side=2)
+        refuse_edges()
+        d.swap_sides().underlying_bipartite().induced(d.left[:1] + d.right[:1])
+        d.relabel({d.left[0]: "renamed"})
 
 
 class TestNeighbourhoods:
