@@ -37,7 +37,6 @@ package is tested against.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, product
 from math import factorial, gcd
@@ -64,19 +63,19 @@ def _check_bounds(m: int, n: int) -> None:
         raise ValidationError(f"side bounds must be non-negative, got {m} and {n}")
 
 
-def enumerate_all(m: int, n: int, force: bool = False) -> Iterator[TwoPartiteDigraph]:
+def enumerate_all(m: int, n: int) -> Iterator[TwoPartiteDigraph]:
     """All 2-partite digraphs with sides of size m and n, one
     representative per side-preserving isomorphism class.
 
     The state space has 3^(m*n) labelled structures; sizes with
-    m*n > 12 are refused (eagerly, before any iteration) unless
-    ``force`` is given.  A negative side size raises ValidationError.
+    m*n > 12 are refused, eagerly, before any iteration.  A negative
+    side size raises ValidationError.
     """
     _check_bounds(m, n)
-    if m * n > DEFAULT_PAIR_BUDGET and not force:
+    if m * n > DEFAULT_PAIR_BUDGET:
         raise EnumerationBudgetExceeded(
             f"3^{m * n} labelled structures at sides {m}x{n}; "
-            f"pass force=True to enumerate anyway")
+            f"the budget is {DEFAULT_PAIR_BUDGET} labelled pairs")
     return (d for _, d in _classes(m, n, product((0, 1, 2), repeat=m * n)))
 
 
@@ -175,13 +174,11 @@ def _entry(canonical: CanonicalForm, digraph: TwoPartiteDigraph) -> CensusEntry:
     return CensusEntry(canonical, digraph, verdict, label)
 
 
-def _census_all(max_left: int, max_right: int, jobs: int = 1) -> list[CensusEntry]:
+def _census_all(max_left: int, max_right: int) -> list[CensusEntry]:
     """Census entries of the line-symmetric classes, which include every
     homogeneous class.  A range whose empty largest structure has more
     automorphisms than the decider's cap raises AutGroupTooLarge before
     any class is built."""
-    if jobs < 1:
-        raise ValidationError(f"worker count must be at least 1, got {jobs}")
     _check_bounds(max_left, max_right)
     order = 1
     # multiply up only until the cap is passed: a bound may be huge
@@ -189,21 +186,16 @@ def _census_all(max_left: int, max_right: int, jobs: int = 1) -> list[CensusEntr
         order *= k
         if order > DEFAULT_AUT_CAP:
             raise AutGroupTooLarge(DEFAULT_AUT_CAP)
-    classes = [pair for m in range(max_left + 1) for n in range(max_right + 1)
-               for pair in _classes(m, n, _line_symmetric_states(m, n))]
-    if jobs == 1:
-        return [_entry(*pair) for pair in classes]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_entry, *zip(*classes), chunksize=16))
+    return [_entry(*pair) for m in range(max_left + 1) for n in range(max_right + 1)
+            for pair in _classes(m, n, _line_symmetric_states(m, n))]
 
 
-def census_homogeneous(max_left: int, max_right: int, jobs: int = 1) -> list[CensusEntry]:
+def census_homogeneous(max_left: int, max_right: int) -> list[CensusEntry]:
     """Census of the homogeneous isomorphism classes with side sizes up
     to the given bounds, each entry carrying its classification.  A
     negative bound raises ValidationError, and a range past the
     automorphism cap AutGroupTooLarge."""
-    return [e for e in _census_all(max_left, max_right, jobs=jobs)
-            if e.verdict.holds]
+    return [e for e in _census_all(max_left, max_right) if e.verdict.holds]
 
 
 @dataclass(frozen=True)
@@ -242,8 +234,7 @@ def _catalog_in_range(max_left: int, max_right: int) -> Iterator[tuple[str, TwoP
 
 
 def verify_classification(max_left: int, max_right: int,
-                          census: list[CensusEntry] | None = None,
-                          jobs: int = 1) -> AuditReport:
+                          census: list[CensusEntry] | None = None) -> AuditReport:
     """Audit the classification at desk scale.
 
     Checks that every homogeneous class is labelled as a one-direction
@@ -257,8 +248,7 @@ def verify_classification(max_left: int, max_right: int,
     _check_bounds(max_left, max_right)
     discrepancies: list[Discrepancy] = []
     if census is None:
-        census = [e for e in _census_all(max_left, max_right, jobs=jobs)
-                  if e.verdict.holds]
+        census = [e for e in _census_all(max_left, max_right) if e.verdict.holds]
         scanned = sum(_burnside_count(m, n) for m in range(max_left + 1)
                       for n in range(max_right + 1))
     else:

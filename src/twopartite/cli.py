@@ -211,7 +211,7 @@ def _cmd_check_generic(args, out, err) -> int:
     # names (the benchmark's tracer) sees the call
     check = {"bipartite": check_generic_bipartite, "2partite": check_generic_2partite,
              "orientation": check_generic_orientation}[args.mode]
-    report = check(structure, args.level, jobs=args.jobs)
+    report = check(structure, args.level)
     _write_report(out, report)
     return 0 if report.holds else 1
 
@@ -262,7 +262,7 @@ def _cmd_baf(args, out, err) -> int:
 
 
 def _cmd_enum(args, out, err) -> int:
-    entries = census_mod.census_homogeneous(args.max_x, args.max_y, jobs=args.jobs)
+    entries = census_mod.census_homogeneous(args.max_x, args.max_y)
     for entry in entries:
         _emit(out, _entry_obj(entry))
     print(f"{len(entries)} homogeneous classes", file=err)
@@ -270,7 +270,7 @@ def _cmd_enum(args, out, err) -> int:
 
 
 def _cmd_verify(args, out, err) -> int:
-    report = census_mod.verify_classification(args.max_x, args.max_y, jobs=args.jobs)
+    report = census_mod.verify_classification(args.max_x, args.max_y)
     _emit(out, {
         "ok": report.ok,
         "max_x": report.max_left,
@@ -329,7 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--mode", choices=sorted(_MODES), required=True)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1, help="workers; at most one per side runs")
     p.set_defaults(handler=_cmd_check_generic)
 
     p = sub.add_parser("classify", help="classify a structure")
@@ -364,13 +363,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enum", help="homogeneous census as JSON lines")
     p.add_argument("--max-x", type=int, required=True)
     p.add_argument("--max-y", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=_cmd_enum)
 
     p = sub.add_parser("verify", help="audit the classification at desk scale")
     p.add_argument("--max-x", type=int, required=True)
     p.add_argument("--max-y", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("convert", help="rewrite a structure file as JSON or DOT")

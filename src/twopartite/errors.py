@@ -70,7 +70,7 @@ class TargetExceedsStructure(ValidationError):
 
 class EnumerationBudgetExceeded(ValidationError):
     """An enumeration was refused because the state space exceeds the
-    configured budget and no override was given."""
+    budget of labelled pairs."""
 
 
 class AutGroupTooLarge(TwoPartiteError):

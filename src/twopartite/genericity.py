@@ -47,7 +47,6 @@ both accepts a build attempt and reports how far a failed attempt got.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, compress
@@ -419,70 +418,58 @@ def _fails(kernel: tuple, size: int) -> bool:
     return any(any(_failing_prefixes(kernel, p)) for p, _ in _shape_groups(size, kernel[1]))
 
 
-def _side_defects(task: tuple) -> list[DefectRow]:
-    """One side's rows: ``task`` is its ``_kernel_inputs``, the level and the
-    limit."""
-    *inputs, level, limit = task
+def _side_defects(inputs: tuple, level: int, limit: int | None) -> list[DefectRow]:
+    """One side's rows, cut to the first ``limit``: ``inputs`` is its
+    ``_kernel_inputs`` entry.  No requirement has more demands than the
+    pool has elements, so the sizes stop there."""
     kernel = _kernel(*inputs)
     defects: list[DefectRow] = []
-    for size in range(level + 1):
+    for size in range(min(level, len(kernel[2])) + 1):
         if len(defects) == limit:
             break
         defects += _scan(kernel, size, None if limit is None else limit - len(defects))
     return defects
 
 
-def _collect_defects(inputs: list[tuple], level: int, jobs: int = 1,
+def _collect_defects(inputs: list[tuple], level: int,
                      limit: int | None = None) -> list[DefectRow]:
     """Unwitnessed requirements as rows, in report order, cut to the first
-    ``limit``.  ``inputs`` is ``_kernel_inputs`` output.  With ``jobs``
-    above 1 and no limit, each side is one task, which builds its tables in
-    its worker, so at most two workers run."""
-    tasks = [(*side, level, limit) for side in inputs]
-    if jobs > 1 and limit is None:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool_exec:
-            return [row for rows in pool_exec.map(_side_defects, tasks) for row in rows]
-    defects = _side_defects(tasks[0])
+    ``limit``.  ``inputs`` is ``_kernel_inputs`` output."""
+    defects = _side_defects(inputs[0], level, limit)
     if len(defects) != limit:
-        defects += _side_defects(tasks[1])
+        defects += _side_defects(inputs[1], level, limit)
     return defects[:limit]
 
 
-def validate_level(level: int, jobs: int = 1) -> None:
-    """Raise ValidationError for a negative level or a worker count
-    below 1."""
+def validate_level(level: int) -> None:
+    """Raise ValidationError for a negative level."""
     if level < 0:
         raise ValidationError(f"extension level must be non-negative, got {level}")
-    if jobs < 1:
-        raise ValidationError(f"worker count must be at least 1, got {jobs}")
 
 
-def check_generic_2partite(digraph: TwoPartiteDigraph, level: int,
-                           jobs: int = 1) -> GenericityReport:
+def check_generic_2partite(digraph: TwoPartiteDigraph, level: int) -> GenericityReport:
     """Extension property with successor/predecessor demands.  Also
     requires the underlying graph to be complete; a missing adjacency is
     reported via ``nonadjacent`` and makes the verdict fail."""
-    validate_level(level, jobs)
+    validate_level(level)
     nonadj = digraph.first_nonadjacent_pair()
-    rows = _collect_defects(_kernel_inputs(digraph, Mode.TWO_PARTITE), level, jobs=jobs)
+    rows = _collect_defects(_kernel_inputs(digraph, Mode.TWO_PARTITE), level)
     holds = not rows and nonadj is None
     return GenericityReport(Mode.TWO_PARTITE, level, holds, tuple(rows), nonadj)
 
 
-def check_generic_orientation(digraph: TwoPartiteDigraph, level: int,
-                              jobs: int = 1) -> GenericityReport:
+def check_generic_orientation(digraph: TwoPartiteDigraph, level: int) -> GenericityReport:
     """Extension property with successor/predecessor/non-neighbour demands."""
-    validate_level(level, jobs)
-    rows = _collect_defects(_kernel_inputs(digraph, Mode.ORIENTATION), level, jobs=jobs)
+    validate_level(level)
+    rows = _collect_defects(_kernel_inputs(digraph, Mode.ORIENTATION), level)
     return GenericityReport(Mode.ORIENTATION, level, not rows, tuple(rows))
 
 
-def check_generic_bipartite(digraph: TwoPartiteDigraph, level: int,
-                            jobs: int = 1) -> GenericityReport:
+def check_generic_bipartite(digraph: TwoPartiteDigraph, level: int) -> GenericityReport:
     """Undirected extension property: adjacency/non-adjacency demands,
     where an edge in either direction counts as adjacency."""
-    validate_level(level, jobs)
-    rows = _collect_defects(_kernel_inputs(digraph, Mode.BIPARTITE), level, jobs=jobs)
+    validate_level(level)
+    rows = _collect_defects(_kernel_inputs(digraph, Mode.BIPARTITE), level)
     return GenericityReport(Mode.BIPARTITE, level, not rows, tuple(rows))
 
 
@@ -498,12 +485,13 @@ def first_defect(digraph: TwoPartiteDigraph, level: int, mode: Mode) -> Requirem
 def achieved_level(digraph: TwoPartiteDigraph, mode: Mode, max_level: int) -> int:
     """Largest level ``t <= max_level`` at which the extension property
     holds (structural completeness clause included for TWO_PARTITE), or
-    -1 when even level 0 fails.  One table build serves every level."""
+    -1 when even level 0 fails.  One table build serves every level, and
+    no level past the larger pool adds a requirement."""
     validate_level(max_level)
     if mode is Mode.TWO_PARTITE and digraph.first_nonadjacent_pair() is not None:
         return -1
     kernels = [_kernel(*inputs) for inputs in _kernel_inputs(digraph, mode)]
-    for total in range(max_level + 1):
+    for total in range(min(max_level, max(len(kernel[2]) for kernel in kernels)) + 1):
         if any(_fails(kernel, total) for kernel in kernels):
             return total - 1
     return max_level

@@ -104,9 +104,9 @@ def _rank(values: dict[str, object]) -> dict[str, int]:
     return {v: order[sig] for v, sig in values.items()}
 
 
-def _refined_colors(digraph: TwoPartiteDigraph, rounds: int = 2) -> dict[str, tuple]:
-    """Colour invariant: degree triple refined ``rounds`` times by the
-    multiset of (pair state, neighbour colour) over the opposite side."""
+def _refined_colors(digraph: TwoPartiteDigraph) -> dict[str, tuple]:
+    """Colour invariant: degree triple refined twice by the multiset of
+    (pair state, neighbour colour) over the opposite side."""
     left, right = digraph.left, digraph.right
     m, n = len(left), len(right)
     mat = digraph.pair_states()
@@ -119,7 +119,7 @@ def _refined_colors(digraph: TwoPartiteDigraph, rounds: int = 2) -> dict[str, tu
         out = sum(1 for i in range(m) if mat[i][j] == PAIR_RL)
         inn = sum(1 for i in range(m) if mat[i][j] == PAIR_LR)
         col[y] = (1, out, inn, m - out - inn)
-    for _ in range(rounds):
+    for _ in range(2):
         sigs: dict[str, tuple] = {}
         for i, x in enumerate(left):
             sigs[x] = (col[x], tuple(sorted(
@@ -491,7 +491,8 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
     moves = [[bit[q] for q in g] for g in found]   # the found maps on bitmasks
 
     seen: set[int] = set()
-    for size in range(1, (total if k is None else k) + 1):
+    # no domain has more points than the structure
+    for size in range(1, (total if k is None else min(k, total)) + 1):
         masks = map(sum, combinations(bit, size))
         for subset, mask in zip(combinations(range(total), size), masks):
             # a domain fails exactly when every domain in its orbit does,

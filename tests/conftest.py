@@ -35,7 +35,6 @@ word-level draws of ``catalog`` replaced.
 
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product, repeat
 from operator import itemgetter
@@ -613,28 +612,16 @@ def _sorted_rows(side: Side, pool: Sequence[str], slot_names, size: int,
     return rows
 
 
-def _scan_task(args):
-    return _scan_size(*args, limit=None)
-
-
-def sorted_scan_rows(inputs, level: int, mode: Mode,
-                     jobs: int = 1, scan=_scan_size) -> list[DefectRow]:
+def sorted_scan_rows(inputs, level: int, mode: Mode, scan=_scan_size) -> list[DefectRow]:
     """The full report as the element-order kernel and the packed sort made
     it: each ``(side, size)`` scan's assignments sorted into rows.  ``scan``
-    is that kernel or ``unrolled_kernel``; the workers run that kernel."""
-    tasks = []
+    is that kernel or ``unrolled_kernel``."""
+    defects: list[DefectRow] = []
     for side in (Side.LEFT, Side.RIGHT):
         _, _, pool, wit_count, rows, packed = kernels_of(inputs)[side]
         for size in range(level + 1):
-            tasks.append((side, pool, size, (rows, packed, len(pool), wit_count, size)))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
-            results = list(pool_exec.map(_scan_task, [task[3] for task in tasks]))
-    else:
-        results = [scan(*task[3], limit=None) for task in tasks]
-    defects: list[DefectRow] = []
-    for (side, pool, size, _), raw in zip(tasks, results):
-        defects += _sorted_rows(side, pool, mode_slot_names(mode), size, raw)
+            raw = scan(rows, packed, len(pool), wit_count, size, limit=None)
+            defects += _sorted_rows(side, pool, mode_slot_names(mode), size, raw)
     return defects
 
 
@@ -653,8 +640,7 @@ def unrolled_kernel(rows, packed, pool_size, wit_count, size, limit):
     return unrolled_scan(rows, pool_size, wit_count, size, limit)
 
 
-def materialized_defects(inputs, level: int, mode: Mode,
-                         jobs: int = 1, limit: int | None = None,
+def materialized_defects(inputs, level: int, mode: Mode, limit: int | None = None,
                          only_total: int | None = None,
                          scan=_scan_size) -> list[Requirement]:
     """Every unwitnessed requirement as a :class:`Requirement`, sorted by
@@ -679,18 +665,12 @@ def materialized_defects(inputs, level: int, mode: Mode,
             defects.append(Requirement(side, frozenset(sets["a"]),
                                        frozenset(sets["b"]), frozenset(sets["c"])))
 
-    if jobs > 1 and limit is None:
-        with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
-            results = list(pool_exec.map(_scan_task, [t[2] for t in tasks]))
-        for (side, pool, _), raw in zip(tasks, results):
-            materialize(side, pool, raw)
-    else:
-        for (side, pool, args) in tasks:
-            remaining = None if limit is None else limit - len(defects)
-            if remaining is not None and remaining <= 0:
-                break
-            raw = scan(*args, limit=remaining)
-            materialize(side, pool, raw)
+    for (side, pool, args) in tasks:
+        remaining = None if limit is None else limit - len(defects)
+        if remaining is not None and remaining <= 0:
+            break
+        raw = scan(*args, limit=remaining)
+        materialize(side, pool, raw)
 
     defects.sort(key=requirement_sort_key)
     return defects

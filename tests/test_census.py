@@ -170,10 +170,12 @@ class TestCensus:
         for e in census33:
             assert canonical_form(e.representative.swap_sides()) in forms
 
-    def test_jobs_do_not_change_census(self):
-        seq = census_homogeneous(2, 2)
-        par = census_homogeneous(2, 2, jobs=2)
-        assert [e.canonical for e in seq] == [e.canonical for e in par]
+    def test_removed_keywords_are_type_errors(self):
+        for call in (lambda: census_homogeneous(1, 1, jobs=1),
+                     lambda: verify_classification(1, 1, jobs=1),
+                     lambda: enumerate_all(1, 1, force=True)):
+            with pytest.raises(TypeError, match="jobs|force"):
+                call()
 
 
 class TestVerifyClassification:

@@ -272,22 +272,21 @@ class TestReportProperties:
         assert check_generic_orientation(d, 1).holds
         assert check_generic_bipartite(d.underlying_bipartite(), 1).holds
 
-    def test_jobs_do_not_change_output(self):
+    def test_complete_report_matches_oracle(self):
         d = complete_bipartite_digraph(4, 3)
-        seq = check_generic_orientation(d, 2)
-        par = check_generic_orientation(d, 2, jobs=2)
-        assert seq == par
+        inputs = genericity._kernel_inputs(d, Mode.ORIENTATION)
+        want = materialized_defects(inputs, 2, Mode.ORIENTATION)
+        assert check_generic_orientation(d, 2).defects == tuple(want)
 
 
 # -- the report-order scan against the oracle kernels ---------------------------
 
-def _oracle_rows(inputs, level, mode, limit=None, scan=_scan_size, jobs=1):
+def _oracle_rows(inputs, level, mode, limit=None, scan=_scan_size):
     """The oracle's full report at ``level`` as rows, truncated to
     ``limit``.  The report runs by side and then by size, so a truncated
     list materialises only the sizes it reaches."""
     if limit is None:
-        return [defect_row(r) for r in materialized_defects(inputs, level, mode,
-                                                            jobs=jobs, scan=scan)]
+        return [defect_row(r) for r in materialized_defects(inputs, level, mode, scan=scan)]
     by_size: dict[int, list] = {}
     rows = []
     for side in (Side.LEFT, Side.RIGHT):
@@ -462,14 +461,13 @@ class TestTransposedKernel:
                 assert list(defects) == sorted(want, key=requirement_sort_key), (d, mode)
         assert capped > 8
 
-    def test_parallel_path(self):
+    def test_checks_in_unrolled_order(self):
         rng = random.Random(5)
         for _ in range(2):
             d = _skewed_digraph(rng, max_side=6)
             for mode, structure in _mode_inputs(d):
                 inputs = genericity._kernel_inputs(structure, mode)
-                report = CHECKS[mode](structure, 3, jobs=2)
-                assert report == CHECKS[mode](structure, 3)
+                report = CHECKS[mode](structure, 3)
                 assert report.rows == tuple(_oracle_rows(inputs, 3, mode, scan=unrolled_kernel))
 
 
@@ -534,16 +532,6 @@ class TestDefectRows:
                     assert first_defect(structure, level, mode) == want, (d, mode, level)
                     seen[want is None] += 1
         assert min(seen.values()) > 50
-
-    def test_parallel_rows(self):
-        rng = random.Random(17)
-        for _ in range(2):
-            d = _scrambled_digraph(rng, max_side=6)
-            for mode, structure in _mode_inputs(d):
-                inputs = genericity._kernel_inputs(structure, mode)
-                report = CHECKS[mode](structure, 3, jobs=2)
-                assert report.rows == tuple(_oracle_rows(inputs, 3, mode, jobs=2))
-                assert report.rows == tuple(sorted_scan_rows(inputs, 3, mode, jobs=2))
 
     def test_closure_cut_pools(self):
         # the closure scans its partial structure over pools cut to the
@@ -646,8 +634,9 @@ class TestArgumentValidation:
             with pytest.raises(ValidationError, match="non-negative"):
                 call()
 
-    def test_worker_count_below_one_rejected(self):
+    def test_jobs_is_not_a_keyword(self):
         d = matching_complement_pair(3)
-        for jobs in (0, -1):
-            with pytest.raises(ValidationError, match="at least 1"):
-                check_generic_orientation(d, 1, jobs=jobs)
+        for call in (*(lambda check=check: check(d, 1, jobs=1) for check in CHECKS.values()),
+                     lambda: genericity.validate_level(1, jobs=1)):
+            with pytest.raises(TypeError, match="jobs"):
+                call()

@@ -1,5 +1,7 @@
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,3 +40,16 @@ def test_benchmark_boundaries_are_callable():
         for attr in attrs:
             owner = getattr(owner, attr)
         assert callable(owner), name
+
+
+def test_cli_import_loads_no_process_pool():
+    # every command runs in one process, so a fresh interpreter importing
+    # the CLI never loads the pool machinery
+    env = dict(os.environ)
+    src = str(Path(twopartite.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, twopartite.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
