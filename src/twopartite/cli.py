@@ -56,8 +56,8 @@ from .iso import (
     DEFAULT_AUT_CAP,
     HomogeneityVerdict,
     PartialMap,
+    _StabiliserChain,
     are_isomorphic,
-    automorphisms,
     is_homogeneous,
 )
 
@@ -237,12 +237,15 @@ def _cmd_iso(args, out, err) -> int:
 
 def _cmd_aut(args, out, err) -> int:
     structure = _load(args.infile)
-    maps = automorphisms(structure, cap=args.cap)
-    # the bytes of _emit on {"count", "automorphisms": [_pmap_obj(...)]}, each
-    # distinct (source, target) pair encoded once
-    pair = _Encoded().__getitem__
-    body = ",".join('{"pairs":[' + ",".join(map(pair, p.pairs)) + "]}" for p in maps)
-    out.write(f'{{"count":{len(maps)},"automorphisms":[{body}]}}\n')
+    maps = _StabiliserChain(structure, args.cap).maps()
+    vertices = structure.vertices()
+    sources = sorted(range(len(vertices)), key=vertices.__getitem__)
+    # the bytes of _emit on {"count", "automorphisms": [_pmap_obj(...)]}: rows[i][t]
+    # is the [source, target] text of the i-th id in sorted order and position t
+    rows = [[_ENCODE((vertices[s], t)) for t in vertices] for s in sources]
+    body = ']},{"pairs":['.join([",".join(map(list.__getitem__, rows, map(g.__getitem__, sources)))
+                                 for g in maps])
+    out.write(f'{{"count":{len(maps)},"automorphisms":[{{"pairs":[{body}]}}]}}\n')
     return 0
 
 

@@ -74,8 +74,8 @@ class EnumerationBudgetExceeded(ValidationError):
 
 
 class AutGroupTooLarge(TwoPartiteError):
-    """The automorphism group has more elements than the cap allows:
-    listed by ``automorphisms``, or counted by ``is_homogeneous``."""
+    """The automorphism group's order, read from its stabiliser chain,
+    exceeds the cap of ``automorphisms`` or ``is_homogeneous``."""
 
     def __init__(self, cap: int):
         super().__init__(f"automorphism group exceeds cap of {cap} maps")

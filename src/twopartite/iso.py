@@ -16,19 +16,19 @@ partial map is dropped as soon as the open signatures of the two
 structures stop matching as multisets, which also separates vertices
 that colour refinement leaves together.  The tables the kernel reads
 are built once per structure, so the homogeneity decider, which runs
-many short searches on one structure, refines its colours once.  The
-decider never lists the automorphism group: limit-1 searches down a
-stabiliser chain give the group's order and generators, and once every
+many short searches on one structure, refines its colours once.
+Limit-1 searches down a stabiliser chain give the automorphism group's
+order and generators.  The decider never lists the group: once every
 smaller domain passes, a domain passes exactly when its last point's
 orbit under the maps that fix the rest is that point's whole class, the
-vertices with its pair states to the rest.
+vertices with its pair states to the rest.  ``automorphisms`` lists the
+group from the chain, one product of orbit representatives per map.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain, combinations, permutations, product
 from math import factorial, prod
 from typing import Iterator, Mapping
@@ -36,8 +36,9 @@ from typing import Iterator, Mapping
 from .core import FLIPPED, PAIR_LR, PAIR_RL, TwoPartiteDigraph
 from .errors import AutGroupTooLarge, InvalidPartialMap, ValidationError
 
-# The largest automorphism group that ``automorphisms`` lists and that
-# ``is_homogeneous`` accepts; the decider only computes the group's order.
+# The largest automorphism group that ``automorphisms`` lists, in
+# lexicographic order of the vertices' images, and ``is_homogeneous``
+# accepts; both check it against the stabiliser chain's order first.
 DEFAULT_AUT_CAP = 10 ** 6
 
 CanonicalForm = bytes
@@ -319,29 +320,18 @@ def are_isomorphic(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph) -> PartialMap |
     return None
 
 
-def _automorphism_maps(digraph: TwoPartiteDigraph, cap: int) -> Iterator[dict[str, str]]:
-    """The side-preserving automorphisms of ``digraph`` as vertex maps;
-    raises AutGroupTooLarge instead of yielding a map past ``cap``."""
-    if cap < 0:
-        raise ValidationError(f"automorphism cap must be non-negative, got {cap}")
-    tables = _search_tables(digraph)
-    for count, mapping in enumerate(_search_maps(tables, tables, {}, limit=cap + 1)):
-        if count == cap:
-            raise AutGroupTooLarge(cap)
-        yield mapping
-
-
 def automorphisms(digraph: TwoPartiteDigraph,
                   cap: int = DEFAULT_AUT_CAP) -> list[PartialMap]:
-    """All side-preserving automorphisms, identity included.
-
-    Raises AutGroupTooLarge when more than ``cap`` maps exist, and
-    ValidationError when ``cap`` is negative.
-    """
+    """All side-preserving automorphisms, identity included, in
+    lexicographic order of the images of the vertices in stored order,
+    left then right.  AutGroupTooLarge is raised, before any map is
+    listed, when the stabiliser chain's order exceeds ``cap``, and
+    ValidationError when ``cap`` is negative."""
+    vertices = digraph.vertices()
     # every map is total and injective: its pairs only need the sources sorted
-    ids = sorted(digraph.vertices())
-    return [PartialMap(tuple(zip(ids, map(g.__getitem__, ids))))
-            for g in _automorphism_maps(digraph, cap)]
+    sources = sorted(range(len(vertices)), key=vertices.__getitem__)
+    return [PartialMap(tuple((vertices[s], vertices[g[s]]) for s in sources))
+            for g in _StabiliserChain(digraph, cap).maps()]
 
 
 def is_valid_partial_iso(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph,
@@ -378,16 +368,107 @@ def extends_to_automorphism(digraph: TwoPartiteDigraph, pmap: PartialMap) -> boo
     return False
 
 
-def _orbit(points, gens) -> set:
-    """The closure of ``points`` under the position maps ``gens``."""
-    orbit, todo = set(points), list(points)
+def _orbit(schreier: dict, gens) -> None:
+    """Closes the orbit ``schreier`` under the maps ``gens``; it sends each
+    point to the map that first reached it, and the base point to None."""
+    todo = list(schreier)
     while todo:
         x = todo.pop()
         for g in gens:
-            if g[x] not in orbit:
-                orbit.add(g[x])
+            if g[x] not in schreier:
+                schreier[g[x]] = g
                 todo.append(g[x])
-    return orbit
+
+
+class _StabiliserChain(dict):
+    """The automorphism group as a stabiliser chain over the positions
+    in ``digraph.vertices()``, left 0..m-1 then right; maps are tuples of
+    positions.  A prefix of positions maps to the orbit of its last point
+    under the maps that fix the rest, a Schreier vector found on first
+    lookup by a limit-1 search per candidate image that the maps found so
+    far miss, or by a swap for a twin, a candidate with the point's pair
+    states.  ``orbits`` are those of the base 0..total-1.  Their sizes'
+    product, the group's order, must not exceed ``cap`` (AutGroupTooLarge);
+    a negative ``cap`` raises ValidationError before any search."""
+
+    def __init__(self, digraph: TwoPartiteDigraph, cap: int):
+        if cap < 0:
+            raise ValidationError(f"automorphism cap must be non-negative, got {cap}")
+        self.tables, self.vertices = _search_tables(digraph), digraph.vertices()
+        self.m, self.total = len(digraph.left), len(self.vertices)
+        self.pos = {v: p for p, v in enumerate(self.vertices)}
+        _, _, lines, _, ranks, _ = self.tables
+        self.rank = list(chain(*ranks))
+        self.line = list(chain(*lines))   # a position's pair states to the other side
+        self.found: list[tuple[int, ...]] = []   # automorphisms met by the searches
+        # the deepest stabiliser first, so the maps found so far all fix
+        # the current prefix and prune its orbit
+        self.orbits = [self[tuple(range(p + 1))] for p in reversed(range(self.total))][::-1]
+        if prod(map(len, self.orbits)) > cap:
+            raise AutGroupTooLarge(cap)
+
+    def extends(self, source, image) -> bool:
+        vertices, pos = self.vertices, self.pos
+        initial = {vertices[s]: vertices[t] for s, t in zip(source, image)}
+        for g in _search_maps(self.tables, self.tables, initial, 1):
+            self.found.append(tuple(pos[g[v]] for v in vertices))
+            return True
+        return False
+
+    def alike(self, fixed: tuple[int, ...], p: int) -> list[int]:
+        """The q outside ``fixed`` on p's side with p's pair states to the
+        fixed vertices on the other side: the images of p under the valid
+        maps that fix the rest."""
+        m, line = self.m, self.line
+        if p < m:
+            side, cross = range(m), [f - m for f in fixed if f >= m]
+        else:
+            side, cross = range(m, self.total), [f for f in fixed if f < m]
+        states = [line[p][c] for c in cross]
+        return [q for q in side if q not in fixed
+                and [line[q][c] for c in cross] == states]
+
+    def __missing__(self, prefix: tuple[int, ...]) -> dict:
+        fixed, p = prefix[:-1], prefix[-1]
+        orbit = self[prefix] = {p: None}
+        rank, line, found = self.rank, self.line, self.found
+        # an automorphism also keeps colours
+        images = [q for q in self.alike(fixed, p) if rank[q] == rank[p]]
+        if len(images) == 1:
+            return orbit
+        gens = [g for g in found if all(g[f] == f for f in fixed)]
+        _orbit(orbit, gens)
+        for q in images:
+            if q in orbit:
+                continue
+            if line[q] == line[p]:
+                # twins: swapping p and q alone is an automorphism
+                g = list(range(self.total))
+                g[p], g[q] = q, p
+                found.append(tuple(g))
+            elif not self.extends(prefix, fixed + (q,)):
+                continue
+            gens.append(found[-1])
+            _orbit(orbit, gens)
+        return orbit
+
+    def maps(self) -> list[tuple[int, ...]]:
+        """The group in lexicographic order of the image tuples.  Each map
+        is a product u_0 u_1 ..., u_p fixing the points before p and sending
+        p to a point o of its orbit, which the product h of the earlier
+        levels then sends to h(o): so o runs in the order of h(o)."""
+        identity = tuple(range(self.total))
+        group = [identity]
+        for schreier in self.orbits:
+            if len(schreier) > 1:
+                # a point's map is its generator after its parent's map, and
+                # its parent entered the Schreier vector before it
+                reps = {}
+                for o, g in schreier.items():
+                    reps[o] = identity if g is None else tuple(map(g.__getitem__, reps[g.index(o)]))
+                group = [tuple(map(h.__getitem__, reps[o]))
+                         for h in group for o in sorted(reps, key=h.__getitem__)]
+        return group
 
 
 def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
@@ -396,17 +477,11 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
 
     Every isomorphism between induced substructures on at most ``k``
     vertices must extend to a side-preserving automorphism.  The
-    automorphism group is never listed.  Its order comes from a
-    stabiliser chain over the vertices in stored order: the orbit of
-    each vertex under the maps that fix every earlier one is found by
-    one search for each candidate image that the maps found so far do
-    not already reach, and the group order is the product of the orbit
-    sizes.  A candidate with the vertex's own pair states is its twin,
-    reached by swapping the two, with no search.  AutGroupTooLarge is
-    raised before any domain is checked when that order exceeds
-    ``aut_cap``; the maps found generate the group.  Memory therefore
-    grows with the number of domains, not with the group, and
-    ``aut_cap`` bounds the group's order only.
+    automorphism group is never listed: AutGroupTooLarge is raised
+    before any domain is checked when the order of its stabiliser chain
+    exceeds ``aut_cap``.  Memory therefore grows with the number of
+    domains, not with the group, and ``aut_cap`` bounds the group's
+    order only.
 
     Domains are enumerated smallest first and reduced to one per
     automorphism orbit, so when a domain S is reached every smaller
@@ -419,7 +494,7 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
     into that class; and fixing T while sending p to any vertex of the
     class is a valid map.  The class is not filtered by colour: a vertex
     of another colour in it is a valid image that no automorphism
-    reaches.  The orbit is found as in the chain and kept by prefix.
+    reaches.  The chain finds the orbit and keeps it by prefix.
     Only a failing domain walks its images, and returns the first one
     from which the search finds no automorphism, so a failing verdict
     carries a smallest counterexample.  A negative ``k`` or ``aut_cap``
@@ -427,68 +502,10 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
     """
     if k is not None and k < 0:
         raise ValidationError(f"domain size bound must be non-negative, got {k}")
-    if aut_cap < 0:
-        raise ValidationError(f"automorphism cap must be non-negative, got {aut_cap}")
-    tables = _search_tables(digraph)
-    vertices = digraph.vertices()
-    m, total = len(digraph.left), len(vertices)
-    # vertices are numbered by position in ``vertices``: left 0..m-1,
-    # right m..total-1; maps become tuples of positions
-    pos = {v: p for p, v in enumerate(vertices)}
-    _, _, lines, _, ranks, _ = tables
-    rank = list(chain(*ranks))
-    line = list(chain(*lines))   # a position's pair states to the other side
-    found: list[tuple[int, ...]] = []   # automorphisms met by the searches
-
-    def extends(source, image) -> bool:
-        initial = {vertices[s]: vertices[t] for s, t in zip(source, image)}
-        for g in _search_maps(tables, tables, initial, 1):
-            found.append(tuple(pos[g[v]] for v in vertices))
-            return True
-        return False
-
-    def alike(fixed: tuple[int, ...], p: int) -> list[int]:
-        # the q outside ``fixed`` on p's side with p's pair states to the
-        # fixed vertices on the other side: the images of p under the
-        # valid maps that fix the rest
-        if p < m:
-            side, cross = range(m), [f - m for f in fixed if f >= m]
-        else:
-            side, cross = range(m, total), [f for f in fixed if f < m]
-        states = [line[p][c] for c in cross]
-        return [q for q in side if q not in fixed
-                and [line[q][c] for c in cross] == states]
-
-    @cache
-    def orbit_size(prefix: tuple[int, ...]) -> int:
-        # the orbit of prefix[-1] under the maps that fix the rest of the
-        # prefix; an automorphism also keeps colours
-        fixed, p = prefix[:-1], prefix[-1]
-        images = [q for q in alike(fixed, p) if rank[q] == rank[p]]
-        if len(images) == 1:
-            return 1
-        gens = [g for g in found if all(g[f] == f for f in fixed)]
-        orbit = _orbit([p], gens)
-        for q in images:
-            if q in orbit:
-                continue
-            if line[q] == line[p]:
-                # twins: swapping p and q alone is an automorphism
-                g = list(range(total))
-                g[p], g[q] = q, p
-                found.append(tuple(g))
-            elif not extends(prefix, fixed + (q,)):
-                continue
-            gens.append(found[-1])
-            orbit = _orbit(orbit, gens)
-        return len(orbit)
-
-    # the deepest stabiliser first, so the maps found so far all fix
-    # the current prefix and prune its orbit
-    if prod(orbit_size(tuple(range(p + 1))) for p in reversed(range(total))) > aut_cap:
-        raise AutGroupTooLarge(aut_cap)
+    group = _StabiliserChain(digraph, aut_cap)
+    vertices, m, total, line = group.vertices, group.m, group.total, group.line
     bit = [1 << p for p in range(total)]
-    moves = [[bit[q] for q in g] for g in found]   # the found maps on bitmasks
+    moves = [[bit[q] for q in g] for g in group.found]   # the found maps on bitmasks
 
     seen: set[int] = set()
     # no domain has more points than the structure
@@ -510,7 +527,7 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
                         todo.append([q for q in range(total) if image & bit[q]])
             # every smaller domain has passed, so this one passes when
             # its last point's orbit fixing the rest is its whole class
-            if orbit_size(subset) == len(alike(subset[:-1], subset[-1])):
+            if len(group[subset]) == len(group.alike(subset[:-1], subset[-1])):
                 continue
             a = bisect_left(subset, m)
             want = [tuple(line[j][i] for i in subset[:a]) for j in subset[a:]]
@@ -525,7 +542,7 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
                 for img_r in permutations(range(m, total), size - a):
                     target = img_l + img_r   # the identity always extends
                     if ([key[j] for j in img_r] == want and target != subset
-                            and not extends(subset, target)):
+                            and not group.extends(subset, target)):
                         return HomogeneityVerdict(False, PartialMap.from_dict(
                             {vertices[p]: vertices[q] for p, q in zip(subset, target)}))
     return HomogeneityVerdict(True, None)

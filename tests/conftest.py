@@ -8,7 +8,10 @@ exceptions are earlier production paths kept as differential oracles:
 ``iso.is_homogeneous`` replaced (it shares the map-search kernel);
 ``pairwise_search_maps``, the map search that checked each candidate
 against every assigned vertex and never cut a subtree, which the
-signature search ``iso._search_maps`` replaced; ``walk_homogeneous``,
+signature search ``iso._search_maps`` replaced; ``automorphism_maps``,
+the listing of the automorphism group by one full map search, which the
+stabiliser chain's ``iso._StabiliserChain.maps`` replaced (it shares
+the map-search kernel and fixes the order of the listing); ``walk_homogeneous``,
 the restriction-lookup decider that walked every valid image of each
 domain, which the counting decider replaced (it runs on
 ``pairwise_search_maps``);
@@ -283,8 +286,20 @@ def pairwise_search_maps(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph,
     yield from rec(0)
 
 
+def automorphism_maps(digraph: TwoPartiteDigraph, cap: int) -> Iterator[dict[str, str]]:
+    """The side-preserving automorphisms of ``digraph`` as vertex maps;
+    raises AutGroupTooLarge instead of yielding a map past ``cap``."""
+    if cap < 0:
+        raise ValidationError(f"automorphism cap must be non-negative, got {cap}")
+    tables = _search_tables(digraph)
+    for count, mapping in enumerate(_search_maps(tables, tables, {}, limit=cap + 1)):
+        if count == cap:
+            raise AutGroupTooLarge(cap)
+        yield mapping
+
+
 def _pairwise_automorphism_maps(digraph: TwoPartiteDigraph, cap: int) -> Iterator[dict[str, str]]:
-    """``iso._automorphism_maps`` on the pairwise search."""
+    """``automorphism_maps`` on the pairwise search."""
     if cap < 0:
         raise ValidationError(f"automorphism cap must be non-negative, got {cap}")
     for count, mapping in enumerate(pairwise_search_maps(digraph, digraph, {}, limit=cap + 1)):

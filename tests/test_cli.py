@@ -301,6 +301,16 @@ class TestBafEnumVerify:
         assert (code, out) == (2, "")
         assert err == "error: automorphism group exceeds cap of 1000000 maps\n"
 
+    def test_aut_group_over_cap_exits_two_at_once(self, tmp_path):
+        # 7!^2 maps: the stabiliser chain's order refuses them before any
+        # is listed
+        path = write(tmp_path, "empty7.json", empty_digraph(7, 7))
+        start = time.perf_counter()
+        code, out, err = cli("aut", "--in", path)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == "error: automorphism group exceeds cap of 1000000 maps\n"
+
     def test_verify_four_by_four_forced(self):
         from twopartite.census import _catalog_in_range
         from twopartite.iso import canonical_form
@@ -493,6 +503,9 @@ PINNED_MAP_SEARCH = {
     "iso": "87f5275b3b8c75565418f4f158f91faea44023af819dbe43f387457884171318",
     "check-hom": "d49f14f74a016e3e0abfc83461b0ba98cd09199f48c3dbcb5103ae7ba6af37de",
 }
+# SHA-256 of the ``aut`` payloads of three disjoint 8-cycles on 12x12
+# sides (3,072 maps each), computed on the listing by one full map search.
+PINNED_AUT_CYCLES = "dbab367f404567d719269fc6425a30e03928154b5f29b9166033386cd7bb8e90"
 
 
 def _map_search_inputs(tmp_path) -> dict[str, list[list[str]]]:
@@ -559,6 +572,16 @@ class TestPinnedPayloads:
         runs = _map_search_inputs(tmp_path)[command]
         text = _transcript(runs).replace(str(tmp_path), "")
         assert _sha(text) == PINNED_MAP_SEARCH[command]
+
+    def test_aut_three_eight_cycles(self, tmp_path):
+        import random
+        cycles = cycle_structure((4, 4, 4), False)
+        runs = [["aut", "--in", write(tmp_path, f"{name}.json", structure)]
+                for name, structure in (("cycles", cycles),
+                                        ("shuffled", shuffled_copy(cycles, random.Random(24))))]
+        text = _transcript(runs).replace(str(tmp_path), "")
+        assert text.count('{"pairs":') == 2 * 3072
+        assert _sha(text) == PINNED_AUT_CYCLES
 
 
 def _odd_rows(count: int, seed: int) -> tuple:

@@ -14,6 +14,7 @@ from twopartite.catalog import (
 from twopartite.census import _classes, enumerate_all
 from twopartite.errors import AutGroupTooLarge, InvalidPartialMap, ValidationError
 from twopartite.iso import (
+    DEFAULT_AUT_CAP,
     PartialMap,
     _search_maps,
     _search_tables,
@@ -28,6 +29,7 @@ from twopartite.iso import (
 
 from conftest import (
     DESK_PAIRS,
+    automorphism_maps,
     census_classes,
     cycle_structure,
     lexmin_canonical_form,
@@ -467,10 +469,69 @@ class TestCountingDecider:
     def test_group_is_never_listed(self, monkeypatch):
         def listed(*args, **kwargs):
             raise AssertionError("the decider listed the automorphism group")
-        monkeypatch.setattr(iso, "_automorphism_maps", listed)
+        monkeypatch.setattr(iso._StabiliserChain, "maps", listed)
         monkeypatch.setattr(iso, "automorphisms", listed)
         assert is_homogeneous(empty_digraph(6, 6)).holds
         assert is_homogeneous(matching_digraph(5)).holds
+
+
+def paley_type(p: int):
+    """The two-state Paley-type 2-partite structure on Z_p and Z_p: the
+    pair (x_i, y_j) is an edge x_i -> y_j when i + j is 0 or a quadratic
+    residue mod p, and y_j -> x_i otherwise."""
+    residues = {i * i % p for i in range(p)}
+    left, right = [f"x{i}" for i in range(p)], [f"y{j}" for j in range(p)]
+    return build(left, right, [(x, y) if (i + j) % p in residues else (y, x)
+                               for i, x in enumerate(left) for j, y in enumerate(right)])
+
+
+class TestChainListing:
+    """``automorphisms`` lists the group from the stabiliser chain, in the
+    order of one full map search (the ``automorphism_maps`` oracle):
+    lexicographic in the images of the vertices in stored order.  The
+    chain's order is checked against the cap before any map is listed."""
+
+    @staticmethod
+    def _agree(d):
+        ids = sorted(d.vertices())
+        expected = [tuple((v, g[v]) for v in ids)
+                    for g in automorphism_maps(d, DEFAULT_AUT_CAP)]
+        assert [a.pairs for a in automorphisms(d)] == expected
+        order = len(expected)
+        assert len(automorphisms(d, cap=order)) == order
+        with pytest.raises(AutGroupTooLarge):
+            automorphisms(d, cap=order - 1)
+
+    @pytest.mark.parametrize("m,n", DESK_PAIRS)
+    def test_every_small_class(self, m, n):
+        for d in census_classes(m, n):
+            self._agree(d)
+
+    def test_seeded_random_structures(self):
+        rng = random.Random(71)
+        for _ in range(200):
+            self._agree(shuffled_copy(random_digraph(rng, max_side=6), rng))
+
+    @pytest.mark.parametrize("one,two", CYCLE_PAIRS)
+    def test_cycle_structures(self, one, two):
+        self._agree(one)
+        self._agree(two)
+
+    def test_paley_type_nineteen(self):
+        d = paley_type(19)
+        # x -> a x + b, y -> a y - b for a quadratic residue a
+        assert len(automorphisms(d)) == 19 * 9
+        self._agree(d)
+        self._agree(shuffled_copy(d, random.Random(19)))
+
+    def test_cap_is_checked_before_listing(self, monkeypatch):
+        def listed(*args, **kwargs):
+            raise AssertionError("the group was listed past the cap")
+        monkeypatch.setattr(iso._StabiliserChain, "maps", listed)
+        with pytest.raises(AutGroupTooLarge):
+            automorphisms(matching_digraph(5), cap=5 * 4 * 3 * 2 - 1)
+        with pytest.raises(AutGroupTooLarge):
+            automorphisms(empty_digraph(7, 7))
 
 
 class TestLargeCyclePairs:
