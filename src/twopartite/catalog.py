@@ -36,6 +36,8 @@ from .genericity import (
     DefectRow,
     Mode,
     _collect_defects,
+    _count,
+    _expand,
     _kernel_inputs,
     _requirement,
     achieved_level,
@@ -273,16 +275,18 @@ def witness_closure(digraph: TwoPartiteDigraph, mode: Mode, level: int,
     added = 0
     while True:
         # witnesses are appended, so cutting each side's pool to its first
-        # (original) vertices scans exactly the requirements over them
-        rows = _collect_defects(_kernel_inputs(current, mode, originals), level)
-        if not rows:
+        # (original) vertices scans exactly the requirements over them; the
+        # scan stops at one batch of rows, and at the cap reports them all
+        runs = _collect_defects(_kernel_inputs(current, mode, originals), level,
+                                None if added >= cap else cap - added)
+        if not runs:
             return current
         if added >= cap:
             raise CapExceeded(
                 f"closure needs more than {cap} added vertices "
-                f"({len(rows)} requirements still unwitnessed)",
-                current, map(_requirement, rows))
-        batch = rows[:cap - added]
+                f"({_count(runs)} requirements still unwitnessed)",
+                current, map(_requirement, _expand(runs)))
+        batch = _expand(runs)
         current = _add_witnesses(current, batch, mode, bip_direction)
         added += len(batch)
 

@@ -90,7 +90,7 @@ def _req_obj(req: Requirement | None):
 
 class _Encoded(dict):
     """JSON text of each key, encoded on first lookup, so that a payload
-    that repeats a few id tuples many times encodes each of them once."""
+    that repeats a few ids and id tuples many times encodes each once."""
 
     def __missing__(self, key):
         text = self[key] = _ENCODE(key)
@@ -98,19 +98,31 @@ class _Encoded(dict):
 
 
 def _write_report(out, report: GenericityReport) -> None:
-    """Write the report's JSON line a chunk of rows at a time, so that the
-    payload never exists whole.  The bytes are those of ``_emit`` on a dict
-    of ``mode``, ``level``, ``holds``, ``defects`` and ``nonadjacent``."""
+    """Write the report's JSON line at most ``_ROWS_PER_WRITE`` rows at a
+    time, so that the payload never exists whole.  A run's rows differ only
+    in their last id, so the run is its ids joined by ``tail + "," + head``
+    between ``head`` and ``tail``, the row text before and after that id.
+    The bytes are those of ``_emit`` on a dict of ``mode``, ``level``,
+    ``holds``, ``defects`` and ``nonadjacent``."""
     ids = _Encoded((side, _ENCODE(side.value)) for side in Side)
-    rows = report.rows
     out.write(f'{{"mode":{_ENCODE(report.mode.value)},"level":{_ENCODE(report.level)},'
               f'"holds":{_ENCODE(report.holds)},"defects":[')
-    for start in range(0, len(rows), _ROWS_PER_WRITE):
-        out.write(("," if start else "") + ",".join(
-            f'{{"side":{ids[side]},"a":{ids[a]},"b":{ids[b]},"c":{ids[c]}}}'
-            for side, a, b, c in rows[start:start + _ROWS_PER_WRITE]))
+    texts, rows = [], 0
+    for side, a, b, c, slot, tails in report.runs:
+        cells = [f'{{"side":{ids[side]},"a":', ids[a], ',"b":', ids[b], ',"c":', ids[c], "}"]
+        k = 2 * slot + 1
+        head = "".join(cells[:k]) + cells[k][:-1] + ("," if cells[k] != "[]" else "")
+        tail = "]" + "".join(cells[k + 1:])
+        quoted = [*map(ids.__getitem__, tails)] or [""]   # no tails: the prefix is the row
+        for start in range(0, len(quoted), _ROWS_PER_WRITE):
+            part = quoted[start:start + _ROWS_PER_WRITE]
+            if rows + len(part) > _ROWS_PER_WRITE:
+                out.write(",".join(texts) + ",")
+                texts, rows = [], 0
+            texts.append(head + (tail + "," + head).join(part) + tail)
+            rows += len(part)
     nonadjacent = list(report.nonadjacent) if report.nonadjacent else None
-    out.write(f'],"nonadjacent":{_ENCODE(nonadjacent)}}}\n')
+    out.write(",".join(texts) + f'],"nonadjacent":{_ENCODE(nonadjacent)}}}\n')
 
 
 def _label_obj(label: ClassLabel):

@@ -34,10 +34,10 @@ and Faradzev ("Four Russians"): for each run of 8 witnesses and each
 subset of it, the last demands that no witness of the subset accepts,
 all slots packed into one integer.  A prefix ANDs one entry per nonzero
 byte of its survivor bitmap, and that one read serves every shape that
-extends the prefix.  Each shape then reads the bits of its own slot, so
-the rows ``(side, a, b, c)`` come out in report order with no sort, and
-a limit cuts that order.  ``GenericityReport.defects`` builds
-:class:`Requirement` objects from the rows on first access.
+extends the prefix.  Each shape then reads its own slot's bits as one
+*run* of rows that share the prefix, so the runs come out in report
+order with no sort, and a limit cuts that order.  A report's ``rows``
+and ``defects`` are built from its runs on first access.
 
 ``achieved_level`` asks only whether a defect exists, so it stops at the
 first failing prefix of any shape.  It builds the tables once per
@@ -87,11 +87,36 @@ def requirement(side: Side, a: Iterable[str] = (), b: Iterable[str] = (),
 
 
 DefectRow = tuple[Side, tuple[str, ...], tuple[str, ...], tuple[str, ...]]
+# (side, a, b, c, slot, tails): the rows that extend the prefix (a, b, c)
+# by one id of ``tails`` in ``slot`` (0 for a, 1 for b, 2 for c), ``tails``
+# ascending.  Empty ``tails`` stand for the prefix itself: the defect of no
+# demands, on a side with no witnesses.
+DefectRun = tuple[Side, tuple[str, ...], tuple[str, ...], tuple[str, ...], int, tuple[str, ...]]
 
 
 def _requirement(row: DefectRow) -> Requirement:
     side, a, b, c = row
     return Requirement(side, frozenset(a), frozenset(b), frozenset(c))
+
+
+def _count(runs: Iterable[DefectRun]) -> int:
+    """The number of rows the runs stand for."""
+    return sum(len(run[5]) or 1 for run in runs)
+
+
+def _expand(runs: Iterable[DefectRun]) -> list[DefectRow]:
+    """The rows the runs stand for, in order: the one place rows are built."""
+    rows: list[DefectRow] = []
+    for side, a, b, c, slot, tails in runs:
+        if not tails:
+            rows.append((side, a, b, c))
+        elif slot == 0:
+            rows += [(side, a + (z,), b, c) for z in tails]
+        elif slot == 1:
+            rows += [(side, a, b + (z,), c) for z in tails]
+        else:
+            rows += [(side, a, b, c + (z,)) for z in tails]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -101,17 +126,27 @@ class GenericityReport:
     complete; ``nonadjacent`` carries a witnessing non-adjacent pair when
     completeness fails.
 
-    ``rows`` holds the defects as ``(side, a, b, c)`` rows of sorted id
-    tuples in report order: by side, then total size, then shape (larger
-    ``a`` first, then smaller ``c``), then the sorted ids of ``a``, ``b``
-    and ``c``.  The scan emits them in this order.  ``defects`` is the same
-    list as :class:`Requirement` objects, built on first access."""
+    ``runs`` holds the defects as the scan emits them (``DefectRun``) and
+    ``count`` their number.  ``rows`` expands the runs, on first access,
+    into ``(side, a, b, c)`` rows of sorted id tuples in report order: by
+    side, then total size, then shape (larger ``a`` first, then smaller
+    ``c``), then the sorted ids of ``a``, ``b`` and ``c``.  ``defects`` is
+    the same list as :class:`Requirement` objects, built from ``rows`` on
+    first access."""
 
     mode: Mode
     level: int
     holds: bool
-    rows: tuple[DefectRow, ...]
+    runs: tuple[DefectRun, ...]
     nonadjacent: tuple[str, str] | None = None
+
+    @property
+    def count(self) -> int:
+        return _count(self.runs)
+
+    @cached_property
+    def rows(self) -> tuple[DefectRow, ...]:
+        return tuple(_expand(self.runs))
 
     @cached_property
     def defects(self) -> tuple[Requirement, ...]:
@@ -364,51 +399,48 @@ def _failing_prefixes(kernel: tuple, prefix: tuple[int, ...]) -> Iterator[tuple]
     yield from walk(0, 0, full, 0, ())
 
 
-def _scan(kernel: tuple, size: int, limit: int | None = None) -> list[DefectRow]:
-    """Unwitnessed requirements of exactly ``size`` demands, as rows in
-    report order, cut to the first ``limit``.
+def _scan(kernel: tuple, size: int, limit: int | None = None) -> list[DefectRun]:
+    """Unwitnessed requirements of exactly ``size`` demands, as runs in
+    report order, cut to the first ``limit`` rows: the last run kept may
+    be shortened.
 
     Each group of shapes walks its prefixes once.  Then each shape reads
     its own slot of every failing prefix's packed fails: prefixes come in
     order and a slot's bits are its last demands in ascending id order, so
-    the rows come out sorted."""
+    the runs come out sorted."""
     side, mode, pool, wit_count, _, _ = kernel
     if size == 0:
-        return [] if wit_count else [(side, (), (), ())]
+        return [] if wit_count else [(side, (), (), (), 0, ())]
     p = len(pool)
     everyone = (1 << p) - 1
     codes = _SLOTS[mode]
-    singles = [(v,) for v in pool]
-    out: list[DefectRow] = []
+    runs: list[DefectRun] = []
+    room = limit   # rows left before the limit
     for prefix, lasts in _shape_groups(size, mode):
         # the prefix's ids of slots a, b and c end at these positions
         ends = [sum(codes[t] <= code for t in prefix) for code in range(3)]
         found = []
-        first_count = len(out)
+        first_count = 0
         for chosen, rem in _failing_prefixes(kernel, prefix):
             ids = tuple(pool[i] for i in chosen)
             found.append((ids[:ends[0]], ids[ends[0]:ends[1]], ids[ends[1]:], rem))
-            if limit is not None:
-                # the group's first shape alone fills the limit
+            if room is not None:
+                # the group's first shape alone fills the room
                 first_count += (rem >> lasts[0] * p & everyone).bit_count()
-                if first_count >= limit:
+                if first_count >= room:
                     break
         for last in lasts:
             shift, code = last * p, codes[last]
             for a, b, c, rem in found:
                 bits = rem >> shift & everyone
-                if not bits:
-                    continue
-                tails = compress(singles, bin(bits)[:1:-1].encode().translate(_ZERO_ONE))
-                if code == 0:
-                    out += [(side, a + z, b, c) for z in tails]
-                elif code == 1:
-                    out += [(side, a, b + z, c) for z in tails]
-                else:
-                    out += [(side, a, b, c + z) for z in tails]
-            if limit is not None and len(out) >= limit:
-                return out[:limit]
-    return out
+                if bits:
+                    runs.append((side, a, b, c, code, tuple(compress(
+                        pool, bin(bits)[:1:-1].encode().translate(_ZERO_ONE)))[:room]))
+                    if room is not None:
+                        room -= bits.bit_count()
+                        if room <= 0:
+                            return runs
+    return runs
 
 
 def _fails(kernel: tuple, size: int) -> bool:
@@ -418,27 +450,20 @@ def _fails(kernel: tuple, size: int) -> bool:
     return any(any(_failing_prefixes(kernel, p)) for p, _ in _shape_groups(size, kernel[1]))
 
 
-def _side_defects(inputs: tuple, level: int, limit: int | None) -> list[DefectRow]:
-    """One side's rows, cut to the first ``limit``: ``inputs`` is its
-    ``_kernel_inputs`` entry.  No requirement has more demands than the
-    pool has elements, so the sizes stop there."""
-    kernel = _kernel(*inputs)
-    defects: list[DefectRow] = []
-    for size in range(min(level, len(kernel[2])) + 1):
-        if len(defects) == limit:
-            break
-        defects += _scan(kernel, size, None if limit is None else limit - len(defects))
-    return defects
-
-
 def _collect_defects(inputs: list[tuple], level: int,
-                     limit: int | None = None) -> list[DefectRow]:
-    """Unwitnessed requirements as rows, in report order, cut to the first
-    ``limit``.  ``inputs`` is ``_kernel_inputs`` output."""
-    defects = _side_defects(inputs[0], level, limit)
-    if len(defects) != limit:
-        defects += _side_defects(inputs[1], level, limit)
-    return defects[:limit]
+                     limit: int | None = None) -> list[DefectRun]:
+    """Unwitnessed requirements as runs, in report order, cut to the first
+    ``limit`` rows.  ``inputs`` is ``_kernel_inputs`` output.  No
+    requirement has more demands than its pool has elements."""
+    runs: list[DefectRun] = []
+    for side_inputs in inputs:
+        kernel = _kernel(*side_inputs)
+        for size in range(min(level, len(side_inputs[2])) + 1):
+            rest = None if limit is None else limit - _count(runs)
+            if rest == 0:
+                return runs
+            runs += _scan(kernel, size, rest)
+    return runs
 
 
 def validate_level(level: int) -> None:
@@ -453,24 +478,24 @@ def check_generic_2partite(digraph: TwoPartiteDigraph, level: int) -> Genericity
     reported via ``nonadjacent`` and makes the verdict fail."""
     validate_level(level)
     nonadj = digraph.first_nonadjacent_pair()
-    rows = _collect_defects(_kernel_inputs(digraph, Mode.TWO_PARTITE), level)
-    holds = not rows and nonadj is None
-    return GenericityReport(Mode.TWO_PARTITE, level, holds, tuple(rows), nonadj)
+    runs = _collect_defects(_kernel_inputs(digraph, Mode.TWO_PARTITE), level)
+    holds = not runs and nonadj is None
+    return GenericityReport(Mode.TWO_PARTITE, level, holds, tuple(runs), nonadj)
 
 
 def check_generic_orientation(digraph: TwoPartiteDigraph, level: int) -> GenericityReport:
     """Extension property with successor/predecessor/non-neighbour demands."""
     validate_level(level)
-    rows = _collect_defects(_kernel_inputs(digraph, Mode.ORIENTATION), level)
-    return GenericityReport(Mode.ORIENTATION, level, not rows, tuple(rows))
+    runs = _collect_defects(_kernel_inputs(digraph, Mode.ORIENTATION), level)
+    return GenericityReport(Mode.ORIENTATION, level, not runs, tuple(runs))
 
 
 def check_generic_bipartite(digraph: TwoPartiteDigraph, level: int) -> GenericityReport:
     """Undirected extension property: adjacency/non-adjacency demands,
     where an edge in either direction counts as adjacency."""
     validate_level(level)
-    rows = _collect_defects(_kernel_inputs(digraph, Mode.BIPARTITE), level)
-    return GenericityReport(Mode.BIPARTITE, level, not rows, tuple(rows))
+    runs = _collect_defects(_kernel_inputs(digraph, Mode.BIPARTITE), level)
+    return GenericityReport(Mode.BIPARTITE, level, not runs, tuple(runs))
 
 
 def first_defect(digraph: TwoPartiteDigraph, level: int, mode: Mode) -> Requirement | None:
@@ -478,8 +503,8 @@ def first_defect(digraph: TwoPartiteDigraph, level: int, mode: Mode) -> Requirem
     defect, or None when the level holds.  In TWO_PARTITE mode
     the structural completeness clause is not consulted here."""
     validate_level(level)
-    rows = _collect_defects(_kernel_inputs(digraph, mode), level, limit=1)
-    return _requirement(rows[0]) if rows else None
+    runs = _collect_defects(_kernel_inputs(digraph, mode), level, limit=1)
+    return _requirement(_expand(runs)[0]) if runs else None
 
 
 def achieved_level(digraph: TwoPartiteDigraph, mode: Mode, max_level: int) -> int:

@@ -39,7 +39,7 @@ word-level draws of ``catalog`` replaced.
 import json
 import random
 from functools import lru_cache
-from itertools import combinations, islice, permutations, product, repeat
+from itertools import combinations, compress, islice, permutations, product, repeat
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -54,11 +54,14 @@ from twopartite.core import Side, TwoPartiteDigraph
 from twopartite.errors import AutGroupTooLarge, ValidationError
 from twopartite.genericity import (
     _SLOTS,
+    _ZERO_ONE,
     DefectRow,
     GenericityReport,
     Mode,
     Requirement,
+    _failing_prefixes,
     _kernel,
+    _shape_groups,
 )
 from twopartite.iso import (
     DEFAULT_AUT_CAP,
@@ -638,6 +641,82 @@ def sorted_scan_rows(inputs, level: int, mode: Mode, scan=_scan_size) -> list[De
             raw = scan(rows, packed, len(pool), wit_count, size, limit=None)
             defects += _sorted_rows(side, pool, mode_slot_names(mode), size, raw)
     return defects
+
+
+# -- the row-emitting scan ------------------------------------------------------
+#
+# The scan and collectors that emitted one row tuple per defect, kept
+# verbatim (renamed) as the oracle of the runs that replaced them: the
+# expansion of ``genericity._scan``'s runs must equal ``row_scan``'s rows.
+
+def row_scan(kernel: tuple, size: int, limit: int | None = None) -> list[DefectRow]:
+    """Unwitnessed requirements of exactly ``size`` demands, as rows in
+    report order, cut to the first ``limit``.
+
+    Each group of shapes walks its prefixes once.  Then each shape reads
+    its own slot of every failing prefix's packed fails: prefixes come in
+    order and a slot's bits are its last demands in ascending id order, so
+    the rows come out sorted."""
+    side, mode, pool, wit_count, _, _ = kernel
+    if size == 0:
+        return [] if wit_count else [(side, (), (), ())]
+    p = len(pool)
+    everyone = (1 << p) - 1
+    codes = _SLOTS[mode]
+    singles = [(v,) for v in pool]
+    out: list[DefectRow] = []
+    for prefix, lasts in _shape_groups(size, mode):
+        # the prefix's ids of slots a, b and c end at these positions
+        ends = [sum(codes[t] <= code for t in prefix) for code in range(3)]
+        found = []
+        first_count = len(out)
+        for chosen, rem in _failing_prefixes(kernel, prefix):
+            ids = tuple(pool[i] for i in chosen)
+            found.append((ids[:ends[0]], ids[ends[0]:ends[1]], ids[ends[1]:], rem))
+            if limit is not None:
+                # the group's first shape alone fills the limit
+                first_count += (rem >> lasts[0] * p & everyone).bit_count()
+                if first_count >= limit:
+                    break
+        for last in lasts:
+            shift, code = last * p, codes[last]
+            for a, b, c, rem in found:
+                bits = rem >> shift & everyone
+                if not bits:
+                    continue
+                tails = compress(singles, bin(bits)[:1:-1].encode().translate(_ZERO_ONE))
+                if code == 0:
+                    out += [(side, a + z, b, c) for z in tails]
+                elif code == 1:
+                    out += [(side, a, b + z, c) for z in tails]
+                else:
+                    out += [(side, a, b, c + z) for z in tails]
+            if limit is not None and len(out) >= limit:
+                return out[:limit]
+    return out
+
+
+def _row_side_defects(inputs: tuple, level: int, limit: int | None) -> list[DefectRow]:
+    """One side's rows, cut to the first ``limit``: ``inputs`` is its
+    ``_kernel_inputs`` entry.  No requirement has more demands than the
+    pool has elements, so the sizes stop there."""
+    kernel = _kernel(*inputs)
+    defects: list[DefectRow] = []
+    for size in range(min(level, len(kernel[2])) + 1):
+        if len(defects) == limit:
+            break
+        defects += row_scan(kernel, size, None if limit is None else limit - len(defects))
+    return defects
+
+
+def row_defects(inputs: list[tuple], level: int,
+                limit: int | None = None) -> list[DefectRow]:
+    """Unwitnessed requirements as rows, in report order, cut to the first
+    ``limit``.  ``inputs`` is ``_kernel_inputs`` output."""
+    defects = _row_side_defects(inputs[0], level, limit)
+    if len(defects) != limit:
+        defects += _row_side_defects(inputs[1], level, limit)
+    return defects[:limit]
 
 
 # -- materialised defect lists -------------------------------------------------

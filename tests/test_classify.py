@@ -1,4 +1,6 @@
-from twopartite import build
+import pytest
+
+from twopartite import build, genericity
 from twopartite.catalog import (
     ApproximantSpec,
     Direction,
@@ -180,6 +182,20 @@ class TestClassifyProfile:
         label = classify_profile(d, 2)
         assert label.case is ClassCase.INCONCLUSIVE
         assert label.reason
+
+    def test_defect_counts_read_from_runs(self, monkeypatch):
+        # the reason counts both checks' defects from their runs: expanding
+        # the 1,603,650 orientation rows would take about 200 MB
+        d = generic_2partite_approx(ApproximantSpec(64, 2, seed=1))
+
+        def refuse(runs):
+            pytest.fail("defect runs expanded into rows")
+
+        monkeypatch.setattr(genericity, "_expand", refuse)
+        label = classify_profile(d, 3)
+        assert label.case is ClassCase.INCONCLUSIVE
+        assert label.reason == ("extension checks fail at level 3: 130 two-partite "
+                                "defect(s), 1603650 orientation defect(s)")
 
     def test_mixed_perp_flag(self):
         # x1 sees every right vertex, x2 has a perp vertex: the profile a

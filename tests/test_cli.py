@@ -507,6 +507,11 @@ PINNED_MAP_SEARCH = {
 # sides (3,072 maps each), computed on the listing by one full map search.
 PINNED_AUT_CYCLES = "dbab367f404567d719269fc6425a30e03928154b5f29b9166033386cd7bb8e90"
 
+# SHA-256 of the check-generic payload of 127,520 rows on a 160x160 level-3
+# generic-2partite approximant, computed with the writer that formatted
+# one row at a time.
+PINNED_LARGE_REPORT = "bda3200b273d2456a782198e16acc7e176ed466b8d15db11f5642393734aa941"
+
 
 def _map_search_inputs(tmp_path) -> dict[str, list[list[str]]]:
     """Inputs, most listed in an order unlike their id order, and the runs of
@@ -546,6 +551,18 @@ class TestPinnedPayloads:
                 for path in paths for level in range(4)]
         assert _sha(_transcript(runs).replace(str(tmp_path), "")) == PINNED_CHECK_GENERIC[mode]
 
+    def test_large_orientation_report(self, tmp_path):
+        code, out, _ = cli("gen", "generic-2partite", "--size", "160", "--level", "3",
+                           "--seed", "31394")
+        assert code == 0
+        path = tmp_path / "gen.json"
+        path.write_text(out, encoding="utf-8")
+        code, out, err = cli("check-generic", "--mode", "orientation", "--level", "2",
+                             "--in", str(path))
+        assert (code, err) == (1, "")
+        assert out.count('{"side":') == 127_520
+        assert _sha(out) == PINNED_LARGE_REPORT
+
     def test_baf_transcript(self):
         runs = [["baf", "--mode", "2partite", "--size", "16", "--level", "2",
                  "--seed1", "3", "--seed2", "4"],
@@ -584,18 +601,39 @@ class TestPinnedPayloads:
         assert _sha(text) == PINNED_AUT_CYCLES
 
 
-def _odd_rows(count: int, seed: int) -> tuple:
-    """``count`` report rows on the odd ids, each demand set a sorted tuple
-    of up to two of them."""
+def _odd_runs(count: int, seed: int) -> tuple:
+    """Runs of ``count`` report rows in all, on the odd ids: each prefix
+    slot holds up to two of them, the tails are up to six ascending ids
+    outside the prefix, and one run in twenty is the empty-tailed run of
+    the defect of no demands."""
     import random
     rng = random.Random(seed)
-    rows = []
-    for _ in range(count):
+    runs = []
+    while count:
         side = rng.choice((Side.LEFT, Side.RIGHT))
-        ids = rng.sample(_ODD_LEFT if side is Side.LEFT else _ODD_RIGHT, 6)
-        rows.append((side, *(tuple(sorted(ids[2 * i:2 * i + rng.randrange(3)]))
-                              for i in range(3))))
-    return tuple(rows)
+        if rng.random() < 0.05:
+            runs.append((side, (), (), (), 0, ()))
+            count -= 1
+            continue
+        pool = _ODD_LEFT if side is Side.LEFT else _ODD_RIGHT
+        ids = rng.sample(pool, 6)
+        prefix = [tuple(sorted(ids[2 * i:2 * i + rng.randrange(3)])) for i in range(3)]
+        rest = sorted(set(pool).difference(*prefix))
+        tails = tuple(sorted(rng.sample(rest, rng.randint(1, min(count, 6, len(rest))))))
+        runs.append((side, *prefix, rng.randrange(3), tails))
+        count -= len(tails)
+    return tuple(runs)
+
+
+def _written(report) -> list[str]:
+    """The writes of ``_write_report``, checked against the one-call
+    encoding: compared as lists of row texts, which are equal iff the
+    payloads are, so that a failure names the first differing row."""
+    writes = []
+    _write_report(SimpleNamespace(write=writes.append), report)
+    assert "".join(writes).split("},{") == report_json(report).split("},{")
+    assert max(w.count('{"side":') for w in writes) <= _ROWS_PER_WRITE
+    return writes
 
 
 class TestReportWriter:
@@ -604,11 +642,33 @@ class TestReportWriter:
     @pytest.mark.parametrize("nonadjacent", [None, ('x"q', "y\u2603")])
     def test_matches_single_object_encoding(self, count, mode, nonadjacent):
         report = GenericityReport(mode, count % 4, not count and nonadjacent is None,
-                                  _odd_rows(count, count), nonadjacent)
-        writes = []
-        _write_report(SimpleNamespace(write=writes.append), report)
-        assert "".join(writes) == report_json(report)
-        assert max(w.count('{"side":') for w in writes) <= _ROWS_PER_WRITE
+                                  _odd_runs(count, count), nonadjacent)
+        assert report.count == len(report.rows) == count
+        _written(report)
+
+    @pytest.mark.parametrize("slot", range(3))
+    @pytest.mark.parametrize("prefix", [(), ('x"q',), ("x\u00e9", "x\u65e5")])
+    def test_prefix_in_every_slot(self, slot, prefix):
+        # the last demand's slot with an empty, a one-id and a two-id
+        # prefix, between other slots that are empty or not
+        for other in ((), ("x10",)):
+            sets = [other, ("x33",), other]
+            sets[slot] = prefix
+            runs = ((Side.LEFT, *sets, slot, ("x03", "x1")), (Side.RIGHT, (), (), (), 0, ()),
+                    (Side.RIGHT, *sets[::-1], slot, ("y\u2603",)))
+            _written(GenericityReport(Mode.ORIENTATION, 2, False, runs))
+
+    def test_run_longer_than_one_write(self):
+        # a run of 2 * _ROWS_PER_WRITE + 3 rows between runs of 5 and 2
+        # rows is split into three pieces, the last written with the run
+        # after it
+        wide = tuple(sorted(f"y{k}" for k in range(2 * _ROWS_PER_WRITE + 3)))
+        runs = ((Side.RIGHT, ("y\u2603",), (), (), 0, tuple(f"y\"{k}" for k in range(5))),
+                (Side.RIGHT, (), ("y\\",), ('y"',), 1, wide),
+                (Side.RIGHT, (), (), ("y\u00fc",), 2, ("y0", "y1")))
+        writes = _written(GenericityReport(Mode.ORIENTATION, 3, False, runs))
+        assert [w.count('{"side":') for w in writes[1:]] == [
+            5, _ROWS_PER_WRITE, _ROWS_PER_WRITE, 5]
 
 
 _IDS = st.sampled_from(["x1", "x2", "x3", "y1", "y2", "y3"])

@@ -42,6 +42,8 @@ from conftest import (
     naive_witness,
     random_digraph,
     requirement_sort_key,
+    row_defects,
+    row_scan,
     sorted_scan_rows,
     unrolled_kernel,
 )
@@ -300,6 +302,11 @@ def _oracle_rows(inputs, level, mode, limit=None, scan=_scan_size):
     return rows
 
 
+def _collected_rows(inputs, level, limit=None):
+    """``genericity._collect_defects``'s runs, expanded into rows."""
+    return genericity._expand(genericity._collect_defects(inputs, level, limit=limit))
+
+
 def _oracle_achieved_level(structure, mode, max_level, scan=_scan_size):
     if mode is Mode.TWO_PARTITE and structure.first_nonadjacent_pair() is not None:
         return -1
@@ -375,7 +382,7 @@ class TestTransposedKernel:
             for mode, structure in _mode_inputs(d):
                 inputs = genericity._kernel_inputs(structure, mode)
                 for level, limit in cases:
-                    got = genericity._collect_defects(inputs, level, limit=limit)
+                    got = _collected_rows(inputs, level, limit)
                     want = _oracle_rows(inputs, level, mode, limit, scan=unrolled_kernel)
                     assert got == want, (d, mode, level, limit)
 
@@ -394,7 +401,7 @@ class TestTransposedKernel:
                     for size in self.LEVELS:
                         side_rows = parts.get((side, size), [])
                         for limit in (None, 1, 2):
-                            got = genericity._scan(kernel, size, limit)
+                            got = genericity._expand(genericity._scan(kernel, size, limit))
                             assert got == side_rows[:limit], (d, mode, side, size, limit)
                         assert genericity._fails(kernel, size) == bool(side_rows)
 
@@ -427,11 +434,11 @@ class TestTransposedKernel:
                     assert len(packed) == -(-wit_count // genericity._CHUNK)
                 for level in range(4):
                     for limit in (None, 1, 2):
-                        got = genericity._collect_defects(inputs, level, limit=limit)
+                        got = _collected_rows(inputs, level, limit)
                         want = _oracle_rows(inputs, level, mode, limit, scan=unrolled_kernel)
                         assert got == want, (d, mode, level, limit)
                 for limit in (1, 2):
-                    got = genericity._collect_defects(inputs, 4, limit=limit)
+                    got = _collected_rows(inputs, 4, limit)
                     assert got == _oracle_rows(inputs, 4, mode, limit), (d, mode, limit)
                 assert (achieved_level(structure, mode, 3)
                         == _oracle_achieved_level(structure, mode, 3, scan=unrolled_kernel))
@@ -498,7 +505,7 @@ class TestDefectRows:
             for mode, structure in _mode_inputs(d):
                 inputs = genericity._kernel_inputs(structure, mode)
                 for level, limit in cases:
-                    got = genericity._collect_defects(inputs, level, limit=limit)
+                    got = _collected_rows(inputs, level, limit)
                     assert got == _oracle_rows(inputs, level, mode, limit), \
                         (d, mode, level, limit)
                     if limit is None:
@@ -551,6 +558,104 @@ class TestDefectRows:
                     assert exc.defects == tuple(materialized_defects(cut, 2, mode))
                     assert list(map(defect_row, exc.defects)) == sorted_scan_rows(cut, 2, mode)
         assert seen > 20
+
+
+# -- runs against the row-emitting scan they replaced ------------------------------
+
+def _run_limits(runs):
+    """Limits 1 and 2, and the limits one row inside, at and one row past
+    the end of each run."""
+    limits, total = {1, 2}, 0
+    for run in runs:
+        total += len(run[5]) or 1
+        limits |= {total - 1, total, total + 1}
+    return sorted(limits - {0})
+
+
+def _check_runs(runs, side, size):
+    """The shape of one side's runs of one size: every tail ascending and
+    outside the prefix, one run per prefix and last slot, and empty tails
+    only for the one defect of no demands."""
+    assert len({run[:5] for run in runs}) == len(runs)
+    for run_side, a, b, c, slot, tails in runs:
+        assert run_side is side
+        if size == 0:
+            assert (a, b, c, slot, tails) == ((), (), (), 0, ())
+            continue
+        assert list(tails) == sorted(set(tails)) and tails
+        assert not set(tails) & set(a + b + c)
+        assert len(a + b + c) == size - 1
+
+
+class TestRuns:
+    SIZES = range(5)
+
+    def _compare(self, inputs, mode, levels):
+        """Per side and size, and then across both sides per level, the
+        expanded runs against the row-emitting scan: uncut, and cut per
+        size to every limit of ``_run_limits`` and across both sides at
+        the last level to limits around the change of side."""
+        for side, kernel in kernels_of(inputs).items():
+            for size in self.SIZES:
+                runs = genericity._scan(kernel, size)
+                rows = row_scan(kernel, size)
+                assert genericity._expand(runs) == rows, (mode, side, size)
+                assert genericity._count(runs) == len(rows)
+                _check_runs(runs, side, size)
+                for limit in _run_limits(runs):
+                    cut = genericity._scan(kernel, size, limit)
+                    assert genericity._expand(cut) == rows[:limit], (mode, side, size, limit)
+                    assert cut[:-1] == runs[:len(cut) - 1]
+        for level in levels:
+            runs = genericity._collect_defects(inputs, level)
+            rows = row_defects(inputs, level)
+            assert genericity._expand(runs) == rows, (mode, level)
+        # limits that end in or just past the left side's last run
+        left = genericity._count(run for run in runs if run[0] is Side.LEFT)
+        for limit in {1, 2, left - 1, left, left + 1, left + 2} - {0, -1}:
+            assert _collected_rows(inputs, level, limit) == rows[:limit], (mode, limit)
+
+    def test_random_structures(self):
+        rng = random.Random(2222)
+        for _ in range(150):
+            d = _scrambled_digraph(rng, max_side=4)
+            for mode, structure in _mode_inputs(d):
+                self._compare(genericity._kernel_inputs(structure, mode), mode, self.SIZES)
+
+    def test_cut_pools(self):
+        # the pools of witness_closure's partial structures, and random
+        # cuts of random structures: vertices past a cut are witnesses only
+        rng = random.Random(3333)
+        seen = 0
+        for _ in range(40):
+            d = _scrambled_digraph(rng, max_side=4)
+            for mode, structure in _mode_inputs(d):
+                originals = {side: len(structure.side(side)) for side in (Side.LEFT, Side.RIGHT)}
+                try:
+                    witness_closure(structure, mode, 2, cap=2)
+                except CapExceeded as exc:
+                    seen += 1
+                    inputs = genericity._kernel_inputs(exc.partial, mode, originals)
+                    self._compare(inputs, mode, range(4))
+                cut = {side: rng.randint(0, count) for side, count in originals.items()}
+                self._compare(genericity._kernel_inputs(structure, mode, cut), mode, range(4))
+        assert seen > 20
+
+    @pytest.mark.parametrize("m,n", [(0, 0), (0, 1), (0, 3), (1, 0), (4, 0)])
+    def test_empty_sides(self, m, n):
+        # a side facing no witnesses fails every requirement, the one of
+        # no demands included
+        d = empty_digraph(m, n)
+        for mode, structure in _mode_inputs(d):
+            inputs = genericity._kernel_inputs(structure, mode)
+            self._compare(inputs, mode, self.SIZES)
+            report = CHECKS[mode](structure, 2)
+            empty_rows = [(side, (), (), ()) for side, count in ((Side.LEFT, n), (Side.RIGHT, m))
+                          if not count]
+            assert [row for row in report.rows if not any(row[1:])] == empty_rows
+            assert report.count == len(report.rows) == len(report.defects)
+            first = first_defect(structure, 2, mode)
+            assert (first and defect_row(first)) == (report.rows[0] if report.rows else None)
 
 
 # Digests of the JSON text of seeded builder outputs; a change to the scan
