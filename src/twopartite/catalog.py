@@ -1,14 +1,15 @@
 """Constructors for the structure classes and their finite approximants.
 
-The fixed families (complete, empty, matching, complement of matching,
-and the matching/complement pair) are built exactly.  The generic
-families only exist as infinite structures, so their builders produce
-finite *approximants*: randomized structures verified to satisfy the
-extension property at a requested level, retried with fresh draws from
-the seeded stream until verification passes or the attempt budget runs
-out.  ``witness_closure`` is the deterministic alternative: it grows a
-structure by adding explicit witnesses for every requirement over the
-original vertex set.
+Every constructor assembles the pair-state matrix; none writes an edge
+list.  The fixed families (complete, empty, matching, complement of
+matching, and the matching/complement pair) are built exactly.  The
+generic families only exist as infinite structures, so their builders
+produce finite *approximants*: randomized structures verified to satisfy
+the extension property at a requested level, retried with fresh draws
+from the seeded stream until verification passes or the attempt budget
+runs out.  ``witness_closure`` is the deterministic alternative: it grows a
+structure by appending a row or column per witness until every
+requirement over the original vertex set has one.
 
 A rough calibration for the randomized builders (probability 1/2 per
 direction, 1/3 per pair state): a level-1 check needs side sizes around
@@ -24,7 +25,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import PAIR_LR, PAIR_NONE, PAIR_RL, Side, TwoPartiteDigraph, _assemble, _index, build
+from .core import FLIPPED, PAIR_LR, PAIR_NONE, PAIR_RL, Side, TwoPartiteDigraph, _assemble, _index
 from .errors import (
     ApproximantNotFound,
     CapExceeded,
@@ -51,19 +52,20 @@ class Direction(Enum):
     LEFT_TO_RIGHT = "left_to_right"
     RIGHT_TO_LEFT = "right_to_left"
 
-    @property
-    def reversed(self) -> "Direction":
-        if self is Direction.LEFT_TO_RIGHT:
-            return Direction.RIGHT_TO_LEFT
-        return Direction.LEFT_TO_RIGHT
+
+# the pair state of an edge in each direction
+_STATE = {Direction.LEFT_TO_RIGHT: PAIR_LR, Direction.RIGHT_TO_LEFT: PAIR_RL}
 
 
 def _ids(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
-def _oriented(x: str, y: str, direction: Direction) -> tuple[str, str]:
-    return (x, y) if direction is Direction.LEFT_TO_RIGHT else (y, x)
+def _grid(m: int, n: int, state) -> TwoPartiteDigraph:
+    """Sides x1..xm and y1..yn, the pair (x_i, y_j) in ``state(i, j)``."""
+    left, right = _ids("x", m), _ids("y", n)
+    matrix = [[state(i, j) for j in range(n)] for i in range(m)]
+    return _assemble(left, right, matrix, _index(left), _index(right))
 
 
 def _check_sizes(*sizes: int) -> None:
@@ -76,21 +78,21 @@ def complete_bipartite_digraph(m: int, n: int,
                                direction: Direction = Direction.LEFT_TO_RIGHT) -> TwoPartiteDigraph:
     """All m*n edges present, all in one direction."""
     _check_sizes(m, n)
-    left, right = _ids("x", m), _ids("y", n)
-    return build(left, right, [_oriented(x, y, direction) for x in left for y in right])
+    state = _STATE[direction]
+    return _grid(m, n, lambda i, j: state)
 
 
 def empty_digraph(m: int, n: int) -> TwoPartiteDigraph:
     """No edges at all."""
     _check_sizes(m, n)
-    return build(_ids("x", m), _ids("y", n), [])
+    return _grid(m, n, lambda i, j: PAIR_NONE)
 
 
 def matching_digraph(n: int, direction: Direction = Direction.LEFT_TO_RIGHT) -> TwoPartiteDigraph:
     """A perfect matching x_i ~ y_i, oriented one way."""
     _check_sizes(n)
-    left, right = _ids("x", n), _ids("y", n)
-    return build(left, right, [_oriented(left[i], right[i], direction) for i in range(n)])
+    state = _STATE[direction]
+    return _grid(n, n, lambda i, j: state if i == j else PAIR_NONE)
 
 
 def complement_matching_digraph(n: int,
@@ -98,10 +100,8 @@ def complement_matching_digraph(n: int,
     """All cross pairs except the matching x_i ~ y_i; n(n-1) edges."""
     if n < 1:
         raise InvalidSpec("complement of a matching needs side size >= 1")
-    left, right = _ids("x", n), _ids("y", n)
-    edges = [_oriented(left[i], right[j], direction)
-             for i in range(n) for j in range(n) if i != j]
-    return build(left, right, edges)
+    state = _STATE[direction]
+    return _grid(n, n, lambda i, j: PAIR_NONE if i == j else state)
 
 
 def matching_complement_pair(size: int,
@@ -112,12 +112,8 @@ def matching_complement_pair(size: int,
     complete bipartite.  Needs size >= 2."""
     if size < 2:
         raise PairSizeTooSmall(f"need size >= 2, got {size}")
-    left, right = _ids("x", size), _ids("y", size)
-    edges = [_oriented(left[i], right[i], matching_direction) for i in range(size)]
-    rev = matching_direction.reversed
-    edges += [_oriented(left[i], right[j], rev)
-              for i in range(size) for j in range(size) if i != j]
-    return build(left, right, edges)
+    state = _STATE[matching_direction]
+    return _grid(size, size, lambda i, j: state if i == j else FLIPPED[state])
 
 
 @dataclass(frozen=True)
@@ -162,8 +158,7 @@ def _bit_table(zero: int, one: int) -> bytes:
     return bytes(one if b >> 7 else zero for b in range(256))
 
 
-_BIPARTITE_STATES = {Direction.LEFT_TO_RIGHT: _bit_table(PAIR_NONE, PAIR_LR),
-                     Direction.RIGHT_TO_LEFT: _bit_table(PAIR_NONE, PAIR_RL)}
+_BIPARTITE_STATES = {d: _bit_table(PAIR_NONE, state) for d, state in _STATE.items()}
 _TWO_PARTITE_STATES = _bit_table(PAIR_RL, PAIR_LR)
 # a word's getrandbits(2) is its top byte's top two bits; randrange(3)
 # rejects 3, which is a top byte of 0xC0 or more, and draws again
@@ -266,9 +261,8 @@ def witness_closure(digraph: TwoPartiteDigraph, mode: Mode, level: int,
         raise ValidationError(f"closure cap must be non-negative, got {cap}")
     if mode is Mode.BIPARTITE and not digraph.is_bipartite_digraph():
         raise InvalidSpec("bipartite-mode closure needs a one-direction input")
-    bip_direction = Direction.LEFT_TO_RIGHT
-    if digraph.edges and digraph.side_of(digraph.edges[0][0]) is Side.RIGHT:
-        bip_direction = Direction.RIGHT_TO_LEFT
+    # in bipartite mode, new edges follow the input's one direction
+    bip_state = PAIR_RL if any(PAIR_RL in row for row in digraph.matrix) else PAIR_LR
 
     originals = {Side.LEFT: len(digraph.left), Side.RIGHT: len(digraph.right)}
     current = digraph
@@ -287,41 +281,32 @@ def witness_closure(digraph: TwoPartiteDigraph, mode: Mode, level: int,
                 f"({_count(runs)} requirements still unwitnessed)",
                 current, map(_requirement, _expand(runs)))
         batch = _expand(runs)
-        current = _add_witnesses(current, batch, mode, bip_direction)
+        current = _add_witnesses(current, batch, mode, bip_state)
         added += len(batch)
 
 
 def _add_witnesses(current: TwoPartiteDigraph, batch: list[DefectRow],
-                   mode: Mode, bip_direction: Direction) -> TwoPartiteDigraph:
-    left = list(current.left)
-    right = list(current.right)
-    edges = list(current.edges)
-    taken = set(left) | set(right)
-    names = _fresh_names(taken, len(batch))
-    for (side, a, b, c), w in zip(batch, names):
-        # the witness lives on the side opposite the requirement sets
-        witness_on_left = side is Side.RIGHT
-        if mode is Mode.BIPARTITE:
-            # a demands adjacency, c non-adjacency; new edges follow the
-            # input's single direction, everything else stays non-adjacent
-            for u in a:
-                x, y = (w, u) if witness_on_left else (u, w)
-                edges.append(_oriented(x, y, bip_direction))
-        else:
-            for u in a:    # a ⊆ N+(w)
-                edges.append((w, u))
-            for u in b:    # b ⊆ N-(w)
-                edges.append((u, w))
-            if mode is Mode.TWO_PARTITE:
-                # keep the underlying graph complete: unconstrained pairs
-                # get the left-to-right default
-                constrained = {*a, *b, *c}
-                for u in (right if witness_on_left else left):
-                    if u in constrained:
-                        continue
-                    edges.append((w, u) if witness_on_left else (u, w))
-        if witness_on_left:
-            left.append(w)
-        else:
-            right.append(w)
-    return build(left, right, edges)
+                   mode: Mode, bip_state: int) -> TwoPartiteDigraph:
+    """``current`` with one witness per row of ``batch``, in batch order:
+    a row of the matrix for a witness on the left, a column for one on
+    the right.  Pairs no requirement constrains, new witnesses with each
+    other included, get PAIR_LR in TWO_PARTITE mode, which keeps the
+    underlying graph complete, and PAIR_NONE otherwise."""
+    default = PAIR_LR if mode is Mode.TWO_PARTITE else PAIR_NONE
+    new_left, new_right = [], []   # each witness's id and its constrained cells
+    for (side, a, b, c), w in zip(batch, _fresh_names(set(current.vertices()), len(batch))):
+        # the witness lives on the side opposite the requirement sets; a
+        # demands successors (in bipartite mode, adjacency in the input's
+        # direction), b predecessors and c non-neighbours
+        on_left = side is Side.RIGHT
+        index = current.col_of if on_left else current.row_of
+        succ = bip_state if mode is Mode.BIPARTITE else PAIR_LR if on_left else PAIR_RL
+        (new_left if on_left else new_right).append((w, {index[u]: s for us, s in (
+            (a, succ), (b, FLIPPED[succ]), (c, PAIR_NONE)) for u in us}))
+    rows = [[*row, *(cells.get(i, default) for _, cells in new_right)]
+            for i, row in enumerate(current.matrix)]
+    width = len(current.right) + len(new_right)
+    rows += [[cells.get(j, default) for j in range(width)] for _, cells in new_left]
+    left = current.left + tuple(w for w, _ in new_left)
+    right = current.right + tuple(w for w, _ in new_right)
+    return _assemble(left, right, rows, _index(left), _index(right))

@@ -117,11 +117,9 @@ def classify_bipartite_graph(digraph: TwoPartiteDigraph,
 def distinct_neighbourhoods(digraph: TwoPartiteDigraph) -> bool:
     """True when, on each side, out-neighbourhoods are pairwise distinct
     and in-neighbourhoods are pairwise distinct."""
-    rows = digraph.pair_states()
-    columns = [tuple(row[j] for row in rows) for j in range(len(digraph.right))]
     # a vertex's successors are the cells of its line in one direction
     # state, its predecessors those in the other
-    for lines in (rows, columns):
+    for lines in (digraph.matrix, digraph.columns):
         for state in (PAIR_LR, PAIR_RL):
             if len({tuple(s == state for s in line) for line in lines}) != len(lines):
                 return False
@@ -138,18 +136,12 @@ def matching_complement_size(digraph: TwoPartiteDigraph) -> int | None:
         return None
     if digraph.first_nonadjacent_pair() is not None:
         return None  # underlying graph not complete
-    rows = digraph.pair_states()
     for state in (PAIR_LR, PAIR_RL):
         # a perfect matching: exactly one cell of each row and each column
-        if (all(row.count(state) == 1 for row in rows)
-                and all(column.count(state) == 1 for column in zip(*rows))):
+        if (all(row.count(state) == 1 for row in digraph.matrix)
+                and all(column.count(state) == 1 for column in digraph.columns)):
             return size
     return None
-
-
-def _mixed_perp_profile(digraph: TwoPartiteDigraph) -> bool:
-    perps = [p[2] for p in digraph.degree_profile().values()]
-    return bool(perps) and any(p == 0 for p in perps) and any(p > 0 for p in perps)
 
 
 def classify_exact(digraph: TwoPartiteDigraph) -> ClassLabel:
@@ -197,7 +189,8 @@ def classify_profile(digraph: TwoPartiteDigraph, level: int) -> ClassLabel:
     A negative ``level`` raises ValidationError.
     """
     validate_level(level)
-    evidence: dict = {"mixed_perp_profile": _mixed_perp_profile(digraph)}
+    perps = [p[2] for p in digraph.degree_profile().values()]
+    evidence: dict = {"mixed_perp_profile": 0 in perps and any(perps)}
     if digraph.is_bipartite_digraph():
         sub = classify_bipartite_graph(digraph, level)
         evidence.update(sub.evidence)
@@ -210,8 +203,7 @@ def classify_profile(digraph: TwoPartiteDigraph, level: int) -> ClassLabel:
     if size is not None:
         return ClassLabel(ClassCase.MATCHING_COMPLEMENT, pair_size=size, evidence=evidence)
 
-    profile = digraph.degree_profile()
-    if all(p[2] == 0 for p in profile.values()):
+    if not any(perps):
         report = check_generic_2partite(digraph, level)
         evidence["two_partite_genericity"] = report
         if report.holds:
@@ -225,7 +217,7 @@ def classify_profile(digraph: TwoPartiteDigraph, level: int) -> ClassLabel:
         reason = (f"extension checks fail at level {level}: "
                   f"{evidence['two_partite_genericity'].count} two-partite "
                   f"defect(s), {report_o.count} orientation defect(s)")
-    elif any(p[2] == 0 for p in profile.values()):
+    elif 0 in perps:
         reason = (f"mixed perp profile and the orientation extension check "
                   f"fails at level {level} ({report_o.count} defect(s))")
     else:

@@ -35,7 +35,7 @@ from .catalog import (
     witness_closure,
 )
 from .classify import ClassCase, ClassLabel, classify_exact, classify_profile
-from .core import Side, TwoPartiteDigraph, from_json_text, to_dot, to_json_text
+from .core import Side, TwoPartiteDigraph, from_json_text, to_dot, to_json_obj, to_json_text
 from .errors import (
     ApproximantNotFound,
     AutGroupTooLarge,
@@ -186,7 +186,7 @@ def _cmd_gen(args, out, err) -> int:
         except CapExceeded as exc:
             _emit(out, {"built": False, "error": "cap-exceeded",
                         "remaining_defects": len(exc.defects),
-                        "partial": json.loads(to_json_text(exc.partial))})
+                        "partial": to_json_obj(exc.partial)})
             print(str(exc), file=err)
             return 1
     else:

@@ -9,17 +9,19 @@ is the same as equal edge lists): isomorphism lives elsewhere.
 
 The stored form is the pair-state matrix: one cell per (left, right)
 pair, holding ``PAIR_NONE``, ``PAIR_LR`` or ``PAIR_RL``.  Every query
-here reads it.  The edge list is derived from it on first read and
-cached, so a structure whose edges are never read (a rejected build
-attempt, a census candidate, a loaded file that is only checked) never
-lists them.  An undirected bipartite graph is the one-direction digraph
-with every edge oriented left-to-right
+here reads it by rows (``matrix``) or by columns (``columns``).  The
+columns and the edge list are derived from it on first read and cached,
+so a structure whose edges are never read (a rejected build attempt, a
+census candidate, a loaded file that is only checked) never lists them.
+:func:`build` validates an edge list from outside; the package's own
+constructors assemble matrices.  An undirected bipartite graph is the
+one-direction digraph with every edge oriented left-to-right
 (:meth:`TwoPartiteDigraph.underlying_bipartite`); there is no separate
 undirected type.
 
 Structures are immutable after construction and every operation here is
-a pure read (the cached edge list is the same whichever thread derives
-it), so values can be shared freely between threads.
+a pure read (a cached view is the same whichever thread derives it), so
+values can be shared freely between threads.
 
 The canonical file format is a JSON object ``{"x": [...], "y": [...],
 "edges": [[src, dst], ...]}``; the reader applies the same validation as
@@ -100,17 +102,18 @@ def build(left: Iterable[str], right: Iterable[str],
         except (TypeError, ValueError):
             raise MalformedInput(f"edge {e!r} is not a pair")
         try:
-            for w in (u, v):
-                if w not in row_of and w not in col_of:
-                    raise UnknownEndpoint(f"edge ({u!r}, {v!r}): unknown endpoint {w!r}")
+            # u before v throughout: an unknown u is named even if v is unhashable
+            if u in row_of and v in col_of:
+                row, j, state = matrix[row_of[u]], col_of[v], PAIR_LR
+            elif u in col_of and v in row_of:
+                row, j, state = matrix[row_of[v]], col_of[u], PAIR_RL
+            else:
+                for w in (u, v):
+                    if w not in row_of and w not in col_of:
+                        raise UnknownEndpoint(f"edge ({u!r}, {v!r}): unknown endpoint {w!r}")
+                raise SameSideEdge(f"edge ({u!r}, {v!r}) joins vertices of the same side")
         except TypeError:  # an unhashable endpoint, such as a JSON list
             raise MalformedInput(f"edge ({u!r}, {v!r}) has an unhashable endpoint") from None
-        if u in row_of and v in col_of:
-            row, j, state = matrix[row_of[u]], col_of[v], PAIR_LR
-        elif v in row_of and u in col_of:
-            row, j, state = matrix[row_of[v]], col_of[u], PAIR_RL
-        else:
-            raise SameSideEdge(f"edge ({u!r}, {v!r}) joins vertices of the same side")
         if row[j] == FLIPPED[state]:
             raise SymmetricEdgePair(f"both ({u!r}, {v!r}) and ({v!r}, {u!r}) supplied")
         row[j] = state
@@ -131,8 +134,9 @@ class TwoPartiteDigraph:
     ``matrix`` is the stored pair-state matrix (rows over ``left``,
     columns over ``right``), and ``row_of``/``col_of`` give each left
     vertex its row and each right vertex its column.  Equality and
-    hashing compare the sides and the matrix.  ``edges`` is derived from
-    the matrix on first read; ``repr`` shows the sides and the edges.
+    hashing compare the sides and the matrix.  ``columns`` and ``edges``
+    are derived from the matrix on first read; ``repr`` shows the sides
+    and the edges.
     """
 
     left: tuple[str, ...]
@@ -142,14 +146,20 @@ class TwoPartiteDigraph:
     col_of: Mapping[str, int] = field(compare=False)
 
     @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The matrix read by columns: one line of pair states per right
+        vertex, over ``left``."""
+        return tuple(zip(*self.matrix)) if self.matrix else ((),) * len(self.right)
+
+    @cached_property
     def edges(self) -> tuple[tuple[str, str], ...]:
         """Left-to-right edges row by row, then right-to-left edges
         column by column."""
-        left, right, matrix = self.left, self.right, self.matrix
-        edges = [(x, right[j]) for x, row in zip(left, matrix)
+        left, right = self.left, self.right
+        edges = [(x, right[j]) for x, row in zip(left, self.matrix)
                  for j, s in enumerate(row) if s == PAIR_LR]
-        edges += [(y, left[i]) for j, y in enumerate(right)
-                  for i, row in enumerate(matrix) if row[j] == PAIR_RL]
+        edges += [(y, left[i]) for y, column in zip(right, self.columns)
+                  for i, s in enumerate(column) if s == PAIR_RL]
         return tuple(edges)
 
     def __repr__(self) -> str:
@@ -196,8 +206,7 @@ class TwoPartiteDigraph:
         state seen from v: PAIR_LR for v -> w, PAIR_RL for w -> v."""
         if self.side_of(v) is Side.LEFT:
             return zip(self.right, self.matrix[self.row_of[v]])
-        j = self.col_of[v]
-        return ((x, FLIPPED[row[j]]) for x, row in zip(self.left, self.matrix))
+        return zip(self.left, map(FLIPPED.__getitem__, self.columns[self.col_of[v]]))
 
     def out_neighbourhood(self, v: str) -> tuple[str, ...]:
         """Successors of v, in stored order of the opposite side."""
@@ -216,15 +225,12 @@ class TwoPartiteDigraph:
 
         The three counts always sum to the size of the opposite side.
         """
-        m, n = len(self.left), len(self.right)
         profile = {}
-        for x, row in zip(self.left, self.matrix):
-            out, inn = row.count(PAIR_LR), row.count(PAIR_RL)
-            profile[x] = (out, inn, n - out - inn)
-        for j, y in enumerate(self.right):
-            column = [row[j] for row in self.matrix]
-            out, inn = column.count(PAIR_RL), column.count(PAIR_LR)
-            profile[y] = (out, inn, m - out - inn)
+        for ids, lines, out_state, in_state in ((self.left, self.matrix, PAIR_LR, PAIR_RL),
+                                                (self.right, self.columns, PAIR_RL, PAIR_LR)):
+            for v, line in zip(ids, lines):
+                out, inn = line.count(out_state), line.count(in_state)
+                profile[v] = (out, inn, len(line) - out - inn)
         return profile
 
     # -- derived structures -----------------------------------------------
@@ -257,7 +263,7 @@ class TwoPartiteDigraph:
 
     def swap_sides(self) -> "TwoPartiteDigraph":
         """Exchange the two sides; edges keep their orientation."""
-        matrix = [[FLIPPED[row[j]] for row in self.matrix] for j in range(len(self.right))]
+        matrix = [map(FLIPPED.__getitem__, column) for column in self.columns]
         return _assemble(self.right, self.left, matrix, self.col_of, self.row_of)
 
     def relabel(self, mapping: Mapping[str, str]) -> "TwoPartiteDigraph":
@@ -292,12 +298,10 @@ def from_json_obj(obj: object) -> TwoPartiteDigraph:
             raise MalformedInput(f"missing field {key!r}")
         if not isinstance(obj[key], list):
             raise MalformedInput(f"field {key!r} must be a list")
-    edges = []
     for i, e in enumerate(obj["edges"]):
         if not (isinstance(e, list) and len(e) == 2):
             raise MalformedInput(f"edges[{i}] must be a [src, dst] pair")
-        edges.append((e[0], e[1]))
-    return build(obj["x"], obj["y"], edges)
+    return build(obj["x"], obj["y"], obj["edges"])
 
 
 def from_json_text(text: str) -> TwoPartiteDigraph:

@@ -109,7 +109,6 @@ class InsufficientGenericity(OutcomeError):
     """A back-and-forth step found no admissible witness; ``requirement``
     is an extension demand the structure cannot satisfy."""
 
-    def __init__(self, message: str, requirement=None, report=None):
+    def __init__(self, message: str, requirement=None):
         super().__init__(message)
         self.requirement = requirement
-        self.report = report

@@ -108,44 +108,27 @@ def _rank(values: dict[str, object]) -> dict[str, int]:
 def _refined_colors(digraph: TwoPartiteDigraph) -> dict[str, tuple]:
     """Colour invariant: degree triple refined twice by the multiset of
     (pair state, neighbour colour) over the opposite side."""
-    left, right = digraph.left, digraph.right
-    m, n = len(left), len(right)
-    mat = digraph.pair_states()
+    # per side (0 left, 1 right): its ids, each vertex's line of pair
+    # states seen from it (PAIR_LR out, PAIR_RL in), the other side's ids
+    views = ((0, digraph.left, digraph.matrix, digraph.right),
+             (1, digraph.right, [tuple(map(FLIPPED.__getitem__, column))
+                                 for column in digraph.columns], digraph.left))
     col: dict[str, tuple] = {}
-    for i, x in enumerate(left):
-        out = sum(1 for j in range(n) if mat[i][j] == PAIR_LR)
-        inn = sum(1 for j in range(n) if mat[i][j] == PAIR_RL)
-        col[x] = (0, out, inn, n - out - inn)
-    for j, y in enumerate(right):
-        out = sum(1 for i in range(m) if mat[i][j] == PAIR_RL)
-        inn = sum(1 for i in range(m) if mat[i][j] == PAIR_LR)
-        col[y] = (1, out, inn, m - out - inn)
+    for side, ids, lines, other in views:
+        for v, line in zip(ids, lines):
+            out, inn = line.count(PAIR_LR), line.count(PAIR_RL)
+            col[v] = (side, out, inn, len(other) - out - inn)
     for _ in range(2):
-        sigs: dict[str, tuple] = {}
-        for i, x in enumerate(left):
-            sigs[x] = (col[x], tuple(sorted(
-                (mat[i][j], col[y]) for j, y in enumerate(right))))
-        for j, y in enumerate(right):
-            sigs[y] = (col[y], tuple(sorted(
-                (FLIPPED[mat[i][j]], col[x]) for i, x in enumerate(left))))
-        # compress per round so colour values stay small; ranking by the
-        # sorted distinct signature keeps equality stable across
-        # isomorphic structures (same multiset -> same ranks)
-        left_rank = _rank({x: sigs[x] for x in left})
-        right_rank = _rank({y: sigs[y] for y in right})
-        refined = {x: (col[x], left_rank[x]) for x in left}
-        refined.update({y: (col[y], right_rank[y]) for y in right})
+        refined: dict[str, tuple] = {}
+        for _, ids, lines, other in views:
+            # compress per round so colour values stay small; ranking by
+            # the sorted distinct signature keeps equality stable across
+            # isomorphic structures (same multiset -> same ranks)
+            rank = _rank({v: (col[v], tuple(sorted(zip(line, map(col.__getitem__, other)))))
+                          for v, line in zip(ids, lines)})
+            refined.update((v, (col[v], rank[v])) for v in ids)
         col = refined
     return col
-
-
-def _blocks(ids: tuple[str, ...], col: dict[str, tuple]) -> list[list[str]]:
-    """``ids`` grouped into colour classes, the classes sorted by colour
-    value and each kept in stored order."""
-    groups: dict[tuple, list[str]] = {}
-    for v in ids:
-        groups.setdefault(col[v], []).append(v)
-    return [groups[k] for k in sorted(groups)]
 
 
 def _arrangements(lines, blocks: list[list[int]], cross_blocks: list[list[int]]):
@@ -178,19 +161,20 @@ def canonical_form(digraph: TwoPartiteDigraph) -> CanonicalForm:
     header = b"TP1" + m.to_bytes(4, "big") + n.to_bytes(4, "big")
     if not (m and n):
         return header
-    col = _refined_colors(digraph)
-    mat = digraph.pair_states()
-    lblocks = [[digraph.row_of[x] for x in b] for b in _blocks(digraph.left, col)]
-    rblocks = [[digraph.col_of[y] for y in b] for b in _blocks(digraph.right, col)]
+    _, _, (rows, columns), _, ranks, _ = _search_tables(digraph)
+    # each side's positions grouped into colour classes, the classes in
+    # colour order and each kept in stored order
+    lblocks, rblocks = ([[p for p, r in enumerate(side) if r == k] for k in sorted(set(side))]
+                        for side in ranks)
 
     def orderings(blocks):
         return prod(factorial(len(b)) for b in blocks)
 
     if orderings(lblocks) <= orderings(rblocks):
         # the cross vectors are columns: compare them as rows
-        best = min(list(zip(*cols)) for cols in _arrangements(mat, lblocks, rblocks))
+        best = min(list(zip(*cols)) for cols in _arrangements(rows, lblocks, rblocks))
     else:
-        best = min(_arrangements(list(zip(*mat)), rblocks, lblocks))
+        best = min(_arrangements(columns, rblocks, lblocks))
     return header + bytes(chain.from_iterable(best))
 
 
@@ -208,9 +192,8 @@ def _search_tables(digraph: TwoPartiteDigraph) -> tuple:
     colour's rank is its place among the structure's distinct colours,
     so two structures with equal palettes rank colours alike."""
     col = _refined_colors(digraph)
-    mat = digraph.pair_states()
     ids = (digraph.left, digraph.right)
-    lines = (mat, list(zip(*mat)) if mat else [()] * len(digraph.right))
+    lines = (digraph.matrix, digraph.columns)
     rank = {c: r for r, c in enumerate(sorted(set(col.values())))}
     return (ids, (digraph.row_of, digraph.col_of), lines,
             [list(map(_uniform_state, side)) for side in lines],

@@ -30,10 +30,16 @@ one object, which the CLI's streamed writer replaced; ``full_census``,
 the census over every class, which the side-regular census replaced; and
 ``side_regular_census``, the census over the classes of the side-regular
 walk ``side_regular_states``, which the generated line-symmetric classes
-replaced (it shares ``_classes`` and ``_entry``); and
+replaced (it shares ``_classes`` and ``_entry``);
 ``pairwise_bit_rows`` and ``pairwise_orientation_rows``, the randomized
 builders' draws of one ``getrandbits`` call per pair state, which the
-word-level draws of ``catalog`` replaced.
+word-level draws of ``catalog`` replaced; ``two_sided_refined_colors``,
+the colour refinement that spelled out the left and right sides apart,
+which the one loop over both sides' views of ``iso._refined_colors``
+replaced; and ``edge_list_closure`` with ``edge_list_add_witnesses``,
+the witness closure that re-listed every edge each round and rebuilt
+the structure through ``build``, which the closure that appends rows
+and columns to the matrix replaced (it shares the defect scan).
 """
 
 import json
@@ -48,10 +54,11 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from twopartite import build
+from twopartite.catalog import Direction, _fresh_names
 from twopartite.census import CensusEntry, _classes, _entry, enumerate_all
 from twopartite.classify import classify_exact
-from twopartite.core import Side, TwoPartiteDigraph
-from twopartite.errors import AutGroupTooLarge, ValidationError
+from twopartite.core import FLIPPED, PAIR_LR, PAIR_RL, Side, TwoPartiteDigraph
+from twopartite.errors import AutGroupTooLarge, CapExceeded, InvalidSpec, ValidationError
 from twopartite.genericity import (
     _SLOTS,
     _ZERO_ONE,
@@ -59,14 +66,21 @@ from twopartite.genericity import (
     GenericityReport,
     Mode,
     Requirement,
+    _collect_defects,
+    _count,
+    _expand,
     _failing_prefixes,
     _kernel,
+    _kernel_inputs,
+    _requirement,
     _shape_groups,
+    validate_level,
 )
 from twopartite.iso import (
     DEFAULT_AUT_CAP,
     HomogeneityVerdict,
     PartialMap,
+    _rank,
     _refined_colors,
     _search_maps,
     _search_tables,
@@ -922,6 +936,127 @@ def refuse_edges(monkeypatch):
         raise AssertionError("edge list computed")
 
     return lambda: monkeypatch.setattr(TwoPartiteDigraph, "edges", property(refuse))
+
+
+# -- two-sided colour refinement and edge-list witness closure --------------
+
+def two_sided_refined_colors(digraph: TwoPartiteDigraph) -> dict[str, tuple]:
+    """Colour invariant: degree triple refined twice by the multiset of
+    (pair state, neighbour colour) over the opposite side."""
+    left, right = digraph.left, digraph.right
+    m, n = len(left), len(right)
+    mat = digraph.pair_states()
+    col: dict[str, tuple] = {}
+    for i, x in enumerate(left):
+        out = sum(1 for j in range(n) if mat[i][j] == PAIR_LR)
+        inn = sum(1 for j in range(n) if mat[i][j] == PAIR_RL)
+        col[x] = (0, out, inn, n - out - inn)
+    for j, y in enumerate(right):
+        out = sum(1 for i in range(m) if mat[i][j] == PAIR_RL)
+        inn = sum(1 for i in range(m) if mat[i][j] == PAIR_LR)
+        col[y] = (1, out, inn, m - out - inn)
+    for _ in range(2):
+        sigs: dict[str, tuple] = {}
+        for i, x in enumerate(left):
+            sigs[x] = (col[x], tuple(sorted(
+                (mat[i][j], col[y]) for j, y in enumerate(right))))
+        for j, y in enumerate(right):
+            sigs[y] = (col[y], tuple(sorted(
+                (FLIPPED[mat[i][j]], col[x]) for i, x in enumerate(left))))
+        # compress per round so colour values stay small; ranking by the
+        # sorted distinct signature keeps equality stable across
+        # isomorphic structures (same multiset -> same ranks)
+        left_rank = _rank({x: sigs[x] for x in left})
+        right_rank = _rank({y: sigs[y] for y in right})
+        refined = {x: (col[x], left_rank[x]) for x in left}
+        refined.update({y: (col[y], right_rank[y]) for y in right})
+        col = refined
+    return col
+
+
+def _oriented(x: str, y: str, direction: Direction) -> tuple[str, str]:
+    return (x, y) if direction is Direction.LEFT_TO_RIGHT else (y, x)
+
+
+
+def edge_list_closure(digraph: TwoPartiteDigraph, mode: Mode, level: int,
+                    cap: int) -> TwoPartiteDigraph:
+    """Deterministically add witness vertices until every requirement of
+    total size <= ``level`` over the *original* vertex set has a witness.
+
+    The original vertices and their induced structure are untouched; the
+    construction only adds.  In TWO_PARTITE mode a new witness is made
+    adjacent to the whole opposite side, with pairs the requirement does
+    not constrain oriented left-to-right.  In the other modes
+    unconstrained pairs stay non-adjacent.  Raises CapExceeded (carrying
+    the partial structure and the remaining defects) when more than
+    ``cap`` vertices would be needed, and ValidationError for a negative
+    ``level`` or ``cap``.
+    """
+    validate_level(level)
+    if cap < 0:
+        raise ValidationError(f"closure cap must be non-negative, got {cap}")
+    if mode is Mode.BIPARTITE and not digraph.is_bipartite_digraph():
+        raise InvalidSpec("bipartite-mode closure needs a one-direction input")
+    bip_direction = Direction.LEFT_TO_RIGHT
+    if digraph.edges and digraph.side_of(digraph.edges[0][0]) is Side.RIGHT:
+        bip_direction = Direction.RIGHT_TO_LEFT
+
+    originals = {Side.LEFT: len(digraph.left), Side.RIGHT: len(digraph.right)}
+    current = digraph
+    added = 0
+    while True:
+        # witnesses are appended, so cutting each side's pool to its first
+        # (original) vertices scans exactly the requirements over them; the
+        # scan stops at one batch of rows, and at the cap reports them all
+        runs = _collect_defects(_kernel_inputs(current, mode, originals), level,
+                                None if added >= cap else cap - added)
+        if not runs:
+            return current
+        if added >= cap:
+            raise CapExceeded(
+                f"closure needs more than {cap} added vertices "
+                f"({_count(runs)} requirements still unwitnessed)",
+                current, map(_requirement, _expand(runs)))
+        batch = _expand(runs)
+        current = edge_list_add_witnesses(current, batch, mode, bip_direction)
+        added += len(batch)
+
+
+def edge_list_add_witnesses(current: TwoPartiteDigraph, batch: list[DefectRow],
+                   mode: Mode, bip_direction: Direction) -> TwoPartiteDigraph:
+    left = list(current.left)
+    right = list(current.right)
+    edges = list(current.edges)
+    taken = set(left) | set(right)
+    names = _fresh_names(taken, len(batch))
+    for (side, a, b, c), w in zip(batch, names):
+        # the witness lives on the side opposite the requirement sets
+        witness_on_left = side is Side.RIGHT
+        if mode is Mode.BIPARTITE:
+            # a demands adjacency, c non-adjacency; new edges follow the
+            # input's single direction, everything else stays non-adjacent
+            for u in a:
+                x, y = (w, u) if witness_on_left else (u, w)
+                edges.append(_oriented(x, y, bip_direction))
+        else:
+            for u in a:    # a ⊆ N+(w)
+                edges.append((w, u))
+            for u in b:    # b ⊆ N-(w)
+                edges.append((u, w))
+            if mode is Mode.TWO_PARTITE:
+                # keep the underlying graph complete: unconstrained pairs
+                # get the left-to-right default
+                constrained = {*a, *b, *c}
+                for u in (right if witness_on_left else left):
+                    if u in constrained:
+                        continue
+                    edges.append((w, u) if witness_on_left else (u, w))
+        if witness_on_left:
+            left.append(w)
+        else:
+            right.append(w)
+    return build(left, right, edges)
 
 
 # -- structure generation -----------------------------------------------------

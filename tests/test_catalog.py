@@ -35,6 +35,7 @@ from twopartite.genericity import (
 )
 
 from conftest import (
+    edge_list_closure,
     naive_witness,
     pairwise_bit_rows,
     pairwise_orientation_rows,
@@ -85,6 +86,32 @@ class TestFixedConstructors:
                      lambda: complement_matching_digraph(-1)):
             with pytest.raises(InvalidSpec):
                 call()
+
+
+@pytest.mark.parametrize("direction", [L2R, R2L])
+def test_fixed_constructors_match_edge_lists(direction):
+    # each constructor's matrix is the one build gives for its edge list
+    def oriented(x, y, d=direction):
+        return (x, y) if d is L2R else (y, x)
+
+    for m in range(5):
+        for n in range(5):
+            left, right = [f"x{i + 1}" for i in range(m)], [f"y{j + 1}" for j in range(n)]
+            pairs = [(i, j) for i in range(m) for j in range(n)]
+            assert complete_bipartite_digraph(m, n, direction) == build(
+                left, right, [oriented(left[i], right[j]) for i, j in pairs])
+            assert empty_digraph(m, n) == build(left, right, [])
+            if m != n:
+                continue
+            matching = [oriented(left[i], right[j]) for i, j in pairs if i == j]
+            assert matching_digraph(n, direction) == build(left, right, matching)
+            rest = [oriented(left[i], right[j]) for i, j in pairs if i != j]
+            if n:
+                assert complement_matching_digraph(n, direction) == build(left, right, rest)
+            if n >= 2:
+                flipped = [(v, u) for u, v in rest]
+                assert matching_complement_pair(n, direction) == build(
+                    left, right, matching + flipped)
 
 
 class TestMatchingComplementPair:
@@ -356,6 +383,28 @@ PINNED_CLOSURES = [
 def test_closure_outputs_pinned(mode, seed, digest):
     text = _closure_outcomes(mode, seed)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_closure_matches_edge_list_closure(mode):
+    # the closure that appends rows and columns gives the structures, and
+    # at the cap the message, partial structure and defects, of the one
+    # that rebuilt its edge list through build each round
+    def outcome(closure, base, level, cap):
+        try:
+            return closure(base, mode, level, cap)
+        except CapExceeded as exc:
+            return str(exc), exc.partial, exc.defects
+
+    enough = 10 ** 6
+    for seed in (31, 32):
+        for base in _closure_inputs(seed, one_direction=mode is Mode.BIPARTITE):
+            for level in range(3):
+                for cap in (0, 1, enough):
+                    ours = outcome(witness_closure, base, level, cap)
+                    assert ours == outcome(edge_list_closure, base, level, cap)
+                    if cap == enough:
+                        assert ours.edges == edge_list_closure(base, mode, level, cap).edges
 
 
 def test_closure_defects_match_naive_scan():

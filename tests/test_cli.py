@@ -507,6 +507,14 @@ PINNED_MAP_SEARCH = {
 # sides (3,072 maps each), computed on the listing by one full map search.
 PINNED_AUT_CYCLES = "dbab367f404567d719269fc6425a30e03928154b5f29b9166033386cd7bb8e90"
 
+# SHA-256 of the transcripts of two census commands, computed with the
+# colour refinement that spelled out each side and the canonical form that
+# grouped colours by their values: the TP1 bytes order the classes.
+PINNED_CENSUS = {
+    "enum": "905d78af45eae9edd75eda126f98e4da1ba37d7664e76749121405ff3960670b",
+    "verify": "371631252ff4956d0d27bfc30a1a6f017c5341ae0ba12cd7277589ef7163cc88",
+}
+
 # SHA-256 of the check-generic payload of 127,520 rows on a 160x160 level-3
 # generic-2partite approximant, computed with the writer that formatted
 # one row at a time.
@@ -583,6 +591,11 @@ class TestPinnedPayloads:
         text = _transcript(runs).replace(str(tmp_path), "")
         assert text.count("cap-exceeded") == len(runs)
         assert _sha(text) == PINNED_CAP_EXCEEDED
+
+    @pytest.mark.parametrize("command,bound", [("enum", "4"), ("verify", "6")])
+    def test_census_transcript(self, command, bound):
+        runs = [[command, "--max-x", bound, "--max-y", bound]]
+        assert _sha(_transcript(runs)) == PINNED_CENSUS[command]
 
     @pytest.mark.parametrize("command", sorted(PINNED_MAP_SEARCH))
     def test_map_search_payloads(self, tmp_path, command):

@@ -18,7 +18,7 @@ from twopartite.catalog import (
     matching_complement_pair,
     matching_digraph,
 )
-from twopartite.core import TwoPartiteDigraph
+from twopartite.core import TwoPartiteDigraph, from_json_obj
 from twopartite.errors import (
     DuplicateVertex,
     MalformedInput,
@@ -110,6 +110,71 @@ class TestBuild:
             assert dict(s.row_of) == {x: i for i, x in enumerate(s.left)}
             assert dict(s.col_of) == {y: j for j, y in enumerate(s.right)}
             assert s.edges == fresh.edges and repr(s) == repr(fresh)
+
+
+# Exception type and message of each invalid edge, through build and
+# through the JSON reader, pinned on the build that checked every endpoint
+# before placing an edge.
+BAD_EDGES = [
+    ("non-pair", [["x1", "y1", "y2"]], MalformedInput,
+     "edge ('x1', 'y1', 'y2') is not a pair", "edges[0] must be a [src, dst] pair"),
+    ("unknown u", [["z", "y1"]], UnknownEndpoint, "edge ('z', 'y1'): unknown endpoint 'z'", None),
+    ("unknown v", [["x1", "z"]], UnknownEndpoint, "edge ('x1', 'z'): unknown endpoint 'z'", None),
+    ("both unknown", [["z", "w"]], UnknownEndpoint,
+     "edge ('z', 'w'): unknown endpoint 'z'", None),
+    ("same side", [["x1", "x2"]], SameSideEdge,
+     "edge ('x1', 'x2') joins vertices of the same side", None),
+    ("same side right", [["y2", "y1"]], SameSideEdge,
+     "edge ('y2', 'y1') joins vertices of the same side", None),
+    ("unhashable u", [[["x1"], "y1"]], MalformedInput,
+     "edge (['x1'], 'y1') has an unhashable endpoint", None),
+    ("unhashable v", [["x1", ["y1"]]], MalformedInput,
+     "edge ('x1', ['y1']) has an unhashable endpoint", None),
+    ("right u, unhashable v", [["y1", ["x1"]]], MalformedInput,
+     "edge ('y1', ['x1']) has an unhashable endpoint", None),
+    ("unknown u, unhashable v", [["z", ["y1"]]], UnknownEndpoint,
+     "edge ('z', ['y1']): unknown endpoint 'z'", None),
+    ("symmetric", [["x1", "y1"], ["y1", "x1"]], SymmetricEdgePair,
+     "both ('y1', 'x1') and ('x1', 'y1') supplied", None),
+    ("symmetric right first", [["y2", "x2"], ["x2", "y2"]], SymmetricEdgePair,
+     "both ('x2', 'y2') and ('y2', 'x2') supplied", None),
+]
+
+
+@pytest.mark.parametrize("edges,error,message,json_message",
+                         [case[1:] for case in BAD_EDGES], ids=[case[0] for case in BAD_EDGES])
+def test_bad_edge_errors_pinned(edges, error, message, json_message):
+    left, right = ["x1", "x2"], ["y1", "y2"]
+    with pytest.raises(error) as err:
+        build(left, right, map(tuple, edges))
+    assert type(err.value) is error and str(err.value) == message
+    with pytest.raises(error) as err:
+        from_json_obj({"x": left, "y": right, "edges": edges})
+    assert type(err.value) is error and str(err.value) == (json_message or message)
+
+
+class TestColumns:
+    def test_transpose_of_the_matrix(self):
+        rng = random.Random(15)
+        for _ in range(100):
+            d = random_digraph(rng, max_side=6, min_side=1)
+            assert d.columns == tuple(zip(*d.matrix))
+            assert len(d.columns) == len(d.right)
+
+    @pytest.mark.parametrize("m,n", [(0, 0), (0, 3), (3, 0), (1, 0), (0, 1)])
+    def test_empty_sides(self, m, n):
+        d = empty_digraph(m, n)
+        assert d.columns == ((),) * n
+        if m:
+            assert d.columns == tuple(zip(*d.matrix))
+
+    def test_not_part_of_equality(self):
+        rng = random.Random(16)
+        d = random_digraph(rng, min_side=1)
+        fresh = build(d.left, d.right, d.edges)
+        d.columns
+        assert d == fresh and hash(d) == hash(fresh)
+        assert "columns" not in repr(d)
 
 
 class TestLazyEdges:

@@ -25,6 +25,15 @@ def test_runtime_is_stdlib_only():
     assert not outside
 
 
+def test_catalog_assembles_matrices():
+    # the constructors assemble the pair-state matrix; build is the entry
+    # point for edge lists from outside the package
+    path = Path(twopartite.__file__).parent / "catalog.py"
+    imported = {alias.name for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "build" not in imported
+
+
 def test_benchmark_boundaries_are_callable():
     # the traced benchmark wraps each of these names; one that stops
     # resolving shows there only as a MISSING line.  Loaded by path and

@@ -16,6 +16,7 @@ from twopartite.errors import AutGroupTooLarge, InvalidPartialMap, ValidationErr
 from twopartite.iso import (
     DEFAULT_AUT_CAP,
     PartialMap,
+    _refined_colors,
     _search_maps,
     _search_tables,
     are_isomorphic,
@@ -40,6 +41,7 @@ from conftest import (
     search_homogeneous,
     shuffled_copy,
     side_regular_states,
+    two_sided_refined_colors,
     walk_homogeneous,
 )
 
@@ -354,6 +356,33 @@ SIDE_REGULAR_4X4 = [d for _, d in _classes(4, 4, side_regular_states(4, 4))]
 CYCLE_PAIRS = [(cycle_structure((k,), directed), cycle_structure(split, directed))
                for k, split in ((5, (2, 3)), (6, (2, 4)), (6, (3, 3)))
                for directed in (False, True)]
+
+
+class TestRefinedColours:
+    """``_refined_colors`` gives the colour values, not only the classes, of
+    the refinement that spelled out each side: ``TP1`` encodings sort
+    classes by those values."""
+
+    @pytest.mark.parametrize("m,n", DESK_PAIRS)
+    def test_every_small_class(self, m, n):
+        for d in census_classes(m, n):
+            assert _refined_colors(d) == two_sided_refined_colors(d)
+
+    def test_seeded_random_structures(self):
+        rng = random.Random(68)
+        for _ in range(200):
+            d = shuffled_copy(random_digraph(rng, max_side=6), rng)
+            assert _refined_colors(d) == two_sided_refined_colors(d)
+
+    @pytest.mark.parametrize("one,two", CYCLE_PAIRS)
+    def test_cycles(self, one, two):
+        for d in (one, two):
+            assert _refined_colors(d) == two_sided_refined_colors(d)
+
+    @pytest.mark.parametrize("m,n", [(0, 0), (0, 1), (0, 4), (1, 0), (4, 0)])
+    def test_empty_sides(self, m, n):
+        for d in (empty_digraph(m, n), complete_bipartite_digraph(m, n)):
+            assert _refined_colors(d) == two_sided_refined_colors(d)
 
 
 def _same_maps(d1, d2, initial=None):
