@@ -40,6 +40,7 @@ from .errors import (
     ApproximantNotFound,
     AutGroupTooLarge,
     CapExceeded,
+    MalformedInput,
     OutcomeError,
     TwoPartiteError,
     ValidationError,
@@ -156,6 +157,8 @@ def _load(path: str) -> TwoPartiteDigraph:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
     try:
         return from_json_text(text)
     except TwoPartiteError as exc:

@@ -311,6 +311,8 @@ def from_json_text(text: str) -> TwoPartiteDigraph:
         raise MalformedInput(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise MalformedInput("invalid JSON: nested too deeply") from exc
     return from_json_obj(obj)
 
 

@@ -39,9 +39,17 @@ extends the prefix.  Each shape then reads its own slot's bits as one
 order with no sort, and a limit cuts that order.  A report's ``rows``
 and ``defects`` are built from its runs on first access.
 
-``achieved_level`` asks only whether a defect exists, so it stops at the
-first failing prefix of any shape.  It builds the tables once per
-structure and scans one size at a time across both sides, so one call
+A report walks the shape groups: every shape's prefixes, each a shape
+minus its last demand, which must sit above the prefix in its own slot.
+Asking only whether a defect of one size exists (``_fails``) needs no
+order, so from size 3 on that walk lets the last demand be any unused
+element in any slot and walks a least-cost cover of prefix shapes: a
+prefix shape covers each shape that one more demand gives.  At size 3
+that is ``aa`` and ``bb`` for two slots, half the prefixes of the shape
+groups.  The walk stops at the first failing prefix, and a report scans
+a size in report order only when it fails, so a level that holds is
+never scanned in order.  ``achieved_level`` builds the tables once per
+structure and asks one size at a time across both sides, so one call
 both accepts a build attempt and reports how far a failed attempt got.
 """
 
@@ -50,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, compress
+from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from .core import PAIR_LR, PAIR_NONE, PAIR_RL, Side, TwoPartiteDigraph
@@ -264,12 +273,13 @@ def _kernel_inputs(digraph: TwoPartiteDigraph, mode: Mode,
         pool = sorted(range(cut), key=ids.__getitem__)
         pools[side] = tuple(ids[i] for i in pool)
         orders[side] = [*pool, *range(cut, len(ids))]
-    # permute the pair-state lines, not the bitmaps built from them: pick
-    # the rows, transpose, pick the columns and transpose back
-    picked = [matrix[i] for i in orders[Side.LEFT]]
-    columns = list(zip(*picked)) if picked else [()] * len(orders[Side.RIGHT])
-    columns = [bytes(columns[j]) for j in orders[Side.RIGHT]]
-    lines = list(map(bytes, zip(*columns))) if columns else [b""] * len(picked)
+    # permute the pair-state lines, not the bitmaps built from them: join
+    # the picked rows, slice out the picked columns and slice them back
+    m, n = len(matrix), len(orders[Side.RIGHT])
+    flat = b"".join(bytes(matrix[i]) for i in orders[Side.LEFT])
+    columns = [flat[j::n] for j in orders[Side.RIGHT]]
+    flat = b"".join(columns)
+    lines = [flat[i::m] for i in range(m)]
     bitmaps = {}
     for side, side_lines in ((Side.LEFT, lines), (Side.RIGHT, columns)):
         # reversed, a line reads as a binary numeral with position 0 lowest
@@ -345,18 +355,70 @@ def _allowed(p: int, slots: int, s: int) -> tuple[int, ...]:
                  for x in range(p))
 
 
-def _failing_prefixes(kernel: tuple, prefix: tuple[int, ...]) -> Iterator[tuple]:
-    """Prefixes with the given slots that some last demand fails, in report
-    order: ``(indices, fails)``, with ``fails`` the failing last demands of
-    every slot packed as in the tables of ``_kernel``.
+@lru_cache(maxsize=64)
+def _anywhere(p: int, slots: int) -> tuple[int, ...]:
+    """``_allowed`` for an existence walk: per last prefix element ``x``,
+    every element but ``x`` in every slot, packed."""
+    spread = sum(1 << t * p for t in range(slots))
+    return tuple(((1 << p) - 1) * spread ^ spread << x for x in range(p))
+
+
+def _weight(prefix: tuple[int, ...]) -> int:
+    """The prefixes of a prefix shape, up to a factor common to its size:
+    the multinomial ``len(prefix)! / prod(n_slot!)`` of its slot counts."""
+    return factorial(len(prefix)) // prod(factorial(prefix.count(t)) for t in set(prefix))
+
+
+def _cover(size: int, mode: Mode) -> tuple[tuple[int, ...], ...]:
+    """Prefix shapes of ``size - 1 >= 0`` demands, as ``_shape_groups``
+    lists them, such that one more demand in some slot gives every shape
+    of ``size``: a greedy weighted set cover (Chvátal), each prefix shape
+    weighted by ``_weight`` and the first of a tie in ``_splits`` order
+    taken."""
+    slots = len(_SLOTS[mode])
+    covers = {}
+    for split in _splits(size - 1, mode):
+        prefix = tuple(t for t, code in enumerate(_SLOTS[mode]) for _ in range(split[code]))
+        covers[prefix] = {tuple(sorted(prefix + (t,))) for t in range(slots)}
+    weights = {prefix: _weight(prefix) for prefix in covers}
+    uncovered = set().union(*covers.values())
+    cover = []
+    while uncovered:
+        best = min((prefix for prefix in covers if covers[prefix] & uncovered),
+                   key=lambda prefix: weights[prefix] / len(covers[prefix] & uncovered))
+        cover.append(best)
+        uncovered -= covers[best]
+    return tuple(cover)
+
+
+@lru_cache(maxsize=64)
+def _existence_walk(size: int, mode: Mode) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """The prefix shapes ``_fails`` walks for ``size >= 1``, and whether
+    their last demands may be any unused element: the cover when it weighs
+    less than the shape groups' prefixes, else those prefixes, whose
+    tighter ``_allowed`` masks empty sooner."""
+    groups = tuple(prefix for prefix, _ in _shape_groups(size, mode))
+    cover = _cover(size, mode)
+    if sum(map(_weight, cover)) < sum(map(_weight, groups)):
+        return cover, True
+    return groups, False
+
+
+def _failing_prefixes(kernel: tuple, prefix: tuple[int, ...],
+                      allow: tuple[int, ...]) -> Iterator[tuple]:
+    """Prefixes with the given slots that some allowed last demand fails,
+    in report order: ``(indices, fails)``, with ``fails`` the failing last
+    demands of every slot packed as in the tables of ``_kernel``.
 
     Each slot's elements increase and avoid the earlier slots' elements.
     The scan keeps ``pm``, the bitmap of witnesses that satisfy the
-    prefix.  A last demand in the prefix's last slot lies above that
-    slot's last element; one in a later slot may be any unused element.
-    Those that fail are the ones no survivor accepts: the AND of one table
-    entry per nonzero byte of ``pm``, which stops once nothing is left.  So
-    a prefix costs a few table reads for all its last demands at once."""
+    prefix.  ``allow[x]`` packs the last demands that may follow a last
+    prefix element ``x``: ``_allowed`` for a report, which lists each
+    requirement once, and ``_anywhere`` for an existence walk.  Elements of
+    the prefix are never last demands.  Those that fail are the ones no
+    survivor accepts: the AND of one table entry per nonzero byte of
+    ``pm``, which stops once nothing is left.  So a prefix costs a few
+    table reads for all its last demands at once."""
     _, _, pool, wit_count, rows, tables = kernel
     p = len(pool)
     everyone = (1 << p) - 1
@@ -371,7 +433,6 @@ def _failing_prefixes(kernel: tuple, prefix: tuple[int, ...]) -> Iterator[tuple]
         if rem:
             yield (), rem
         return
-    allow = _allowed(p, len(rows), prefix[-1])
     deepest = len(prefix) - 1
 
     def walk(depth: int, start: int, pm: int, used: int, chosen: tuple) -> Iterator[tuple]:
@@ -408,7 +469,7 @@ def _scan(kernel: tuple, size: int, limit: int | None = None) -> list[DefectRun]
     its own slot of every failing prefix's packed fails: prefixes come in
     order and a slot's bits are its last demands in ascending id order, so
     the runs come out sorted."""
-    side, mode, pool, wit_count, _, _ = kernel
+    side, mode, pool, wit_count, rows, _ = kernel
     if size == 0:
         return [] if wit_count else [(side, (), (), (), 0, ())]
     p = len(pool)
@@ -421,7 +482,8 @@ def _scan(kernel: tuple, size: int, limit: int | None = None) -> list[DefectRun]
         ends = [sum(codes[t] <= code for t in prefix) for code in range(3)]
         found = []
         first_count = 0
-        for chosen, rem in _failing_prefixes(kernel, prefix):
+        allow = _allowed(p, len(rows), prefix[-1]) if prefix else ()
+        for chosen, rem in _failing_prefixes(kernel, prefix, allow):
             ids = tuple(pool[i] for i in chosen)
             found.append((ids[:ends[0]], ids[ends[0]:ends[1]], ids[ends[1]:], rem))
             if room is not None:
@@ -445,16 +507,25 @@ def _scan(kernel: tuple, size: int, limit: int | None = None) -> list[DefectRun]
 
 def _fails(kernel: tuple, size: int) -> bool:
     """Whether some requirement of exactly ``size`` demands is unwitnessed."""
+    _, mode, pool, wit_count, rows, _ = kernel
     if size == 0:
-        return not kernel[3]
-    return any(any(_failing_prefixes(kernel, p)) for p, _ in _shape_groups(size, kernel[1]))
+        return not wit_count
+    p, slots = len(pool), len(rows)
+    prefixes, anywhere = _existence_walk(size, mode)
+    for prefix in prefixes:
+        allow = (_anywhere(p, slots) if anywhere
+                 else _allowed(p, slots, prefix[-1]) if prefix else ())
+        if any(_failing_prefixes(kernel, prefix, allow)):
+            return True
+    return False
 
 
 def _collect_defects(inputs: list[tuple], level: int,
                      limit: int | None = None) -> list[DefectRun]:
     """Unwitnessed requirements as runs, in report order, cut to the first
     ``limit`` rows.  ``inputs`` is ``_kernel_inputs`` output.  No
-    requirement has more demands than its pool has elements."""
+    requirement has more demands than its pool has elements, and only a
+    size that fails is scanned in report order."""
     runs: list[DefectRun] = []
     for side_inputs in inputs:
         kernel = _kernel(*side_inputs)
@@ -462,7 +533,8 @@ def _collect_defects(inputs: list[tuple], level: int,
             rest = None if limit is None else limit - _count(runs)
             if rest == 0:
                 return runs
-            runs += _scan(kernel, size, rest)
+            if _fails(kernel, size):
+                runs += _scan(kernel, size, rest)
     return runs
 
 

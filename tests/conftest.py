@@ -39,7 +39,12 @@ which the one loop over both sides' views of ``iso._refined_colors``
 replaced; and ``edge_list_closure`` with ``edge_list_add_witnesses``,
 the witness closure that re-listed every edge each round and rebuilt
 the structure through ``build``, which the closure that appends rows
-and columns to the matrix replaced (it shares the defect scan).
+and columns to the matrix replaced (it shares the defect scan);
+``shape_group_fails``, the existence test that walked the report's
+shape groups, which the walk over a cover of prefix shapes replaced (it
+shares the prefix walk ``genericity._failing_prefixes``); and
+``zip_kernel_inputs``, the kernel inputs that permuted the pair-state
+lines by two tuple transposes, which bytes slicing replaced.
 """
 
 import json
@@ -61,11 +66,13 @@ from twopartite.core import FLIPPED, PAIR_LR, PAIR_RL, Side, TwoPartiteDigraph
 from twopartite.errors import AutGroupTooLarge, CapExceeded, InvalidSpec, ValidationError
 from twopartite.genericity import (
     _SLOTS,
+    _STATES,
     _ZERO_ONE,
     DefectRow,
     GenericityReport,
     Mode,
     Requirement,
+    _allowed,
     _collect_defects,
     _count,
     _expand,
@@ -74,6 +81,7 @@ from twopartite.genericity import (
     _kernel_inputs,
     _requirement,
     _shape_groups,
+    _slot_states,
     validate_level,
 )
 from twopartite.iso import (
@@ -662,6 +670,7 @@ def sorted_scan_rows(inputs, level: int, mode: Mode, scan=_scan_size) -> list[De
 # The scan and collectors that emitted one row tuple per defect, kept
 # verbatim (renamed) as the oracle of the runs that replaced them: the
 # expansion of ``genericity._scan``'s runs must equal ``row_scan``'s rows.
+# The walk's allowed-last-demand table is now passed in by the caller.
 
 def row_scan(kernel: tuple, size: int, limit: int | None = None) -> list[DefectRow]:
     """Unwitnessed requirements of exactly ``size`` demands, as rows in
@@ -684,7 +693,8 @@ def row_scan(kernel: tuple, size: int, limit: int | None = None) -> list[DefectR
         ends = [sum(codes[t] <= code for t in prefix) for code in range(3)]
         found = []
         first_count = len(out)
-        for chosen, rem in _failing_prefixes(kernel, prefix):
+        allow = _allowed(p, len(kernel[4]), prefix[-1]) if prefix else ()
+        for chosen, rem in _failing_prefixes(kernel, prefix, allow):
             ids = tuple(pool[i] for i in chosen)
             found.append((ids[:ends[0]], ids[ends[0]:ends[1]], ids[ends[1]:], rem))
             if limit is not None:
@@ -731,6 +741,55 @@ def row_defects(inputs: list[tuple], level: int,
     if len(defects) != limit:
         defects += _row_side_defects(inputs[1], level, limit)
     return defects[:limit]
+
+
+# -- existence by shape groups and kernel inputs by tuple transposes -----------
+#
+# The existence test and the kernel inputs that the cover walk and the
+# bytes-slicing transpose replaced, kept verbatim but for the walk's
+# allowed-last-demand table, which ``_failing_prefixes`` now takes as an
+# argument.
+
+def shape_group_fails(kernel: tuple, size: int) -> bool:
+    """Whether some requirement of exactly ``size`` demands is unwitnessed."""
+    if size == 0:
+        return not kernel[3]
+    p, slots = len(kernel[2]), len(kernel[4])
+    return any(any(_failing_prefixes(kernel, prefix, _allowed(p, slots, prefix[-1]) if prefix else ()))
+               for prefix, _ in _shape_groups(size, kernel[1]))
+
+
+def zip_kernel_inputs(digraph: TwoPartiteDigraph, mode: Mode,
+                      originals: dict[Side, int] | None = None) -> list[tuple]:
+    """``genericity._kernel_inputs`` with the pair-state lines permuted by
+    tuple transposes."""
+    matrix = digraph.pair_states()
+    pools, orders = {}, {}
+    for side in (Side.LEFT, Side.RIGHT):
+        ids = digraph.side(side)
+        cut = len(ids) if originals is None else originals[side]
+        pool = sorted(range(cut), key=ids.__getitem__)
+        pools[side] = tuple(ids[i] for i in pool)
+        orders[side] = [*pool, *range(cut, len(ids))]
+    # permute the pair-state lines, not the bitmaps built from them: pick
+    # the rows, transpose, pick the columns and transpose back
+    picked = [matrix[i] for i in orders[Side.LEFT]]
+    columns = list(zip(*picked)) if picked else [()] * len(orders[Side.RIGHT])
+    columns = [bytes(columns[j]) for j in orders[Side.RIGHT]]
+    lines = list(map(bytes, zip(*columns))) if columns else [b""] * len(picked)
+    bitmaps = {}
+    for side, side_lines in ((Side.LEFT, lines), (Side.RIGHT, columns)):
+        # reversed, a line reads as a binary numeral with position 0 lowest
+        reversed_lines = [line[::-1] for line in side_lines]
+        for accepted in _slot_states(side, mode):
+            digits = bytes.maketrans(_STATES, bytes(b"01"[s in accepted] for s in _STATES))
+            bitmaps[side, accepted] = [int(line.translate(digits) or b"0", 2)
+                                       for line in reversed_lines]
+    # both sides' slots accept the same sets of states, in another order
+    return [(side, mode, pools[side],
+             [bitmaps[side, accepted][:len(pools[side])] for accepted in _slot_states(side, mode)],
+             [bitmaps[side.opposite, accepted] for accepted in _slot_states(side, mode)])
+            for side in (Side.LEFT, Side.RIGHT)]
 
 
 # -- materialised defect lists -------------------------------------------------

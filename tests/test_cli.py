@@ -427,6 +427,29 @@ class TestConvertAndErrors:
         assert code == 2 and out == ""
         assert "unhashable" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("content,message", [
+        (b"\xff\xfe", "not UTF-8: invalid start byte at byte 0"),
+        (b'{"x": ["x\xe9"]}', "not UTF-8: invalid continuation byte at byte 9"),
+        (b"[" * 1000, "invalid JSON: nested too deeply"),
+        (b"[" * 5000 + b"]" * 5000, "invalid JSON: nested too deeply"),
+    ], ids=["bom", "latin-1", "open", "closed"])
+    @pytest.mark.parametrize("command", [["convert"], ["classify", "--level", "1"],
+                                         ["check-generic", "--mode", "orientation", "--level", "2"],
+                                         ["aut"]])
+    def test_unparsable_bytes(self, tmp_path, content, message, command):
+        bad = tmp_path / "bytes.json"
+        bad.write_bytes(content)
+        code, out, err = cli(*command, "--in", str(bad))
+        assert (code, out, err) == (2, "", f"error: {bad}: {message}\n")
+
+    def test_unparsable_bytes_in_either_iso_input(self, tmp_path):
+        bad = tmp_path / "bytes.json"
+        bad.write_bytes(b"\xff\xfe")
+        good = write(tmp_path, "m2.json", matching_complement_pair(2))
+        for pair in ((str(bad), good), (good, str(bad))):
+            code, out, err = cli("iso", "--in1", pair[0], "--in2", pair[1])
+            assert (code, out) == (2, "") and err.startswith(f"error: {bad}: not UTF-8")
+
     def test_missing_file(self):
         code, _, err = cli("classify", "--in", "/no/such/file.json")
         assert code == 2
@@ -439,8 +462,6 @@ class TestConvertAndErrors:
         code, _, _ = cli("check-hom")
         assert code == 2
 
-
-# -- fuzzing: every input gets exit code 0, 1 or 2 and nothing escapes -------
 
 # -- pinned defect reports ------------------------------------------------------
 #
@@ -684,6 +705,8 @@ class TestReportWriter:
             5, _ROWS_PER_WRITE, _ROWS_PER_WRITE, 5]
 
 
+# -- fuzzing: every input gets exit code 0, 1 or 2 and nothing escapes -------
+
 _IDS = st.sampled_from(["x1", "x2", "x3", "y1", "y2", "y3"])
 _JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3) | _IDS,
@@ -739,10 +762,20 @@ def _argv(draw, path: str):
     return argv
 
 
-@given(data=st.data(), payload=_JUNK | _STRUCTURES)
+# raw file contents: any bytes, bytes that are not UTF-8 and JSON nested
+# past the parser's depth
+_RAW = st.binary(max_size=12) | st.sampled_from([
+    b"\xff\xfe", b'{"x": ["\xe9"]}', b"\xef\xbb\xbf{}", b"[" * 1000,
+    b'{"x": ' + b"[" * 1000, b"[" * 3000 + b"]" * 3000])
+
+
+@given(data=st.data(), payload=_JUNK | _STRUCTURES | _RAW)
 def test_fuzz_exit_codes(tmp_path_factory, data, payload):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps(payload), encoding="utf-8")
     for argv in (["convert", "--in", str(path)], data.draw(_argv(str(path)))):
         code, _, err = cli(*argv)
         assert code in (0, 1, 2), argv

@@ -398,6 +398,17 @@ class TestFileFormats:
             from_json_text('{"x": [}')
         assert "line 1" in str(err.value)
 
+    @pytest.mark.parametrize("text", ["[" * 1000, "[" * 100_000, "[" * 5000 + "]" * 5000,
+                                      '{"x": ' + "[" * 1000])
+    def test_json_nested_too_deeply(self, text):
+        with pytest.raises(MalformedInput, match="nested too deeply"):
+            from_json_text(text)
+
+    def test_json_text_of_bytes_not_utf8(self):
+        # bytes that are not UTF-8, decoded as the file reader's escapes
+        with pytest.raises(MalformedInput, match="line 1, column 1"):
+            from_json_text(b"\xff\xfe".decode("utf-8", "surrogateescape"))
+
     def test_json_missing_field(self):
         with pytest.raises(MalformedInput) as err:
             from_json_text('{"x": [], "edges": []}')

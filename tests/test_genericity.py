@@ -1,5 +1,8 @@
 import hashlib
 import random
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
+from math import factorial, prod
 
 import pytest
 
@@ -15,7 +18,7 @@ from twopartite.catalog import (
     matching_complement_pair,
     witness_closure,
 )
-from twopartite.core import Side, build, to_json_text
+from twopartite.core import PAIR_LR, PAIR_NONE, PAIR_RL, Side, build, to_json_text
 from twopartite.errors import (
     ApproximantNotFound,
     CapExceeded,
@@ -44,8 +47,11 @@ from conftest import (
     requirement_sort_key,
     row_defects,
     row_scan,
+    shape_group_fails,
+    shuffled_copy,
     sorted_scan_rows,
     unrolled_kernel,
+    zip_kernel_inputs,
 )
 
 
@@ -656,6 +662,159 @@ class TestRuns:
             assert report.count == len(report.rows) == len(report.defects)
             first = first_defect(structure, 2, mode)
             assert (first and defect_row(first)) == (report.rows[0] if report.rows else None)
+
+
+def _prefix_weight(prefix):
+    """1 / prod(n_slot!) over the slot counts of a prefix shape."""
+    return Fraction(1, prod(factorial(prefix.count(t)) for t in set(prefix)))
+
+
+def _covered(prefixes, slots):
+    """The shapes that one more demand in some slot makes of ``prefixes``."""
+    return {tuple(sorted(prefix + (t,))) for prefix in prefixes for t in range(slots)}
+
+
+def _near_universal(rng, q, states, missing):
+    """A side of ``q`` vertices facing one vertex per pattern of pair
+    states over it, but for ``missing`` random patterns, under shuffled
+    ids and on a random side: its requirements hold up to some size, and
+    a few past it fail."""
+    patterns = list(product(states, repeat=q))
+    rng.shuffle(patterns)
+    left = [f"x{i}" for i in range(q)]
+    right = [f"y{j}" for j in range(len(patterns) - missing)]
+    edges = [(x, y) if state == PAIR_LR else (y, x)
+             for y, pattern in zip(right, patterns) for x, state in zip(left, pattern)
+             if state != PAIR_NONE]
+    d = shuffled_copy(build(left, right, edges), rng)
+    return d.swap_sides() if rng.random() < 0.5 else d
+
+
+class TestExistenceCover:
+    """``_fails``, which walks a cover of prefix shapes with last demands
+    anywhere, against the walk over the report's shape groups, and the
+    kernel inputs against the tuple transposes."""
+
+    SIZES = range(6)
+
+    def _compare(self, structure, mode, originals=None, sizes=SIZES):
+        inputs = genericity._kernel_inputs(structure, mode, originals)
+        assert inputs == zip_kernel_inputs(structure, mode, originals), (structure, mode)
+        for side_inputs in inputs:
+            kernel = genericity._kernel(*side_inputs)
+            for size in sizes:
+                assert genericity._fails(kernel, size) == shape_group_fails(kernel, size), (
+                    structure, mode, originals, side_inputs[0], size)
+
+    def test_random_structures(self):
+        rng = random.Random(6060)
+        for _ in range(150):
+            d = _scrambled_digraph(rng)
+            for mode, structure in _mode_inputs(d):
+                self._compare(structure, mode)
+
+    def test_structures_across_witness_runs(self):
+        rng = random.Random(6161)
+        for _ in range(12):
+            d = _wide_digraph(rng)
+            for mode, structure in _mode_inputs(d):
+                self._compare(structure, mode, sizes=range(5))
+
+    def test_near_universal_witness_sets(self):
+        # the random structures fail every size past 2 on a side of more
+        # than 2 vertices; these hold at sizes 3 and 4 and fail a few
+        # requirements of a larger size, or of those sizes once patterns
+        # go missing
+        rng = random.Random(6363)
+        outcomes = set()
+        for _ in range(60):
+            states = rng.choice(((PAIR_LR, PAIR_RL), (PAIR_LR, PAIR_RL, PAIR_NONE)))
+            q = rng.randint(3, 5 if len(states) == 2 else 4)
+            d = _near_universal(rng, q, states, rng.choice((0, 1, 2, 5)))
+            for mode, structure in _mode_inputs(d):
+                self._compare(structure, mode)
+                for side_inputs in genericity._kernel_inputs(structure, mode):
+                    kernel = genericity._kernel(*side_inputs)
+                    outcomes |= {(size, genericity._fails(kernel, size)) for size in (3, 4)
+                                 if size <= len(side_inputs[2])}
+        assert outcomes == {(3, False), (3, True), (4, False), (4, True)}
+
+    def test_cut_pools(self):
+        rng = random.Random(6262)
+        seen = 0
+        for _ in range(40):
+            d = _scrambled_digraph(rng, max_side=5)
+            for mode, structure in _mode_inputs(d):
+                originals = {side: len(structure.side(side)) for side in (Side.LEFT, Side.RIGHT)}
+                try:
+                    witness_closure(structure, mode, 2, cap=2)
+                except CapExceeded as exc:
+                    seen += 1
+                    self._compare(exc.partial, mode, originals)
+                cut = {side: rng.randint(0, count) for side, count in originals.items()}
+                self._compare(structure, mode, cut)
+        assert seen > 20
+
+    @pytest.mark.parametrize("m,n", [(0, 0), (0, 1), (0, 5), (1, 0), (5, 0), (5, 5)])
+    def test_empty_sides_and_no_witnesses(self, m, n):
+        # an empty side has no witnesses for the other; an empty structure
+        # has no witnesses for any demand of size 1 in 2partite mode
+        for mode, structure in _mode_inputs(empty_digraph(m, n)):
+            self._compare(structure, mode)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_cover_covers_every_shape(self, mode):
+        slots = len(genericity._SLOTS[mode])
+        for size in range(1, 13):
+            shapes = set(combinations_with_replacement(range(slots), size))
+            assert _covered(genericity._cover(size, mode), slots) == shapes, (mode, size)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_cover_costs_no_more_than_the_shape_groups(self, mode):
+        for size in range(1, 13):
+            cover = genericity._cover(size, mode)
+            groups = [prefix for prefix, _ in genericity._shape_groups(size, mode)]
+            assert sum(map(_prefix_weight, cover)) <= sum(map(_prefix_weight, groups))
+            prefixes, anywhere = genericity._existence_walk(size, mode)
+            assert (prefixes, anywhere) == ((cover, True) if size >= 3 else (tuple(groups), False))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_cover_is_a_least_cost_cover_up_to_size_4(self, mode):
+        slots = len(genericity._SLOTS[mode])
+        for size in range(1, 5):
+            shapes = set(combinations_with_replacement(range(slots), size))
+            candidates = list(combinations_with_replacement(range(slots), size - 1))
+            least = min(sum(map(_prefix_weight, chosen))
+                        for k in range(1, len(candidates) + 1)
+                        for chosen in combinations(candidates, k)
+                        if _covered(chosen, slots) == shapes)
+            assert sum(map(_prefix_weight, genericity._cover(size, mode))) == least, (mode, size)
+
+    @pytest.mark.parametrize("mode,size,cover", [
+        (Mode.TWO_PARTITE, 2, ((0,), (1,))),
+        (Mode.TWO_PARTITE, 3, ((0, 0), (1, 1))),
+        (Mode.TWO_PARTITE, 4, ((0, 0, 0), (1, 1, 1), (0, 0, 1))),
+        (Mode.BIPARTITE, 2, ((0,), (1,))),
+        (Mode.BIPARTITE, 3, ((0, 0), (1, 1))),
+        (Mode.BIPARTITE, 4, ((0, 0, 0), (1, 1, 1), (0, 0, 1))),
+        (Mode.ORIENTATION, 2, ((0,), (1,), (2,))),
+        (Mode.ORIENTATION, 3, ((0, 0), (1, 1), (2, 2), (0, 1))),
+        (Mode.ORIENTATION, 4, ((0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 0, 1), (0, 2, 2), (1, 1, 2))),
+    ])
+    def test_cover_pinned(self, mode, size, cover):
+        assert genericity._cover(size, mode) == cover
+
+    def test_a_level_that_holds_runs_no_report_scan(self, monkeypatch):
+        d = generic_2partite_approx(ApproximantSpec(160, 3, seed=3))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report scan ran on a size that holds")
+
+        monkeypatch.setattr(genericity, "_scan", refuse)
+        report = check_generic_2partite(d, 3)
+        assert report.holds and report.runs == () and report.count == 0
+        assert first_defect(d, 3, Mode.TWO_PARTITE) is None
+        assert achieved_level(d, Mode.TWO_PARTITE, 3) == 3
 
 
 # Digests of the JSON text of seeded builder outputs; a change to the scan
