@@ -47,6 +47,10 @@ from .genericity import (
 
 MAX_BUILD_ATTEMPTS = 32
 
+# The largest side ``_grid`` and ``ApproximantSpec`` take: a larger one is
+# refused before its ids and matrix are built, which could exhaust memory.
+MAX_SIDE = 1024
+
 
 class Direction(Enum):
     LEFT_TO_RIGHT = "left_to_right"
@@ -63,6 +67,7 @@ def _ids(prefix: str, count: int) -> tuple[str, ...]:
 
 def _grid(m: int, n: int, state) -> TwoPartiteDigraph:
     """Sides x1..xm and y1..yn, the pair (x_i, y_j) in ``state(i, j)``."""
+    _check_sizes(m, n)
     left, right = _ids("x", m), _ids("y", n)
     matrix = [[state(i, j) for j in range(n)] for i in range(m)]
     return _assemble(left, right, matrix, _index(left), _index(right))
@@ -72,25 +77,24 @@ def _check_sizes(*sizes: int) -> None:
     for size in sizes:
         if size < 0:
             raise InvalidSpec(f"side size must be non-negative, got {size}")
+        if size > MAX_SIDE:
+            raise InvalidSpec(f"side size {size} exceeds the bound {MAX_SIDE}")
 
 
 def complete_bipartite_digraph(m: int, n: int,
                                direction: Direction = Direction.LEFT_TO_RIGHT) -> TwoPartiteDigraph:
     """All m*n edges present, all in one direction."""
-    _check_sizes(m, n)
     state = _STATE[direction]
     return _grid(m, n, lambda i, j: state)
 
 
 def empty_digraph(m: int, n: int) -> TwoPartiteDigraph:
     """No edges at all."""
-    _check_sizes(m, n)
     return _grid(m, n, lambda i, j: PAIR_NONE)
 
 
 def matching_digraph(n: int, direction: Direction = Direction.LEFT_TO_RIGHT) -> TwoPartiteDigraph:
     """A perfect matching x_i ~ y_i, oriented one way."""
-    _check_sizes(n)
     state = _STATE[direction]
     return _grid(n, n, lambda i, j: state if i == j else PAIR_NONE)
 
@@ -118,7 +122,8 @@ def matching_complement_pair(size: int,
 
 @dataclass(frozen=True)
 class ApproximantSpec:
-    """Parameters for the finite-stage generic builders."""
+    """Parameters for the finite-stage generic builders; ``side_size``
+    is at most ``MAX_SIDE``."""
 
     side_size: int
     level: int
@@ -127,6 +132,7 @@ class ApproximantSpec:
     def __post_init__(self):
         if self.side_size < 1:
             raise InvalidSpec(f"side size must be positive, got {self.side_size}")
+        _check_sizes(self.side_size)
         if self.level < 0:
             raise InvalidSpec(f"level must be non-negative, got {self.level}")
         if self.level > self.side_size:

@@ -158,9 +158,8 @@ def canonical_form(digraph: TwoPartiteDigraph) -> CanonicalForm:
     is sorted by row vector instead.
     """
     m, n = len(digraph.left), len(digraph.right)
-    header = b"TP1" + m.to_bytes(4, "big") + n.to_bytes(4, "big")
     if not (m and n):
-        return header
+        return _encode(m, n, ())
     _, _, (rows, columns), _, ranks, _ = _search_tables(digraph)
     # each side's positions grouped into colour classes, the classes in
     # colour order and each kept in stored order
@@ -175,7 +174,13 @@ def canonical_form(digraph: TwoPartiteDigraph) -> CanonicalForm:
         best = min(list(zip(*cols)) for cols in _arrangements(rows, lblocks, rblocks))
     else:
         best = min(_arrangements(columns, rblocks, lblocks))
-    return header + bytes(chain.from_iterable(best))
+    return _encode(m, n, chain.from_iterable(best))
+
+
+def _encode(m: int, n: int, states) -> CanonicalForm:
+    """The canonical form of the class on sides of size m and n whose
+    least arrangement has the row-major pair ``states``."""
+    return b"TP1" + m.to_bytes(4, "big") + n.to_bytes(4, "big") + bytes(states)
 
 
 def _uniform_state(line) -> int:

@@ -30,7 +30,11 @@ one object, which the CLI's streamed writer replaced; ``full_census``,
 the census over every class, which the side-regular census replaced; and
 ``side_regular_census``, the census over the classes of the side-regular
 walk ``side_regular_states``, which the generated line-symmetric classes
-replaced (it shares ``_classes`` and ``_entry``);
+replaced (it runs on ``_classes`` and shares ``_entry``); and
+``canonicalised_census`` with ``_classes``, the census that canonicalised
+each generated class and deduplicated the classes by canonical form,
+which keying each class by its least vector replaced (it shares
+``_line_symmetric_states`` and ``_entry``);
 ``pairwise_bit_rows`` and ``pairwise_orientation_rows``, the randomized
 builders' draws of one ``getrandbits`` call per pair state, which the
 word-level draws of ``catalog`` replaced; ``two_sided_refined_colors``,
@@ -52,7 +56,7 @@ import random
 from functools import lru_cache
 from itertools import combinations, compress, islice, permutations, product, repeat
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import pytest
 from hypothesis import settings
@@ -60,9 +64,9 @@ from hypothesis import strategies as st
 
 from twopartite import build
 from twopartite.catalog import Direction, _fresh_names
-from twopartite.census import CensusEntry, _classes, _entry, enumerate_all
+from twopartite.census import CensusEntry, _entry, _line_symmetric_states, enumerate_all
 from twopartite.classify import classify_exact
-from twopartite.core import FLIPPED, PAIR_LR, PAIR_RL, Side, TwoPartiteDigraph
+from twopartite.core import FLIPPED, PAIR_LR, PAIR_RL, Side, TwoPartiteDigraph, _assemble
 from twopartite.errors import AutGroupTooLarge, CapExceeded, InvalidSpec, ValidationError
 from twopartite.genericity import (
     _SLOTS,
@@ -86,6 +90,7 @@ from twopartite.genericity import (
 )
 from twopartite.iso import (
     DEFAULT_AUT_CAP,
+    CanonicalForm,
     HomogeneityVerdict,
     PartialMap,
     _rank,
@@ -890,6 +895,25 @@ def burnside_class_count(m: int, n: int) -> int:
 
 # -- full census --------------------------------------------------------------
 
+def _classes(m: int, n: int, vectors: Iterable[tuple[int, ...]]
+             ) -> Iterator[tuple[CanonicalForm, TwoPartiteDigraph]]:
+    """The first structure of each isomorphism class among the row-major
+    state ``vectors`` on sides x1..xm and y1..yn, with its canonical
+    form."""
+    left = tuple(f"x{i + 1}" for i in range(m))
+    right = tuple(f"y{j + 1}" for j in range(n))
+    row_of = {x: i for i, x in enumerate(left)}
+    col_of = {y: j for j, y in enumerate(right)}
+    seen: set[bytes] = set()
+    for states in vectors:
+        matrix = [states[i * n:(i + 1) * n] for i in range(m)]
+        candidate = _assemble(left, right, matrix, row_of, col_of)
+        key = canonical_form(candidate)
+        if key not in seen:
+            seen.add(key)
+            yield key, candidate
+
+
 # the side pairs of the desk-scale census: up to 3x3, and up to 2x4
 DESK_PAIRS = sorted({(m, n) for m in range(4) for n in range(4)}
                     | {(m, n) for m in range(3) for n in range(5)})
@@ -970,6 +994,14 @@ def side_regular_census(max_left: int, max_right: int) -> list[CensusEntry]:
     homogeneous class: the census before its candidates were generated."""
     return [_entry(*pair) for m in range(max_left + 1) for n in range(max_right + 1)
             for pair in _classes(m, n, side_regular_states(m, n))]
+
+
+def canonicalised_census(max_left: int, max_right: int) -> list[CensusEntry]:
+    """Census entries of the generated line-symmetric classes, each
+    canonicalised and deduplicated by ``_classes``: the census before its
+    classes were keyed by their least vectors."""
+    return [_entry(*pair) for m in range(max_left + 1) for n in range(max_right + 1)
+            for pair in _classes(m, n, _line_symmetric_states(m, n))]
 
 
 # -- per-pair builder draws --------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from twopartite import build, catalog
 from twopartite.catalog import (
+    MAX_SIDE,
     ApproximantSpec,
     Direction,
     complement_matching_digraph,
@@ -87,6 +88,18 @@ class TestFixedConstructors:
             with pytest.raises(InvalidSpec):
                 call()
 
+    def test_sides_past_the_bound_rejected(self):
+        assert len(empty_digraph(MAX_SIDE, 0).left) == MAX_SIDE
+        for size in (MAX_SIDE + 1, 10 ** 9):
+            for call in (lambda: complete_bipartite_digraph(size, 0),
+                         lambda: complete_bipartite_digraph(0, size),
+                         lambda: empty_digraph(1, size),
+                         lambda: matching_digraph(size),
+                         lambda: complement_matching_digraph(size),
+                         lambda: matching_complement_pair(size)):
+                with pytest.raises(InvalidSpec, match=f"side size {size} exceeds the bound"):
+                    call()
+
 
 @pytest.mark.parametrize("direction", [L2R, R2L])
 def test_fixed_constructors_match_edge_lists(direction):
@@ -152,6 +165,12 @@ class TestApproximantSpec:
             ApproximantSpec(-3, 0, seed=0)
         with pytest.raises(InvalidSpec, match=r"level must be non-negative, got -1$"):
             ApproximantSpec(2, -1, seed=0)
+
+    def test_side_bound(self):
+        assert ApproximantSpec(MAX_SIDE, 1, seed=0).side_size == MAX_SIDE
+        for size in (MAX_SIDE + 1, 10 ** 9):
+            with pytest.raises(InvalidSpec, match=f"side size {size} exceeds the bound"):
+                ApproximantSpec(size, 1, seed=0)
 
     def test_negative_seed_rejected(self):
         # Random(-5) seeds like Random(5), so -5 would repeat seed 5's output

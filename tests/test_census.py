@@ -9,19 +9,28 @@ from twopartite.catalog import Direction, empty_digraph, matching_complement_pai
 from twopartite.census import (
     CensusEntry,
     _burnside_count,
-    _classes,
+    _census_all,
     _line_symmetric_states,
+    _structure,
     census_homogeneous,
     enumerate_all,
     verify_classification,
 )
 from twopartite.classify import ClassCase, classify_exact
 from twopartite.errors import AutGroupTooLarge, EnumerationBudgetExceeded, ValidationError
-from twopartite.iso import automorphisms, canonical_form, is_homogeneous
+from twopartite.iso import (
+    HomogeneityVerdict,
+    _encode,
+    automorphisms,
+    canonical_form,
+    is_homogeneous,
+)
 
 from conftest import (
     DESK_PAIRS,
+    _classes,
     burnside_class_count,
+    canonicalised_census,
     census_classes,
     full_census,
     side_regular_census,
@@ -113,8 +122,6 @@ class TestEnumerateAll:
                 census_homogeneous(m, n)
             with pytest.raises(ValidationError, match="non-negative"):
                 verify_classification(m, n)
-            with pytest.raises(ValidationError, match="non-negative"):
-                verify_classification(m, n, census=[])
 
     def test_orbit_stabilizer_audit(self):
         # sum of orbit sizes m!n!/|Aut| over classes recovers the
@@ -173,8 +180,9 @@ class TestCensus:
     def test_removed_keywords_are_type_errors(self):
         for call in (lambda: census_homogeneous(1, 1, jobs=1),
                      lambda: verify_classification(1, 1, jobs=1),
+                     lambda: verify_classification(1, 1, census=[]),
                      lambda: enumerate_all(1, 1, force=True)):
-            with pytest.raises(TypeError, match="jobs|force"):
+            with pytest.raises(TypeError, match="jobs|census|force"):
                 call()
 
 
@@ -185,22 +193,27 @@ class TestVerifyClassification:
         assert report.classes_scanned == 47
         assert report.homogeneous_classes == 20
 
-    def test_fault_injection_reported(self):
-        # an honestly labelled non-homogeneous entry must be flagged
+    def test_fault_injection_reported(self, monkeypatch):
+        # a non-homogeneous entry is left out; one whose verdict wrongly
+        # holds keeps its honest label, which must be flagged
         from twopartite import build
         bad = build(["x1", "x2"], ["y1"], [("x1", "y1")])
-        entry = CensusEntry(canonical_form(bad), bad, is_homogeneous(bad),
-                            classify_exact(bad))
-        census = census_homogeneous(1, 1) + [entry]
-        report = verify_classification(1, 1, census=census)
+        honest = CensusEntry(canonical_form(bad), bad, is_homogeneous(bad), classify_exact(bad))
+        forged = CensusEntry(canonical_form(bad), bad, HomogeneityVerdict(True),
+                             classify_exact(bad))
+        homogeneous = len(census_homogeneous(1, 1))
+        census = _census_all(1, 1) + [honest, forged]
+        monkeypatch.setattr(census_mod, "_census_all", lambda m, n: census)
+        report = verify_classification(1, 1)
         assert not report.ok
-        kinds = {d.kind for d in report.discrepancies}
-        assert "unexpected-label" in kinds and "non-homogeneous-entry" in kinds
+        assert report.homogeneous_classes == homogeneous + 1
+        assert {d.kind for d in report.discrepancies} == {"unexpected-label"}
 
-    def test_missing_catalog_structure_reported(self):
-        census = [e for e in census_homogeneous(2, 2)
+    def test_missing_catalog_structure_reported(self, monkeypatch):
+        census = [e for e in _census_all(2, 2)
                   if e.canonical != canonical_form(matching_complement_pair(2))]
-        report = verify_classification(2, 2, census=census)
+        monkeypatch.setattr(census_mod, "_census_all", lambda m, n: census)
+        report = verify_classification(2, 2)
         assert not report.ok
         assert any(d.kind == "catalog-missing" for d in report.discrepancies)
 
@@ -272,6 +285,33 @@ class TestLineSymmetricCensus:
     def test_equals_the_side_regular_census(self):
         expected = [e for e in side_regular_census(4, 4) if e.verdict.holds]
         assert census_homogeneous(4, 4) == expected
+
+
+class TestLeastVectorKeys:
+    @pytest.mark.parametrize("bounds", [(6, 6), (5, 7), (7, 5), (4, 8), (8, 4), (3, 8),
+                                        (8, 3), (2, 9), (9, 2), (1, 9), (9, 1)])
+    def test_equals_the_canonicalised_census(self, bounds):
+        expected = [e for e in canonicalised_census(*bounds) if e.verdict.holds]
+        # entries compare by canonical form, representative, verdict and label
+        assert census_homogeneous(*bounds) == expected
+
+    def test_key_is_the_canonical_form(self):
+        # a line-symmetric structure is side-regular, so colour refinement
+        # leaves one colour per side and the least vector is canonical
+        checked = 0
+        for m, n in product(range(13), repeat=2):
+            if min(m, n) <= 7:
+                for v in _line_symmetric_states(m, n):
+                    assert canonical_form(_structure(m, n, v)) == _encode(m, n, v), (m, n, v)
+                    checked += 1
+        assert checked == 415
+
+    def test_census_computes_no_canonical_form(self, monkeypatch):
+        def refuse(digraph):
+            raise AssertionError("the census canonicalised a class")
+        monkeypatch.setattr(census_mod, "canonical_form", refuse)
+        # the homogeneous class count that ``verify --max-x 6 --max-y 6`` reports
+        assert len(census_homogeneous(6, 6)) == 148
 
 
 class TestAutomorphismCapBound:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import twopartite
 from twopartite import build, from_json_text, to_json_text
 from twopartite.catalog import (
+    MAX_SIDE,
     Direction,
     complete_bipartite_digraph,
     empty_digraph,
@@ -87,6 +88,29 @@ class TestGen:
     def test_negative_size_exits_two(self, argv):
         code, out, err = cli(*argv)
         assert code == 2 and out == "" and "non-negative" in err
+
+    @pytest.mark.parametrize("size", [str(MAX_SIDE + 1), "1000000000"])
+    @pytest.mark.parametrize("argv", [
+        ["gen", "complete", "--m", "{}", "--n", "0"],
+        ["gen", "complete", "--m", "1", "--n", "{}"],
+        ["gen", "empty", "--m", "{}"],
+        ["gen", "empty", "--n", "{}"],
+        ["gen", "matching", "--size", "{}"],
+        ["gen", "complement-matching", "--size", "{}"],
+        ["gen", "matching-complement", "--size", "{}"],
+        ["gen", "generic-bipartite", "--size", "{}", "--level", "1", "--seed", "1"],
+        ["gen", "generic-2partite", "--size", "{}", "--level", "1", "--seed", "1"],
+        ["gen", "generic-orientation", "--size", "{}", "--level", "1", "--seed", "1"],
+        ["baf", "--mode", "2partite", "--size", "{}", "--level", "1",
+         "--seed1", "1", "--seed2", "2"],
+        ["baf", "--mode", "orientation", "--size", "{}", "--level", "1",
+         "--seed1", "1", "--seed2", "2"],
+    ])
+    def test_oversized_side_exits_two(self, argv, size):
+        # refused before any id or matrix is built (closure takes no size)
+        code, out, err = cli(*(a.format(size) for a in argv))
+        assert (code, out) == (2, "")
+        assert err == f"error: side size {size} exceeds the bound {MAX_SIDE}\n"
 
     def test_negative_seed_exits_two(self):
         # Random(-5) seeds like Random(5): a negative seed must not alias

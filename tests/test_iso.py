@@ -11,7 +11,7 @@ from twopartite.catalog import (
     matching_digraph,
     Direction,
 )
-from twopartite.census import _classes, enumerate_all
+from twopartite.census import enumerate_all
 from twopartite.errors import AutGroupTooLarge, InvalidPartialMap, ValidationError
 from twopartite.iso import (
     DEFAULT_AUT_CAP,
@@ -30,6 +30,7 @@ from twopartite.iso import (
 
 from conftest import (
     DESK_PAIRS,
+    _classes,
     automorphism_maps,
     census_classes,
     cycle_structure,
