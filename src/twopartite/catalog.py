@@ -36,12 +36,12 @@ from .errors import (
 from .genericity import (
     DefectRow,
     Mode,
+    _attempt_level,
     _collect_defects,
     _count,
     _expand,
     _kernel_inputs,
     _requirement,
-    achieved_level,
     validate_level,
 )
 
@@ -194,19 +194,20 @@ def _orientation_rows(rng: random.Random, n: int) -> list[bytes]:
 
 def _randomized_build(spec: ApproximantSpec, mode: Mode, draw):
     """Shared retry loop: ``draw(rng, n)`` gives the rows of a candidate's
-    pair-state matrix, and one level scan per attempt both accepts it and
-    records how far it got.  All attempts consume one seeded stream, so
-    identical specs reproduce identical outputs."""
+    pair-state matrix.  An attempt matters only if it reaches
+    ``spec.level`` or raises the best level so far, so it is asked the one
+    size above that best first and dropped when that size fails; only the
+    accepted attempt is assembled into a digraph.  All attempts consume one
+    seeded stream, so identical specs reproduce identical outputs."""
     n = spec.side_size
     left, right = _ids("x", n), _ids("y", n)
-    row_of, col_of = _index(left), _index(right)
     rng = random.Random(spec.seed)
     best = -1
     for _ in range(MAX_BUILD_ATTEMPTS):
-        candidate = _assemble(left, right, draw(rng, n), row_of, col_of)
-        reached = achieved_level(candidate, mode, spec.level)
+        rows = draw(rng, n)
+        reached = _attempt_level(left, right, rows, mode, spec.level, best)
         if reached == spec.level:
-            return candidate
+            return _assemble(left, right, rows, _index(left), _index(right))
         best = max(best, reached)
     raise ApproximantNotFound(
         f"no attempt out of {MAX_BUILD_ATTEMPTS} reached level {spec.level} "
@@ -277,8 +278,9 @@ def witness_closure(digraph: TwoPartiteDigraph, mode: Mode, level: int,
         # witnesses are appended, so cutting each side's pool to its first
         # (original) vertices scans exactly the requirements over them; the
         # scan stops at one batch of rows, and at the cap reports them all
-        runs = _collect_defects(_kernel_inputs(current, mode, originals), level,
-                                None if added >= cap else cap - added)
+        inputs = _kernel_inputs(current.left, current.right, current.pair_states(), mode,
+                                originals)
+        runs = _collect_defects(inputs, level, None if added >= cap else cap - added)
         if not runs:
             return current
         if added >= cap:

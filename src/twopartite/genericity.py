@@ -48,15 +48,17 @@ prefix shape covers each shape that one more demand gives.  At size 3
 that is ``aa`` and ``bb`` for two slots, half the prefixes of the shape
 groups.  The walk stops at the first failing prefix, and a report scans
 a size in report order only when it fails, so a level that holds is
-never scanned in order.  ``achieved_level`` builds the tables once per
-structure and asks one size at a time across both sides, so one call
-both accepts a build attempt and reports how far a failed attempt got.
+never scanned in order.  ``achieved_level`` asks one size at a time
+across both sides and builds a side's tables when a size first needs
+them.  A build attempt only matters if it raises the best level reached
+so far, so it asks the one size above that best first and stops there
+when that size fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import combinations, compress
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
@@ -253,9 +255,10 @@ def _slot_states(side: Side, mode: Mode) -> list[tuple[int, ...]]:
     return [accepts[code] for code in _SLOTS[mode]]
 
 
-def _kernel_inputs(digraph: TwoPartiteDigraph, mode: Mode,
+def _kernel_inputs(left: Sequence[str], right: Sequence[str], matrix, mode: Mode,
                    originals: dict[Side, int] | None = None) -> list[tuple]:
-    """Per side, left first: ``(side, mode, pool, rows, cols)``, where
+    """Per side of the structure with these sides and pair-state rows
+    (tuples or bytes), left first: ``(side, mode, pool, rows, cols)``, where
     ``rows[t][i]`` is the bitmap of witnesses that accept pool element
     ``i`` in slot ``t`` and ``cols[t][w]`` that of the side's vertices that
     witness ``w`` accepts there.
@@ -265,10 +268,8 @@ def _kernel_inputs(digraph: TwoPartiteDigraph, mode: Mode,
     pool to the side's first vertices in stored order, which are the
     original vertices of a closure; the vertices past the cut follow as
     witnesses only."""
-    matrix = digraph.pair_states()
     pools, orders = {}, {}
-    for side in (Side.LEFT, Side.RIGHT):
-        ids = digraph.side(side)
+    for side, ids in ((Side.LEFT, left), (Side.RIGHT, right)):
         cut = len(ids) if originals is None else originals[side]
         pool = sorted(range(cut), key=ids.__getitem__)
         pools[side] = tuple(ids[i] for i in pool)
@@ -544,29 +545,34 @@ def validate_level(level: int) -> None:
         raise ValidationError(f"extension level must be non-negative, got {level}")
 
 
+def _defect_runs(digraph: TwoPartiteDigraph, mode: Mode, level: int,
+                 limit: int | None = None) -> list[DefectRun]:
+    """``_collect_defects`` over all of ``digraph``, ``level`` validated."""
+    validate_level(level)
+    inputs = _kernel_inputs(digraph.left, digraph.right, digraph.pair_states(), mode)
+    return _collect_defects(inputs, level, limit)
+
+
 def check_generic_2partite(digraph: TwoPartiteDigraph, level: int) -> GenericityReport:
     """Extension property with successor/predecessor demands.  Also
     requires the underlying graph to be complete; a missing adjacency is
     reported via ``nonadjacent`` and makes the verdict fail."""
-    validate_level(level)
     nonadj = digraph.first_nonadjacent_pair()
-    runs = _collect_defects(_kernel_inputs(digraph, Mode.TWO_PARTITE), level)
+    runs = _defect_runs(digraph, Mode.TWO_PARTITE, level)
     holds = not runs and nonadj is None
     return GenericityReport(Mode.TWO_PARTITE, level, holds, tuple(runs), nonadj)
 
 
 def check_generic_orientation(digraph: TwoPartiteDigraph, level: int) -> GenericityReport:
     """Extension property with successor/predecessor/non-neighbour demands."""
-    validate_level(level)
-    runs = _collect_defects(_kernel_inputs(digraph, Mode.ORIENTATION), level)
+    runs = _defect_runs(digraph, Mode.ORIENTATION, level)
     return GenericityReport(Mode.ORIENTATION, level, not runs, tuple(runs))
 
 
 def check_generic_bipartite(digraph: TwoPartiteDigraph, level: int) -> GenericityReport:
     """Undirected extension property: adjacency/non-adjacency demands,
     where an edge in either direction counts as adjacency."""
-    validate_level(level)
-    runs = _collect_defects(_kernel_inputs(digraph, Mode.BIPARTITE), level)
+    runs = _defect_runs(digraph, Mode.BIPARTITE, level)
     return GenericityReport(Mode.BIPARTITE, level, not runs, tuple(runs))
 
 
@@ -574,21 +580,34 @@ def first_defect(digraph: TwoPartiteDigraph, level: int, mode: Mode) -> Requirem
     """Cheapest evidence that a level check would fail: the report's first
     defect, or None when the level holds.  In TWO_PARTITE mode
     the structural completeness clause is not consulted here."""
-    validate_level(level)
-    runs = _collect_defects(_kernel_inputs(digraph, mode), level, limit=1)
+    runs = _defect_runs(digraph, mode, level, limit=1)
     return _requirement(_expand(runs)[0]) if runs else None
+
+
+def _attempt_level(left: Sequence[str], right: Sequence[str], matrix, mode: Mode,
+                   level: int, best: int) -> int:
+    """``achieved_level`` of the structure with these sides and pair-state
+    rows when it exceeds ``best``, else some level at most ``best``.  Size
+    ``best + 1`` is asked first, so a build attempt that cannot raise
+    ``best`` costs that one size; one that passes it asks the smaller
+    sizes, then the larger, so a level it reports above ``best`` is exact.
+    A side's tables are built when a size first needs them, and no size
+    past the larger pool adds a requirement."""
+    if mode is Mode.TWO_PARTITE and any(PAIR_NONE in row for row in matrix):
+        return -1
+    inputs = _kernel_inputs(left, right, matrix, mode)
+    kernel = cache(lambda i: _kernel(*inputs[i]))
+    for size in sorted(range(min(level, max(len(side[2]) for side in inputs)) + 1),
+                       key=(best + 1).__ne__):
+        if any(_fails(kernel(i), size) for i in (0, 1)):
+            return size - 1
+    return level
 
 
 def achieved_level(digraph: TwoPartiteDigraph, mode: Mode, max_level: int) -> int:
     """Largest level ``t <= max_level`` at which the extension property
     holds (structural completeness clause included for TWO_PARTITE), or
-    -1 when even level 0 fails.  One table build serves every level, and
-    no level past the larger pool adds a requirement."""
+    -1 when even level 0 fails."""
     validate_level(max_level)
-    if mode is Mode.TWO_PARTITE and digraph.first_nonadjacent_pair() is not None:
-        return -1
-    kernels = [_kernel(*inputs) for inputs in _kernel_inputs(digraph, mode)]
-    for total in range(min(max_level, max(len(kernel[2]) for kernel in kernels)) + 1):
-        if any(_fails(kernel, total) for kernel in kernels):
-            return total - 1
-    return max_level
+    return _attempt_level(digraph.left, digraph.right, digraph.pair_states(), mode,
+                          max_level, -1)

@@ -764,6 +764,13 @@ def shape_group_fails(kernel: tuple, size: int) -> bool:
                for prefix, _ in _shape_groups(size, kernel[1]))
 
 
+def kernel_inputs(digraph: TwoPartiteDigraph, mode: Mode,
+                  originals: dict[Side, int] | None = None) -> list[tuple]:
+    """``genericity._kernel_inputs`` over the sides and pair states of
+    ``digraph``."""
+    return _kernel_inputs(digraph.left, digraph.right, digraph.pair_states(), mode, originals)
+
+
 def zip_kernel_inputs(digraph: TwoPartiteDigraph, mode: Mode,
                       originals: dict[Side, int] | None = None) -> list[tuple]:
     """``genericity._kernel_inputs`` with the pair-state lines permuted by
@@ -1100,7 +1107,7 @@ def edge_list_closure(digraph: TwoPartiteDigraph, mode: Mode, level: int,
         # witnesses are appended, so cutting each side's pool to its first
         # (original) vertices scans exactly the requirements over them; the
         # scan stops at one batch of rows, and at the cap reports them all
-        runs = _collect_defects(_kernel_inputs(current, mode, originals), level,
+        runs = _collect_defects(kernel_inputs(current, mode, originals), level,
                                 None if added >= cap else cap - added)
         if not runs:
             return current

@@ -566,6 +566,18 @@ PINNED_CENSUS = {
 PINNED_LARGE_REPORT = "bda3200b273d2456a782198e16acc7e176ed466b8d15db11f5642393734aa941"
 
 
+# SHA-256 of a transcript of unreachable gen runs, each exit 1 with the best
+# level reached, computed while every attempt was scanned from size 0.
+PINNED_UNREACHABLE_GEN = "bd06498a79ebb8bc15d2d39b6f6440a8c0033e9fa683e6238bd94078a3fe1954"
+UNREACHABLE_GEN_RUNS = [
+    ["gen", "generic-2partite", "--size", "40", "--level", "3", "--seed", "1"],
+    ["gen", "generic-2partite", "--size", "128", "--level", "4", "--seed", "1"],
+    ["gen", "generic-orientation", "--size", "88", "--level", "3", "--seed", "3"],
+    ["gen", "generic-orientation", "--size", "128", "--level", "3", "--seed", "3"],
+    ["gen", "generic-bipartite", "--size", "16", "--level", "3", "--seed", "4"],
+    ["gen", "generic-bipartite", "--size", "20", "--level", "3", "--seed", "1", "--dir", "r2l"],
+]
+
 def _map_search_inputs(tmp_path) -> dict[str, list[list[str]]]:
     """Inputs, most listed in an order unlike their id order, and the runs of
     ``aut``, ``iso`` and ``check-hom --exact`` on them."""
@@ -615,6 +627,11 @@ class TestPinnedPayloads:
         assert (code, err) == (1, "")
         assert out.count('{"side":') == 127_520
         assert _sha(out) == PINNED_LARGE_REPORT
+
+    def test_unreachable_gen_transcript(self):
+        text = _transcript(UNREACHABLE_GEN_RUNS)
+        assert text.count('"error":"approximant-not-found"') == len(UNREACHABLE_GEN_RUNS)
+        assert _sha(text) == PINNED_UNREACHABLE_GEN
 
     def test_baf_transcript(self):
         runs = [["baf", "--mode", "2partite", "--size", "16", "--level", "2",

@@ -40,6 +40,7 @@ from twopartite.genericity import (
 from conftest import (
     _scan_size,
     defect_row,
+    kernel_inputs,
     kernels_of,
     materialized_defects,
     naive_witness,
@@ -205,7 +206,7 @@ class TestBipartiteCheck:
         for _ in range(120):
             d = random_digraph(rng, max_side=11)
             cut = {side: rng.randint(0, len(d.side(side))) for side in (Side.LEFT, Side.RIGHT)}
-            kernels = kernels_of(genericity._kernel_inputs(d, Mode.BIPARTITE, cut))
+            kernels = kernels_of(kernel_inputs(d, Mode.BIPARTITE, cut))
             for side in (Side.LEFT, Side.RIGHT):
                 _, _, pool, wit_count, rows, packed = kernels[side]
                 assert pool == tuple(sorted(d.side(side)[:cut[side]]))
@@ -282,7 +283,7 @@ class TestReportProperties:
 
     def test_complete_report_matches_oracle(self):
         d = complete_bipartite_digraph(4, 3)
-        inputs = genericity._kernel_inputs(d, Mode.ORIENTATION)
+        inputs = kernel_inputs(d, Mode.ORIENTATION)
         want = materialized_defects(inputs, 2, Mode.ORIENTATION)
         assert check_generic_orientation(d, 2).defects == tuple(want)
 
@@ -316,7 +317,7 @@ def _collected_rows(inputs, level, limit=None):
 def _oracle_achieved_level(structure, mode, max_level, scan=_scan_size):
     if mode is Mode.TWO_PARTITE and structure.first_nonadjacent_pair() is not None:
         return -1
-    inputs = genericity._kernel_inputs(structure, mode)
+    inputs = kernel_inputs(structure, mode)
     for total in range(max_level + 1):
         if materialized_defects(inputs, max_level, mode, limit=1, only_total=total, scan=scan):
             return total - 1
@@ -386,7 +387,7 @@ class TestTransposedKernel:
             d = _skewed_digraph(rng)
             cases = limited + [(3 if index % 4 else 4, None)]
             for mode, structure in _mode_inputs(d):
-                inputs = genericity._kernel_inputs(structure, mode)
+                inputs = kernel_inputs(structure, mode)
                 for level, limit in cases:
                     got = _collected_rows(inputs, level, limit)
                     want = _oracle_rows(inputs, level, mode, limit, scan=unrolled_kernel)
@@ -397,7 +398,7 @@ class TestTransposedKernel:
         for _ in range(200):
             d = _skewed_digraph(rng)
             for mode, structure in _mode_inputs(d):
-                inputs = genericity._kernel_inputs(structure, mode)
+                inputs = kernel_inputs(structure, mode)
                 parts: dict[tuple, list] = {}
                 for row in sorted_scan_rows(inputs, max(self.LEVELS), mode,
                                             scan=unrolled_kernel):
@@ -416,7 +417,7 @@ class TestTransposedKernel:
         for _ in range(200):
             d = _skewed_digraph(rng)
             for mode, structure in _mode_inputs(d):
-                inputs = genericity._kernel_inputs(structure, mode)
+                inputs = kernel_inputs(structure, mode)
                 for level in self.LEVELS:
                     want = _oracle_rows(inputs, level, mode, 1, scan=unrolled_kernel)
                     assert _first_row(structure, level, mode) == (want[0] if want else None)
@@ -433,7 +434,7 @@ class TestTransposedKernel:
         for _ in range(16):
             d = _wide_digraph(rng)
             for mode, structure in _mode_inputs(d):
-                inputs = genericity._kernel_inputs(structure, mode)
+                inputs = kernel_inputs(structure, mode)
                 for side in (Side.LEFT, Side.RIGHT):
                     kernel = kernels_of(inputs)[side]
                     _, _, _, wit_count, _, packed = kernel
@@ -479,7 +480,7 @@ class TestTransposedKernel:
         for _ in range(2):
             d = _skewed_digraph(rng, max_side=6)
             for mode, structure in _mode_inputs(d):
-                inputs = genericity._kernel_inputs(structure, mode)
+                inputs = kernel_inputs(structure, mode)
                 report = CHECKS[mode](structure, 3)
                 assert report.rows == tuple(_oracle_rows(inputs, 3, mode, scan=unrolled_kernel))
 
@@ -509,7 +510,7 @@ class TestDefectRows:
             d = _scrambled_digraph(rng)
             cases = limited + [(3 if index % 4 else 4, None)]
             for mode, structure in _mode_inputs(d):
-                inputs = genericity._kernel_inputs(structure, mode)
+                inputs = kernel_inputs(structure, mode)
                 for level, limit in cases:
                     got = _collected_rows(inputs, level, limit)
                     assert got == _oracle_rows(inputs, level, mode, limit), \
@@ -526,7 +527,7 @@ class TestDefectRows:
         for _ in range(200):
             d = _scrambled_digraph(rng)
             for mode, structure in _mode_inputs(d):
-                inputs = genericity._kernel_inputs(structure, mode)
+                inputs = kernel_inputs(structure, mode)
                 for level in self.LEVELS:
                     want = _oracle_rows(inputs, level, mode, 1)
                     assert _first_row(structure, level, mode) == (want[0] if want else None)
@@ -560,7 +561,7 @@ class TestDefectRows:
                     seen += 1
                     originals = {side: len(structure.side(side))
                                  for side in (Side.LEFT, Side.RIGHT)}
-                    cut = genericity._kernel_inputs(exc.partial, mode, originals)
+                    cut = kernel_inputs(exc.partial, mode, originals)
                     assert exc.defects == tuple(materialized_defects(cut, 2, mode))
                     assert list(map(defect_row, exc.defects)) == sorted_scan_rows(cut, 2, mode)
         assert seen > 20
@@ -626,7 +627,7 @@ class TestRuns:
         for _ in range(150):
             d = _scrambled_digraph(rng, max_side=4)
             for mode, structure in _mode_inputs(d):
-                self._compare(genericity._kernel_inputs(structure, mode), mode, self.SIZES)
+                self._compare(kernel_inputs(structure, mode), mode, self.SIZES)
 
     def test_cut_pools(self):
         # the pools of witness_closure's partial structures, and random
@@ -641,10 +642,10 @@ class TestRuns:
                     witness_closure(structure, mode, 2, cap=2)
                 except CapExceeded as exc:
                     seen += 1
-                    inputs = genericity._kernel_inputs(exc.partial, mode, originals)
+                    inputs = kernel_inputs(exc.partial, mode, originals)
                     self._compare(inputs, mode, range(4))
                 cut = {side: rng.randint(0, count) for side, count in originals.items()}
-                self._compare(genericity._kernel_inputs(structure, mode, cut), mode, range(4))
+                self._compare(kernel_inputs(structure, mode, cut), mode, range(4))
         assert seen > 20
 
     @pytest.mark.parametrize("m,n", [(0, 0), (0, 1), (0, 3), (1, 0), (4, 0)])
@@ -653,7 +654,7 @@ class TestRuns:
         # no demands included
         d = empty_digraph(m, n)
         for mode, structure in _mode_inputs(d):
-            inputs = genericity._kernel_inputs(structure, mode)
+            inputs = kernel_inputs(structure, mode)
             self._compare(inputs, mode, self.SIZES)
             report = CHECKS[mode](structure, 2)
             empty_rows = [(side, (), (), ()) for side, count in ((Side.LEFT, n), (Side.RIGHT, m))
@@ -698,7 +699,7 @@ class TestExistenceCover:
     SIZES = range(6)
 
     def _compare(self, structure, mode, originals=None, sizes=SIZES):
-        inputs = genericity._kernel_inputs(structure, mode, originals)
+        inputs = kernel_inputs(structure, mode, originals)
         assert inputs == zip_kernel_inputs(structure, mode, originals), (structure, mode)
         for side_inputs in inputs:
             kernel = genericity._kernel(*side_inputs)
@@ -733,7 +734,7 @@ class TestExistenceCover:
             d = _near_universal(rng, q, states, rng.choice((0, 1, 2, 5)))
             for mode, structure in _mode_inputs(d):
                 self._compare(structure, mode)
-                for side_inputs in genericity._kernel_inputs(structure, mode):
+                for side_inputs in kernel_inputs(structure, mode):
                     kernel = genericity._kernel(*side_inputs)
                     outcomes |= {(size, genericity._fails(kernel, size)) for size in (3, 4)
                                  if size <= len(side_inputs[2])}
@@ -817,6 +818,56 @@ class TestExistenceCover:
         assert achieved_level(d, Mode.TWO_PARTITE, 3) == 3
 
 
+class TestAttemptLevel:
+    """The randomized builders' per-attempt level against ``achieved_level``
+    and the oracle, for every best level an earlier attempt could have set:
+    equal when the exact level is above that best, else at most that best."""
+
+    def test_exact_above_best(self):
+        rng = random.Random(2626)
+        above = at_most = 0
+        for _ in range(300):
+            d = _skewed_digraph(rng, max_side=6)
+            for mode, structure in _mode_inputs(d):
+                # the builders pass the rows they drew, as bytes
+                rows = [bytes(row) for row in structure.matrix]
+                for level in range(6):
+                    exact = achieved_level(structure, mode, level)
+                    assert exact == _oracle_achieved_level(structure, mode, level), (d, mode)
+                    for best in range(-1, level):
+                        got = genericity._attempt_level(structure.left, structure.right,
+                                                        rows, mode, level, best)
+                        if exact > best:
+                            assert got == exact, (d, mode, level, best)
+                            above += 1
+                        else:
+                            assert got <= best, (d, mode, level, best)
+                            at_most += 1
+        assert above > 1000 and at_most > 1000, (above, at_most)
+
+    def test_best_size_asked_first(self, monkeypatch):
+        # an attempt that fails the size above the best is dropped after
+        # that one size, and one side's tables are built only when needed
+        d = generic_2partite_approx(ApproximantSpec(40, 2, seed=1))
+        sizes, kernels = [], []
+        fails, kernel = genericity._fails, genericity._kernel
+        monkeypatch.setattr(genericity, "_fails",
+                            lambda k, size: sizes.append(size) or fails(k, size))
+        monkeypatch.setattr(genericity, "_kernel",
+                            lambda *inputs: kernels.append(inputs[0]) or kernel(*inputs))
+        assert achieved_level(d, Mode.TWO_PARTITE, 3) == 2
+        sizes.clear()
+        kernels.clear()
+        assert genericity._attempt_level(d.left, d.right, d.matrix,
+                                         Mode.TWO_PARTITE, 3, 2) <= 2
+        assert sizes == [3] and kernels == [Side.LEFT]
+        # one that passes it asks the smaller sizes in order, both sides each
+        sizes.clear()
+        assert genericity._attempt_level(d.left, d.right, d.matrix,
+                                         Mode.TWO_PARTITE, 2, 1) == 2
+        assert sizes == [2, 2, 0, 0, 1, 1]
+
+
 # Digests of the JSON text of seeded builder outputs; a change to the scan
 # or the retry loop must leave every one of them unchanged.
 PINNED_BUILDS = [
@@ -844,10 +895,17 @@ PINNED_RETRIED_BUILDS = [
      "5e6401617eacbd94222c7ab4f0cace015ac2561b1be885140d7c97a1979adcd4"),
 ]
 
+# (builder, spec, best level).  The last four raise the best level after
+# their first attempt: 128 / 4 / 1 from 2 to 3 at attempt 2, and the
+# others from 1 to 2 at attempt 19, 2 and 11.
 PINNED_UNREACHABLE = [
     (generic_2partite_approx, ApproximantSpec(8, 3, seed=1), 1),
     (generic_orientation_approx, ApproximantSpec(12, 2, seed=4), 1),
     (generic_bipartite_approx, ApproximantSpec(10, 2, seed=7), 1),
+    (generic_2partite_approx, ApproximantSpec(128, 4, seed=1), 3),
+    (generic_2partite_approx, ApproximantSpec(20, 3, seed=1), 2),
+    (generic_orientation_approx, ApproximantSpec(88, 3, seed=3), 2),
+    (generic_bipartite_approx, ApproximantSpec(16, 3, seed=4), 2),
 ]
 
 
@@ -863,10 +921,10 @@ class TestSeededBuilds:
 
         def counted(*args):
             calls.append(args)
-            return achieved_level(*args)
+            return genericity._attempt_level(*args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(catalog, "achieved_level", counted)
+            mp.setattr(catalog, "_attempt_level", counted)
             text = to_json_text(builder(spec))
         assert len(calls) == attempts
         assert hashlib.sha256(text.encode()).hexdigest() == digest
