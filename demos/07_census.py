@@ -1,19 +1,19 @@
-"""The brute-force census.
+"""The classification census.
 
-Every structure on bounded sides is enumerated up to side-preserving
-isomorphism (three states per cross pair, deduplicated by canonical
-form), the exact homogeneity decider runs on each class, and the
-homogeneous survivors are classified.  The audit then cross-checks the
-outcome against the catalog: nothing unexpected may appear, and every
-catalog structure in range must be found.
+Each cross pair takes one of three states, so the structures on sides of
+size m and n fall into the side-preserving isomorphism classes of the
+3^(m*n) state vectors; Burnside's lemma counts them without listing
+them.  A homogeneous structure is line-symmetric (its columns are closed
+under permuting the rows, and its rows under permuting the columns), so
+the census generates and decides only the line-symmetric classes, a
+handful per pair of sides, runs the exact homogeneity decider on each,
+and classifies the homogeneous survivors.  The audit then cross-checks
+the outcome against the catalog: nothing unexpected may appear, and
+every catalog structure in range must be found.
 
-A homogeneous structure is line-symmetric (its columns are closed under
-permuting the rows, and its rows under permuting the columns), so the
-census generates and decides only the line-symmetric classes, a handful
-per pair of sides, and counts the rest by Burnside's lemma.  Sides up to
-6 take a second or two.  A range is refused at once when m!n! on its
-largest sides exceeds the decider's automorphism cap (10^6), so 7x7 is
-out.  Use the CLI for the desk-scale audit:
+Sides up to 6 take a second or two.  A range is refused at once when
+m!n! on its largest sides exceeds the decider's automorphism cap
+(10^6), so 7x7 is out.  Use the CLI for the desk-scale audit:
 
     twopartite verify --max-x 3 --max-y 3
     twopartite verify --max-x 4 --max-y 4    # under a second
@@ -22,10 +22,10 @@ out.  Use the CLI for the desk-scale audit:
 
 from collections import Counter
 
-from twopartite import census_homogeneous, enumerate_all, verify_classification
+from twopartite import census_homogeneous, verify_classification
+from twopartite.census import _burnside_count
 
-print("isomorphism classes with both sides of size 2:",
-      sum(1 for _ in enumerate_all(2, 2)))
+print("isomorphism classes with both sides of size 2:", _burnside_count(2, 2))
 
 entries = census_homogeneous(2, 2)
 print(f"homogeneous classes with sides up to 2: {len(entries)}")

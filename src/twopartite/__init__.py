@@ -4,8 +4,8 @@ The package decides, at desk scale, everything the classification of
 homogeneous 2-partite digraphs promises: catalog constructors for each
 class, an exact homogeneity decider, level-bounded extension-property
 checks for the generic classes, a classification decision tree, a
-back-and-forth engine for aligning approximants, and an exhaustive
-census that audits the whole story by brute force.
+back-and-forth engine for aligning approximants, and a census of every
+homogeneous class on bounded sides that audits the classification.
 """
 
 from .core import (
@@ -43,7 +43,6 @@ from .iso import (
     canonical_form,
     extends_to_automorphism,
     is_homogeneous,
-    is_homogeneous_bipartite,
     is_valid_partial_iso,
 )
 from .genericity import (
@@ -63,7 +62,6 @@ from .classify import (
     ClassLabel,
     classify_exact,
     classify_profile,
-    distinct_neighbourhoods,
     edge_direction,
     classify_bipartite_graph,
     matching_complement_size,
@@ -80,7 +78,6 @@ from .census import (
     CensusEntry,
     AuditReport,
     census_homogeneous,
-    enumerate_all,
     verify_classification,
 )
 from . import errors

@@ -118,7 +118,8 @@ def back_and_forth(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph, mode: Mode,
                    precheck: bool = True) -> tuple[PartialMap, BafTrace]:
     """Grow a side-respecting partial isomorphism d1 -> d2 of the given
     size, alternating forth (next unmatched vertex of d1, in ``order1``)
-    and back (of d2, in ``order2``); orders default to stored order.
+    and back (of d2, in ``order2``); orders default to stored order.  An
+    order that runs out of unmatched vertices raises InvalidSpec.
 
     With ``precheck`` (the default) both structures are verified to have
     the mode's extension property at level ``target_size`` first, which
@@ -153,7 +154,10 @@ def back_and_forth(d1: TwoPartiteDigraph, d2: TwoPartiteDigraph, mode: Mode,
             src, tgt, order = d2, d1, order2
             mapped = {t: s for s, t in mapping.items()}
             used_tgt = set(mapping.keys())
-        vertex = next(v for v in order if v not in mapped)
+        vertex = next((v for v in order if v not in mapped), None)
+        if vertex is None:
+            raise InvalidSpec(f"order{1 if forth else 2} has no unmatched vertex "
+                              f"left at step {step_no + 1}")
         req = _pattern_requirement(src, vertex, mapped)
         witness = brute_witness_scan(tgt, req, exclude=used_tgt)
         if witness is None:

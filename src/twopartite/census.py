@@ -1,10 +1,11 @@
-"""Exhaustive enumeration and the desk-scale classification census.
+"""The desk-scale classification census and its audit.
 
 Every cross pair of a structure takes one of three states (->, <-, or
 nonadjacent), so the labelled structures on fixed sides are exactly the
-3^(m*n) state vectors.  ``enumerate_all`` walks them in lexicographic
-order and keeps the first representative of each side-preserving
-isomorphism class, deduplicating by canonical form.
+3^(m*n) state vectors, and each side-preserving isomorphism class is
+represented by its least row-major vector.  The census walks none of
+them: it generates only the classes that can be homogeneous and counts
+the rest.
 
 The census only needs the line-symmetric structures: their multiset of
 columns is closed under permuting the rows, and their multiset of rows
@@ -14,11 +15,11 @@ homogeneous structure it extends to an automorphism, which permutes the
 columns among themselves; the same holds on the right.  The census
 generates the line-symmetric classes (3 on each non-square pair of
 non-empty sides, 9 on each square pair from 3x3 up), each as the least
-row-major state vector of its class, which is the representative the
-full walk gives it.  It runs the exact homogeneity decider over them
-and records the classification of the homogeneous ones.  The number of
-classes scanned in all comes from Burnside's lemma over the side
-permutations (Harary and Palmer, *Graphical Enumeration*, 1973).
+row-major state vector of its class.  It runs the exact homogeneity
+decider over them and records the classification of the homogeneous
+ones.  The number of classes scanned in all comes from Burnside's lemma
+over the side permutations (Harary and Palmer, *Graphical Enumeration*,
+1973).
 
 Each class is keyed by its least vector, never canonicalised: a
 line-symmetric structure is side-regular, so colour refinement leaves one
@@ -35,7 +36,7 @@ range at once.
 ``verify_classification`` cross-checks the census against the catalog:
 every homogeneous class must be a one-direction structure or a
 matching/complement pair, and every catalog structure in range must
-appear.  This brute-force audit is the ground truth the rest of the
+appear.  This desk-scale audit is the ground truth the rest of the
 package is tested against.
 """
 
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 from math import factorial, gcd
 from typing import Iterator
 
@@ -58,34 +59,8 @@ from .catalog import (
 )
 from .classify import ClassCase, ClassLabel, classify_exact
 from .core import PAIR_LR, PAIR_RL, TwoPartiteDigraph
-from .errors import AutGroupTooLarge, EnumerationBudgetExceeded, ValidationError
+from .errors import AutGroupTooLarge, ValidationError
 from .iso import DEFAULT_AUT_CAP, CanonicalForm, HomogeneityVerdict, _encode, canonical_form
-
-DEFAULT_PAIR_BUDGET = 12
-
-
-def _check_bounds(m: int, n: int) -> None:
-    if m < 0 or n < 0:
-        raise ValidationError(f"side bounds must be non-negative, got {m} and {n}")
-
-
-def enumerate_all(m: int, n: int) -> Iterator[TwoPartiteDigraph]:
-    """All 2-partite digraphs with sides of size m and n, one
-    representative per side-preserving isomorphism class.
-
-    The state space has 3^(m*n) labelled structures; sizes with
-    m*n > 12 are refused, eagerly, before any iteration.  A negative
-    side size raises ValidationError.
-    """
-    _check_bounds(m, n)
-    if m * n > DEFAULT_PAIR_BUDGET:
-        raise EnumerationBudgetExceeded(
-            f"3^{m * n} labelled structures at sides {m}x{n}; "
-            f"the budget is {DEFAULT_PAIR_BUDGET} labelled pairs")
-    seen: set[CanonicalForm] = set()
-    candidates = (_structure(m, n, v) for v in product((0, 1, 2), repeat=m * n))
-    # set.add returns None, so the first structure of each class is kept
-    return (d for d in candidates if (key := canonical_form(d)) not in seen and not seen.add(key))
 
 
 def _structure(m: int, n: int, states: tuple[int, ...]) -> TwoPartiteDigraph:
@@ -175,7 +150,9 @@ def _census_all(max_left: int, max_right: int) -> list[CensusEntry]:
     raises ValidationError, and a range whose empty largest structure has
     more automorphisms than the decider's cap AutGroupTooLarge, both
     before any class is built."""
-    _check_bounds(max_left, max_right)
+    if max_left < 0 or max_right < 0:
+        raise ValidationError(
+            f"side bounds must be non-negative, got {max_left} and {max_right}")
     order = 1
     # multiply up only until the cap is passed: a bound may be huge
     for k in chain(range(2, max_left + 1), range(2, max_right + 1)):

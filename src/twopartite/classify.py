@@ -114,18 +114,6 @@ def classify_bipartite_graph(digraph: TwoPartiteDigraph,
                       reason="no structural kind matches at exact (finite) scale")
 
 
-def distinct_neighbourhoods(digraph: TwoPartiteDigraph) -> bool:
-    """True when, on each side, out-neighbourhoods are pairwise distinct
-    and in-neighbourhoods are pairwise distinct."""
-    # a vertex's successors are the cells of its line in one direction
-    # state, its predecessors those in the other
-    for lines in (digraph.matrix, digraph.columns):
-        for state in (PAIR_LR, PAIR_RL):
-            if len({tuple(s == state for s in line) for line in lines}) != len(lines):
-                return False
-    return True
-
-
 def matching_complement_size(digraph: TwoPartiteDigraph) -> int | None:
     """The common side size (at least 2) when one direction's edges form
     a perfect matching and the other direction's form its complement

@@ -52,8 +52,8 @@ class InvalidPartialMap(ValidationError):
 
 
 class InvalidRequirement(ValidationError):
-    """A requirement names unknown vertices, overlapping sets, or a set
-    that its mode forbids."""
+    """A requirement names vertices not on its side, or its demand sets
+    overlap."""
 
 
 class PairSizeTooSmall(ValidationError):
@@ -66,11 +66,6 @@ class InvalidSpec(ValidationError):
 
 class TargetExceedsStructure(ValidationError):
     """A back-and-forth target size exceeds what the structures can hold."""
-
-
-class EnumerationBudgetExceeded(ValidationError):
-    """An enumeration was refused because the state space exceeds the
-    budget of labelled pairs."""
 
 
 class AutGroupTooLarge(TwoPartiteError):

@@ -17,10 +17,10 @@ Every mode reads the same digraph.  An undirected bipartite graph is
 passed as its one-direction orientation, and BIPARTITE mode reads only
 whether a pair is adjacent.
 
-The checkers enumerate the requirement space exhaustively (they serve
-as oracles, so no sampling) and report every unwitnessed requirement.
-Finite structures can only certify a finite level, never genuine
-genericity.
+The checkers decide every requirement up to the level, with no
+sampling, and report every unwitnessed one.  They run the bitmap kernel
+below, never a walk over the requirements one at a time.  Finite
+structures can only certify a finite level, never genuine genericity.
 
 One kernel serves all three modes and every size.  It reads bitmaps
 built from one pass over the pair-state lines, with each pool indexed in
@@ -58,6 +58,7 @@ when that size fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from functools import cache, cached_property, lru_cache
 from itertools import combinations, compress
 from math import factorial, prod
@@ -65,8 +66,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import PAIR_LR, PAIR_NONE, PAIR_RL, Side, TwoPartiteDigraph
 from .errors import InvalidRequirement, ValidationError
-
-from enum import Enum
 
 
 class Mode(Enum):
@@ -83,10 +82,6 @@ class Requirement:
     a: frozenset[str]
     b: frozenset[str]
     c: frozenset[str]
-
-    @property
-    def total(self) -> int:
-        return len(self.a) + len(self.b) + len(self.c)
 
 
 def requirement(side: Side, a: Iterable[str] = (), b: Iterable[str] = (),

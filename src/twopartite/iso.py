@@ -70,21 +70,6 @@ class PartialMap:
     def targets(self) -> tuple[str, ...]:
         return tuple(t for (_, t) in self.pairs)
 
-    def inverse(self) -> "PartialMap":
-        return PartialMap.from_dict({t: s for (s, t) in self.pairs})
-
-    def compose(self, then: "PartialMap") -> "PartialMap":
-        """The map v -> then(self(v)), defined where both legs are."""
-        out = {}
-        other = then.as_dict()
-        for (s, t) in self.pairs:
-            if t in other:
-                out[s] = other[t]
-        return PartialMap.from_dict(out)
-
-    def is_identity(self) -> bool:
-        return all(s == t for (s, t) in self.pairs)
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -534,12 +519,3 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
                         return HomogeneityVerdict(False, PartialMap.from_dict(
                             {vertices[p]: vertices[q] for p, q in zip(subset, target)}))
     return HomogeneityVerdict(True, None)
-
-
-def is_homogeneous_bipartite(digraph: TwoPartiteDigraph,
-                             k: int | None = None, **kwargs) -> HomogeneityVerdict:
-    """Homogeneity of the undirected bipartite graph underlying
-    ``digraph``, decided on its left-to-right orientation.  Orienting
-    every edge one way is information-preserving, so side-respecting
-    partial isomorphisms and automorphisms of the two coincide."""
-    return is_homogeneous(digraph.underlying_bipartite(), k, **kwargs)

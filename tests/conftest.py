@@ -46,9 +46,14 @@ the structure through ``build``, which the closure that appends rows
 and columns to the matrix replaced (it shares the defect scan);
 ``shape_group_fails``, the existence test that walked the report's
 shape groups, which the walk over a cover of prefix shapes replaced (it
-shares the prefix walk ``genericity._failing_prefixes``); and
+shares the prefix walk ``genericity._failing_prefixes``);
 ``zip_kernel_inputs``, the kernel inputs that permuted the pair-state
-lines by two tuple transposes, which bytes slicing replaced.
+lines by two tuple transposes, which bytes slicing replaced; and
+``enumerate_all``, the walk over all 3^(m*n) state vectors that keeps
+the first structure of each class, which the census no longer calls
+(it runs on ``_classes``).  ``distinct_neighbourhoods`` is the
+neighbourhood test that ``classify`` once exported; no production path
+reads it.
 """
 
 import json
@@ -64,7 +69,7 @@ from hypothesis import strategies as st
 
 from twopartite import build
 from twopartite.catalog import Direction, _fresh_names
-from twopartite.census import CensusEntry, _entry, _line_symmetric_states, enumerate_all
+from twopartite.census import CensusEntry, _entry, _line_symmetric_states
 from twopartite.classify import classify_exact
 from twopartite.core import FLIPPED, PAIR_LR, PAIR_RL, Side, TwoPartiteDigraph, _assemble
 from twopartite.errors import AutGroupTooLarge, CapExceeded, InvalidSpec, ValidationError
@@ -119,6 +124,19 @@ def naive_witness(structure, req, mode: Mode = Mode.ORIENTATION) -> str | None:
         elif req.a <= outs and req.b <= ins and req.c <= set(structure.perp(w)):
             return w
     return None
+
+
+# -- neighbourhoods -----------------------------------------------------------
+
+def distinct_neighbourhoods(digraph: TwoPartiteDigraph) -> bool:
+    """True when, on each side, out-neighbourhoods are pairwise distinct
+    and in-neighbourhoods are pairwise distinct, read from the public
+    neighbourhood methods."""
+    for side in (digraph.left, digraph.right):
+        for neighbourhood in (digraph.out_neighbourhood, digraph.in_neighbourhood):
+            if len({frozenset(neighbourhood(v)) for v in side}) != len(side):
+                return False
+    return True
 
 
 # -- naive homogeneity --------------------------------------------------------
@@ -810,7 +828,8 @@ def requirement_sort_key(req: Requirement):
     """Normalized ordering: side, then total size, then shape (larger
     ``a`` first), then sorted ids."""
     side_rank = 0 if req.side is Side.LEFT else 1
-    return (side_rank, req.total, (len(req.b) + len(req.c), len(req.c)),
+    total = len(req.a) + len(req.b) + len(req.c)
+    return (side_rank, total, (len(req.b) + len(req.c), len(req.c)),
             tuple(sorted(req.a)), tuple(sorted(req.b)), tuple(sorted(req.c)))
 
 
@@ -919,6 +938,26 @@ def _classes(m: int, n: int, vectors: Iterable[tuple[int, ...]]
         if key not in seen:
             seen.add(key)
             yield key, candidate
+
+
+# the largest side product ``enumerate_all`` walks: 3^12 labelled structures
+DEFAULT_PAIR_BUDGET = 12
+
+
+class EnumerationBudgetExceeded(ValidationError):
+    """``enumerate_all`` was asked for more labelled pairs than its budget."""
+
+
+def enumerate_all(m: int, n: int) -> Iterator[TwoPartiteDigraph]:
+    """Every class on sides of size m and n, one representative each: the
+    first of its row-major state vectors in lexicographic order, which is
+    its least vector.  Sizes with m*n over the budget are refused,
+    eagerly, before any iteration."""
+    if m * n > DEFAULT_PAIR_BUDGET:
+        raise EnumerationBudgetExceeded(
+            f"3^{m * n} labelled structures at sides {m}x{n}; "
+            f"the budget is {DEFAULT_PAIR_BUDGET} labelled pairs")
+    return (d for _, d in _classes(m, n, product((0, 1, 2), repeat=m * n)))
 
 
 # the side pairs of the desk-scale census: up to 3x3, and up to 2x4

@@ -39,7 +39,6 @@ from twopartite.classify import (
     ClassCase,
     classify_exact,
     classify_profile,
-    distinct_neighbourhoods,
 )
 from twopartite.cli import run
 from twopartite.core import to_json_text
@@ -50,9 +49,9 @@ from twopartite.genericity import (
     check_generic_orientation,
     iter_requirements,
 )
-from twopartite.iso import is_homogeneous, is_homogeneous_bipartite
+from twopartite.iso import is_homogeneous
 
-from conftest import naive_witness, random_digraph
+from conftest import distinct_neighbourhoods, naive_witness, random_digraph
 
 L2R, R2L = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
 
@@ -125,8 +124,7 @@ def test_c3_orientation_transfer_exhaustive():
                                              else (left[i], right[j]))
                     digraph = build(left, right, edges)
                     direct = is_homogeneous(digraph).holds
-                    undirected = is_homogeneous_bipartite(
-                        digraph.underlying_bipartite()).holds
+                    undirected = is_homogeneous(digraph.underlying_bipartite()).holds
                     assert direct == undirected, digraph
                     checked += 1
     assert checked == 1362

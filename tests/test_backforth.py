@@ -29,7 +29,7 @@ class TestBackAndForth:
         # identity; the level precondition is irrelevant here
         m3 = matching_complement_pair(3)
         pm, trace = back_and_forth(m3, m3, Mode.TWO_PARTITE, 6, precheck=False)
-        assert pm.is_identity() and len(pm) == 6
+        assert dict(pm.pairs) == {v: v for v in m3.vertices()}
 
     def test_alternation_and_replay(self):
         d1 = generic_2partite_approx(ApproximantSpec(48, 2, seed=1))
@@ -101,6 +101,17 @@ class TestBackAndForth:
     def test_bipartite_mode_rejected(self):
         with pytest.raises(InvalidSpec):
             back_and_forth(matching_complement_pair(2), matching_complement_pair(2), Mode.BIPARTITE, 1)
+
+    @pytest.mark.parametrize("target,orders,message", [
+        (3, {"order1": ["x1"]}, "order1 has no unmatched vertex left at step 3"),
+        (3, {"order1": ["x1", "x1", "x1"]}, "order1 has no unmatched vertex left at step 3"),
+        (2, {"order2": []}, "order2 has no unmatched vertex left at step 2"),
+    ])
+    def test_exhausted_order_is_invalid_spec(self, target, orders, message):
+        d1 = generic_2partite_approx(ApproximantSpec(16, 1, seed=1))
+        d2 = generic_2partite_approx(ApproximantSpec(16, 1, seed=2))
+        with pytest.raises(InvalidSpec, match=message):
+            back_and_forth(d1, d2, Mode.TWO_PARTITE, target, precheck=False, **orders)
 
 
 class TestReplayValidation:

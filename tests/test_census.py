@@ -13,11 +13,10 @@ from twopartite.census import (
     _line_symmetric_states,
     _structure,
     census_homogeneous,
-    enumerate_all,
     verify_classification,
 )
 from twopartite.classify import ClassCase, classify_exact
-from twopartite.errors import AutGroupTooLarge, EnumerationBudgetExceeded, ValidationError
+from twopartite.errors import AutGroupTooLarge, ValidationError
 from twopartite.iso import (
     HomogeneityVerdict,
     _encode,
@@ -32,6 +31,7 @@ from conftest import (
     burnside_class_count,
     canonicalised_census,
     census_classes,
+    enumerate_all,
     full_census,
     side_regular_census,
     side_regular_states,
@@ -105,19 +105,8 @@ class TestEnumerateAll:
         forms = [canonical_form(d) for d in enumerate_all(2, 2)]
         assert len(forms) == len(set(forms))
 
-    def test_budget_guard(self):
-        with pytest.raises(EnumerationBudgetExceeded):
-            next(enumerate_all(4, 4))
-
-    def test_budget_guard_names_the_exponent(self):
-        # 3^10000 has more digits than Python will print
-        with pytest.raises(EnumerationBudgetExceeded, match=r"3\^10000 labelled"):
-            enumerate_all(100, 100)
-
     def test_negative_bounds_rejected(self):
         for m, n in ((-1, 2), (2, -1)):
-            with pytest.raises(ValidationError, match="non-negative"):
-                enumerate_all(m, n)
             with pytest.raises(ValidationError, match="non-negative"):
                 census_homogeneous(m, n)
             with pytest.raises(ValidationError, match="non-negative"):
@@ -180,9 +169,8 @@ class TestCensus:
     def test_removed_keywords_are_type_errors(self):
         for call in (lambda: census_homogeneous(1, 1, jobs=1),
                      lambda: verify_classification(1, 1, jobs=1),
-                     lambda: verify_classification(1, 1, census=[]),
-                     lambda: enumerate_all(1, 1, force=True)):
-            with pytest.raises(TypeError, match="jobs|census|force"):
+                     lambda: verify_classification(1, 1, census=[])):
+            with pytest.raises(TypeError, match="jobs|census"):
                 call()
 
 

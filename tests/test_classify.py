@@ -18,11 +18,12 @@ from twopartite.classify import (
     ClassCase,
     classify_exact,
     classify_profile,
-    distinct_neighbourhoods,
     edge_direction,
     classify_bipartite_graph,
     matching_complement_size,
 )
+
+from conftest import distinct_neighbourhoods
 
 L2R, R2L = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
 
