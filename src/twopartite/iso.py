@@ -18,16 +18,21 @@ that colour refinement leaves together.  The tables the kernel reads
 are built once per structure, so the homogeneity decider, which runs
 many short searches on one structure, refines its colours once.
 Limit-1 searches down a stabiliser chain give the automorphism group's
-order and generators.  The decider never lists the group: once every
-smaller domain passes, a domain passes exactly when its last point's
-orbit under the maps that fix the rest is that point's whole class, the
-vertices with its pair states to the rest.  ``automorphisms`` lists the
-group from the chain, one product of orbit representatives per map.
+order and generators.  The decider never lists the group, nor walks
+every subset of the vertices: once every smaller domain passes, a
+domain passes exactly when a point's orbit under the maps that fix the
+rest is that point's whole class, the vertices with its pair states to
+the rest.  So it walks one set per automorphism orbit, level by level,
+and checks each set's classes against the chain's orbits.  Sets of a
+level that share their colour counts are told apart by the map search
+between their induced substructures.  ``automorphisms`` lists the group
+from the chain, one product of orbit representatives per map.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations, product
 from math import factorial, prod
@@ -401,6 +406,20 @@ class _StabiliserChain(dict):
         return [q for q in side if q not in fixed
                 and [line[q][c] for c in cross] == states]
 
+    def classes(self, fixed: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+        """The points outside the sorted ``fixed`` grouped as :meth:`alike`
+        groups them, by side and by pair states to the fixed points on the
+        other side, in increasing order; with each class, those states."""
+        m, line = self.m, self.line
+        left = [f for f in fixed if f < m]
+        right = [f - m for f in fixed if f >= m]
+        for side, cross in ((range(m), right), (range(m, self.total), left)):
+            grouped: dict[tuple, list[int]] = {}
+            for q in side:
+                if q not in fixed:
+                    grouped.setdefault(tuple([line[q][c] for c in cross]), []).append(q)
+            yield from grouped.items()
+
     def __missing__(self, prefix: tuple[int, ...]) -> dict:
         fixed, p = prefix[:-1], prefix[-1]
         orbit = self[prefix] = {p: None}
@@ -453,69 +472,141 @@ def is_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
     automorphism group is never listed: AutGroupTooLarge is raised
     before any domain is checked when the order of its stabiliser chain
     exceeds ``aut_cap``.  Memory therefore grows with the number of
-    domains, not with the group, and ``aut_cap`` bounds the group's
-    order only.
+    domain orbits walked, not with the group, and ``aut_cap`` bounds the
+    group's order only.
 
-    Domains are enumerated smallest first and reduced to one per
-    automorphism orbit, so when a domain S is reached every smaller
-    domain has passed: every partial isomorphism on fewer vertices
-    extends.  Under that precondition S passes exactly when the orbit of
-    its last point p under the maps that fix the rest T of S is all of
-    p's class over T: the vertices outside T on p's side with p's pair
-    states to T's vertices on the other side.  A valid map f out of S
-    agrees on T with some automorphism g, and g^-1 f fixes T and sends p
-    into that class; and fixing T while sending p to any vertex of the
-    class is a valid map.  The class is not filtered by colour: a vertex
-    of another colour in it is a valid image that no automorphism
-    reaches.  The chain finds the orbit and keeps it by prefix.
-    Only a failing domain walks its images, and returns the first one
-    from which the search finds no automorphism, so a failing verdict
-    carries a smallest counterexample.  A negative ``k`` or ``aut_cap``
-    raises ValidationError.
+    Once every smaller domain passes, a domain S passes exactly when the
+    orbit of a point p of S under the maps that fix the rest T of S is
+    all of p's class over T: the vertices outside T on p's side with
+    p's pair states to T's vertices on the other side.  A valid map f
+    out of S agrees on T with some automorphism g, and g^-1 f fixes T
+    and sends p into that class; and fixing T while sending p to any
+    vertex of the class is a valid map.  The class is not filtered by
+    colour: a vertex of another colour in it is a valid image that no
+    automorphism reaches.  Call T good when each class over T is one
+    orbit of the maps that fix T.  Then every domain of size at most s
+    passes exactly when every T of size below s is good.
+
+    Goodness is kept by automorphisms, and a one-point class over a good
+    T adds nothing: its point c is fixed by every map that fixes T, so
+    each class over T keeps one pair state to c, and T plus c is good,
+    with T's classes.  A set is therefore good when deleting such a
+    point leaves a good set, and the sets without one are closed under
+    deleting points.  Those are walked level by level, one per
+    automorphism orbit, from the empty set: the chain finds each class's
+    orbit and keeps it by prefix, and the sets of the next level are T
+    plus the least point of each class of two or more points
+    (:func:`_add_child`).
+
+    At the first size s with a bad T, the domains of size s are scanned
+    in ``combinations`` order (:func:`_first_failure`).  The first
+    failing one is the first of its orbit, and its first image from
+    which the search finds no automorphism is returned, so a failing
+    verdict carries a smallest counterexample.  A negative ``k`` or
+    ``aut_cap`` raises ValidationError.
     """
     if k is not None and k < 0:
         raise ValidationError(f"domain size bound must be non-negative, got {k}")
     group = _StabiliserChain(digraph, aut_cap)
-    vertices, m, total, line = group.vertices, group.m, group.total, group.line
-    bit = [1 << p for p in range(total)]
-    moves = [[bit[q] for q in g] for g in group.found]   # the found maps on bitmasks
-
-    seen: set[int] = set()
     # no domain has more points than the structure
-    for size in range(1, (total if k is None else min(k, total)) + 1):
-        masks = map(sum, combinations(bit, size))
-        for subset, mask in zip(combinations(range(total), size), masks):
-            # a domain fails exactly when every domain in its orbit does,
-            # so the first of each orbit in this order stands for them all
-            if mask in seen:
-                continue
-            seen.add(mask)
-            todo = [subset]
-            while todo:
-                members = todo.pop()
-                for images in moves:
-                    image = sum(map(images.__getitem__, members))
-                    if image not in seen:
-                        seen.add(image)
-                        todo.append([q for q in range(total) if image & bit[q]])
-            # every smaller domain has passed, so this one passes when
-            # its last point's orbit fixing the rest is its whole class
-            if len(group[subset]) == len(group.alike(subset[:-1], subset[-1])):
-                continue
-            a = bisect_left(subset, m)
-            want = [tuple(line[j][i] for i in subset[:a]) for j in subset[a:]]
-            # Images are not filtered by colour: a map between induced
-            # substructures only has to preserve the induced structure,
-            # and maps that break ambient invariants are precisely the
-            # counterexample candidates.
-            for img_l in permutations(range(m), a):
-                # pair states are preserved iff each right image's column
-                # over the left images equals its source's column
-                key = {j: tuple(line[j][i] for i in img_l) for j in range(m, total)}
-                for img_r in permutations(range(m, total), size - a):
-                    target = img_l + img_r   # the identity always extends
-                    if ([key[j] for j in img_r] == want and target != subset
-                            and not group.extends(subset, target)):
-                        return HomogeneityVerdict(False, PartialMap.from_dict(
-                            {vertices[p]: vertices[q] for p, q in zip(subset, target)}))
+    top = group.total if k is None else min(k, group.total)
+    # one sorted set per orbit, with each point's counts of the two edge
+    # states inside it
+    level: list[tuple[tuple[int, ...], dict]] = [((), {})]
+    for size in range(top):
+        # the sets of this level decide the domains one point larger
+        buckets: dict[tuple, list[list]] = {}
+        for fixed, counts in level:
+            for states, members in group.classes(fixed):
+                if len(members) == 1:
+                    continue
+                if len(group[fixed + (members[0],)]) != len(members):
+                    return _first_failure(group, size + 1)
+                if size + 1 < top:
+                    _add_child(digraph, group, buckets, fixed, counts, members[0], states)
+        level = [(domain, counts) for bucket in buckets.values() for domain, counts, _ in bucket]
     return HomogeneityVerdict(True, None)
+
+
+def _add_child(digraph: TwoPartiteDigraph, group: _StabiliserChain, buckets: dict,
+               fixed: tuple[int, ...], counts: dict, point: int, states: tuple[int, ...]) -> None:
+    """Adds ``fixed`` plus ``point`` to ``buckets`` unless it is dropped
+    or lies in the orbit of a set already there, given that every domain
+    of its size passes.  ``states`` are point's pair states to the points
+    of ``fixed`` on the other side.
+
+    A point's colour in a set is its colour rank in the whole structure
+    and its counts of the two edge states inside the set, which every
+    automorphism keeps.  The set is dropped unless :func:`_last_point`
+    accepts ``point``.  The rest are bucketed by their multisets of
+    colours, and two sets of a bucket lie in one orbit exactly when a
+    limit-1 map search finds an isomorphism between their induced
+    substructures, as it then extends to an automorphism."""
+    m, rank = group.m, group.rank
+    grown = dict(counts)
+    for f, x in zip([f for f in fixed if (f < m) != (point < m)], states):
+        lr, rl = grown[f]
+        grown[f] = (lr + (x == PAIR_LR), rl + (x == PAIR_RL))
+    grown[point] = (states.count(PAIR_LR), states.count(PAIR_RL))
+    colours = Counter((rank[p], *c) for p, c in grown.items())
+    if not _last_point(colours, (rank[point], *grown[point])):
+        return
+    domain = tuple(sorted(grown))
+    bucket = buckets.setdefault(tuple(sorted(colours.items())), [])
+    if any(other[0] == domain for other in bucket):
+        return
+
+    def induced(domain: tuple[int, ...]) -> tuple:
+        return _search_tables(digraph.induced(group.vertices[p] for p in domain))
+
+    # a set's search tables are built once another set shares its bucket
+    tables = None
+    if bucket:
+        tables = induced(domain)
+        for other in bucket:
+            if other[2] is None:
+                other[2] = induced(other[0])
+            if next(_search_maps(tables, other[2], {}, 1), None) is not None:
+                return
+    bucket.append([domain, grown, tables])
+
+
+def _last_point(colours: Counter, colour: tuple) -> bool:
+    """Whether a set whose points have the multiset ``colours`` is kept
+    when its added point has ``colour``: the colour that most of its
+    points share, the greatest such.  The kept sets still meet every
+    orbit of the sets walked.  Deleting a point of that colour from a
+    walked set S leaves a walked set, in the orbit of some parent T,
+    and the image of the point lies in a class over T of two or more
+    points, one orbit under the maps that fix T, whose least point
+    makes a set in the orbit of S with that point's colour."""
+    return colour == max(colours, key=lambda c: (colours[c], c))
+
+
+def _first_failure(group: _StabiliserChain, size: int) -> HomogeneityVerdict:
+    """The failing verdict when ``size`` is the least size of a failing
+    domain: the first domain of that size in ``combinations`` order that
+    fails the last-point test, with its first image, in the order of
+    ``permutations``, that extends to no automorphism."""
+    vertices, m, total, line = group.vertices, group.m, group.total, group.line
+    for subset in combinations(range(total), size):
+        # every smaller domain passes, so this one passes when its last
+        # point's orbit fixing the rest is its whole class
+        if len(group[subset]) == len(group.alike(subset[:-1], subset[-1])):
+            continue
+        a = bisect_left(subset, m)
+        want = [tuple(line[j][i] for i in subset[:a]) for j in subset[a:]]
+        # Images are not filtered by colour: a map between induced
+        # substructures only has to preserve the induced structure,
+        # and maps that break ambient invariants are precisely the
+        # counterexample candidates.
+        for img_l in permutations(range(m), a):
+            # pair states are preserved iff each right image's column
+            # over the left images equals its source's column
+            key = {j: tuple(line[j][i] for i in img_l) for j in range(m, total)}
+            for img_r in permutations(range(m, total), size - a):
+                target = img_l + img_r   # the identity always extends
+                if ([key[j] for j in img_r] == want and target != subset
+                        and not group.extends(subset, target)):
+                    return HomogeneityVerdict(False, PartialMap.from_dict(
+                        {vertices[p]: vertices[q] for p, q in zip(subset, target)}))

@@ -14,7 +14,10 @@ stabiliser chain's ``iso._StabiliserChain.maps`` replaced (it shares
 the map-search kernel and fixes the order of the listing); ``walk_homogeneous``,
 the restriction-lookup decider that walked every valid image of each
 domain, which the counting decider replaced (it runs on
-``pairwise_search_maps``);
+``pairwise_search_maps``); ``subset_walk_homogeneous``, the last-point
+decider that walked every subset of the vertices and marked its orbit
+under the chain's maps, which the level walk over orbit representatives
+of ``iso.is_homogeneous`` replaced (it shares ``iso._StabiliserChain``);
 ``lexmin_canonical_form``, the canonical form that tries every pair of
 side orderings, which the sorted-column form replaced (it shares the
 colour refinement); ``unrolled_scan``, the row-wise extension scan that
@@ -59,6 +62,7 @@ reads it.
 import json
 import random
 from functools import lru_cache
+from bisect import bisect_left
 from itertools import combinations, compress, islice, permutations, product, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -98,6 +102,7 @@ from twopartite.iso import (
     CanonicalForm,
     HomogeneityVerdict,
     PartialMap,
+    _StabiliserChain,
     _rank,
     _refined_colors,
     _search_maps,
@@ -409,6 +414,83 @@ def walk_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
                     if [key[j] for j in img_r] == want and img_l + img_r not in restrictions:
                         return HomogeneityVerdict(False, PartialMap.from_dict(
                             {vertices[p]: vertices[q] for p, q in zip(subset, img_l + img_r)}))
+    return HomogeneityVerdict(True, None)
+
+
+def subset_walk_homogeneous(digraph: TwoPartiteDigraph, k: int | None = None, *,
+                            aut_cap: int = DEFAULT_AUT_CAP) -> HomogeneityVerdict:
+    """Exact homogeneity up to domain size ``k`` (default: all sizes).
+
+    Every isomorphism between induced substructures on at most ``k``
+    vertices must extend to a side-preserving automorphism.  The
+    automorphism group is never listed: AutGroupTooLarge is raised
+    before any domain is checked when the order of its stabiliser chain
+    exceeds ``aut_cap``.  Memory therefore grows with the number of
+    domains, not with the group, and ``aut_cap`` bounds the group's
+    order only.
+
+    Domains are enumerated smallest first and reduced to one per
+    automorphism orbit, so when a domain S is reached every smaller
+    domain has passed: every partial isomorphism on fewer vertices
+    extends.  Under that precondition S passes exactly when the orbit of
+    its last point p under the maps that fix the rest T of S is all of
+    p's class over T: the vertices outside T on p's side with p's pair
+    states to T's vertices on the other side.  A valid map f out of S
+    agrees on T with some automorphism g, and g^-1 f fixes T and sends p
+    into that class; and fixing T while sending p to any vertex of the
+    class is a valid map.  The class is not filtered by colour: a vertex
+    of another colour in it is a valid image that no automorphism
+    reaches.  The chain finds the orbit and keeps it by prefix.
+    Only a failing domain walks its images, and returns the first one
+    from which the search finds no automorphism, so a failing verdict
+    carries a smallest counterexample.  A negative ``k`` or ``aut_cap``
+    raises ValidationError.
+    """
+    if k is not None and k < 0:
+        raise ValidationError(f"domain size bound must be non-negative, got {k}")
+    group = _StabiliserChain(digraph, aut_cap)
+    vertices, m, total, line = group.vertices, group.m, group.total, group.line
+    bit = [1 << p for p in range(total)]
+    moves = [[bit[q] for q in g] for g in group.found]   # the found maps on bitmasks
+
+    seen: set[int] = set()
+    # no domain has more points than the structure
+    for size in range(1, (total if k is None else min(k, total)) + 1):
+        masks = map(sum, combinations(bit, size))
+        for subset, mask in zip(combinations(range(total), size), masks):
+            # a domain fails exactly when every domain in its orbit does,
+            # so the first of each orbit in this order stands for them all
+            if mask in seen:
+                continue
+            seen.add(mask)
+            todo = [subset]
+            while todo:
+                members = todo.pop()
+                for images in moves:
+                    image = sum(map(images.__getitem__, members))
+                    if image not in seen:
+                        seen.add(image)
+                        todo.append([q for q in range(total) if image & bit[q]])
+            # every smaller domain has passed, so this one passes when
+            # its last point's orbit fixing the rest is its whole class
+            if len(group[subset]) == len(group.alike(subset[:-1], subset[-1])):
+                continue
+            a = bisect_left(subset, m)
+            want = [tuple(line[j][i] for i in subset[:a]) for j in subset[a:]]
+            # Images are not filtered by colour: a map between induced
+            # substructures only has to preserve the induced structure,
+            # and maps that break ambient invariants are precisely the
+            # counterexample candidates.
+            for img_l in permutations(range(m), a):
+                # pair states are preserved iff each right image's column
+                # over the left images equals its source's column
+                key = {j: tuple(line[j][i] for i in img_l) for j in range(m, total)}
+                for img_r in permutations(range(m, total), size - a):
+                    target = img_l + img_r   # the identity always extends
+                    if ([key[j] for j in img_r] == want and target != subset
+                            and not group.extends(subset, target)):
+                        return HomogeneityVerdict(False, PartialMap.from_dict(
+                            {vertices[p]: vertices[q] for p, q in zip(subset, target)}))
     return HomogeneityVerdict(True, None)
 
 

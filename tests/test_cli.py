@@ -548,6 +548,14 @@ PINNED_MAP_SEARCH = {
     "iso": "87f5275b3b8c75565418f4f158f91faea44023af819dbe43f387457884171318",
     "check-hom": "d49f14f74a016e3e0abfc83461b0ba98cd09199f48c3dbcb5103ae7ba6af37de",
 }
+# SHA-256 of the decider's payloads, computed with the decider that walked
+# every subset of the vertices and marked its orbit.
+PINNED_DECIDER = {
+    "check-hom matching7": "19d46d202ec902e144f3eb6f5cc0ccbe70400d2a57aa91d4427ac4bd905f2f53",
+    "check-hom pair6": "94e30ffa64901c6f936874009923f773842ff3897e2e76a6d700ff701fdad155",
+    "check-hom --k 2 circulant5": "284a92358e12cf69b25cc6b0c7fb6f44a6c0239778edbed092e6a0307f1713e0",
+    "classify pair6": "373ddcf70dfbb12dd2d07b16fec59dc139bfe9d2258b233ddb11bcc85e1f6cbc",
+}
 # SHA-256 of the ``aut`` payloads of three disjoint 8-cycles on 12x12
 # sides (3,072 maps each), computed on the listing by one full map search.
 PINNED_AUT_CYCLES = "dbab367f404567d719269fc6425a30e03928154b5f29b9166033386cd7bb8e90"
@@ -602,6 +610,29 @@ def _map_search_inputs(tmp_path) -> dict[str, list[list[str]]]:
                 for other in ("relabelled16", "cycles6_10")],
         "check-hom": [["check-hom", "--exact", "--in", paths[name]]
                       for name in ("cycle16", "odd", "split", "empty3")],
+    }
+
+
+def _decider_inputs(tmp_path) -> dict[str, list[str]]:
+    """A run of the homogeneity decider per entry of ``PINNED_DECIDER``,
+    each on a structure listed in an order unlike its id order."""
+    import random
+    rng = random.Random(28)
+    # a seeded circulant: the pair (x_i, y_j) takes state c[(j - i) mod 5],
+    # so each side is one orbit and the first failing domains have size 2
+    c = [rng.randrange(3) for _ in range(5)]
+    circulant5 = build([f"x{i}" for i in range(5)], [f"y{j}" for j in range(5)],
+                    [(f"x{i}", f"y{j}") if c[(j - i) % 5] == 1 else (f"y{j}", f"x{i}")
+                     for i in range(5) for j in range(5) if c[(j - i) % 5]])
+    paths = {name: write(tmp_path, f"{name}.json", shuffled_copy(structure, rng))
+             for name, structure in (("matching7", matching_digraph(7)),
+                                     ("pair6", matching_complement_pair(6)),
+                                     ("circulant5", circulant5))}
+    return {
+        "check-hom matching7": ["check-hom", "--exact", "--in", paths["matching7"]],
+        "check-hom pair6": ["check-hom", "--exact", "--in", paths["pair6"]],
+        "check-hom --k 2 circulant5": ["check-hom", "--k", "2", "--in", paths["circulant5"]],
+        "classify pair6": ["classify", "--exact", "--in", paths["pair6"]],
     }
 
 
@@ -664,6 +695,11 @@ class TestPinnedPayloads:
         runs = _map_search_inputs(tmp_path)[command]
         text = _transcript(runs).replace(str(tmp_path), "")
         assert _sha(text) == PINNED_MAP_SEARCH[command]
+
+    @pytest.mark.parametrize("run", sorted(PINNED_DECIDER))
+    def test_decider_payloads(self, tmp_path, run):
+        text = _transcript([_decider_inputs(tmp_path)[run]]).replace(str(tmp_path), "")
+        assert _sha(text) == PINNED_DECIDER[run]
 
     def test_aut_three_eight_cycles(self, tmp_path):
         import random

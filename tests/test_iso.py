@@ -1,9 +1,11 @@
 import random
 from itertools import permutations
+from math import factorial
 
 import pytest
 
 from twopartite import build, iso
+from twopartite.core import TwoPartiteDigraph
 from twopartite.catalog import (
     complete_bipartite_digraph,
     empty_digraph,
@@ -41,9 +43,11 @@ from conftest import (
     search_homogeneous,
     shuffled_copy,
     side_regular_states,
+    subset_walk_homogeneous,
     two_sided_refined_colors,
     walk_homogeneous,
 )
+from twopartite.census import _line_symmetric_states
 
 R2L = Direction.RIGHT_TO_LEFT
 
@@ -360,6 +364,14 @@ CYCLE_PAIRS = [(cycle_structure((k,), directed), cycle_structure(split, directed
                for directed in (False, True)]
 
 
+# The lines x_i = {i, i+2, i+3} and points y_j of the Fano plane, mod 7:
+# a point off a line points at it.  Every domain of two points passes,
+# and some of three points do not.
+FANO_ANTIFLAGS = build([f"x{i}" for i in range(7)], [f"y{j}" for j in range(7)],
+                       [(f"y{j}", f"x{i}") for i in range(7) for j in range(7)
+                        if (j - i) % 7 not in (0, 2, 3)])
+
+
 class TestRefinedColours:
     """``_refined_colors`` gives the colour values, not only the classes, of
     the refinement that spelled out each side: ``TP1`` encodings sort
@@ -439,11 +451,19 @@ class TestSignatureSearch:
 class TestCountingDecider:
     """``is_homogeneous`` gives the verdicts and counterexamples of the
     deciders that listed the group: the one that walked every valid
-    image and the one that searched once per candidate map.  The order
-    of its stabiliser chain is the number of automorphisms."""
+    image and the one that searched once per candidate map; and, at
+    every domain size bound, those of the decider that walked every
+    subset of the vertices.  The order of its stabiliser chain is the
+    number of automorphisms."""
 
     @staticmethod
-    def _agree(d):
+    def _agree_with_subset_walk(d):
+        for k in (None, *range(len(d.vertices()) + 1)):
+            assert is_homogeneous(d, k) == subset_walk_homogeneous(d, k), k
+
+    @classmethod
+    def _agree(cls, d):
+        cls._agree_with_subset_walk(d)
         for k in (None, 1, 2, 3):
             verdict = is_homogeneous(d, k)
             assert verdict == walk_homogeneous(d, k), k
@@ -455,7 +475,7 @@ class TestCountingDecider:
         with pytest.raises(AutGroupTooLarge):
             is_homogeneous(d, 0, aut_cap=order - 1)
 
-    @pytest.mark.parametrize("m,n", DESK_PAIRS)
+    @pytest.mark.parametrize("m,n", DESK_PAIRS + [(4, 2), (1, 5), (5, 1)])
     def test_every_small_class(self, m, n):
         for d in census_classes(m, n):
             self._agree(d)
@@ -469,6 +489,52 @@ class TestCountingDecider:
         for d in (empty_digraph(9, 1), empty_digraph(1, 9), complete_bipartite_digraph(8, 2),
                   complete_bipartite_digraph(2, 8), matching_digraph(4), matching_digraph(8)):
             assert is_homogeneous(d).holds
+
+    def test_passing_structures_scan_no_domain(self, monkeypatch):
+        # the domains of one size are scanned only once a set fails; on
+        # empty 8x8 that scan would visit up to 2^16 subsets
+        def scanned(*args):
+            raise AssertionError("the decider scanned the domains of a passing structure")
+        monkeypatch.setattr(iso, "_first_failure", scanned)
+        for d, cap in ((empty_digraph(8, 8), factorial(8) ** 2), (matching_digraph(9), DEFAULT_AUT_CAP),
+                       (matching_complement_pair(7), DEFAULT_AUT_CAP),
+                       (complete_bipartite_digraph(2, 8), DEFAULT_AUT_CAP),
+                       (empty_digraph(9, 1), DEFAULT_AUT_CAP)):
+            assert is_homogeneous(d, aut_cap=cap).holds
+
+    def test_scan_runs_at_the_first_failing_size_only(self, monkeypatch):
+        sizes = []
+        scan = iso._first_failure
+
+        def recorded(group, size):
+            sizes.append(size)
+            return scan(group, size)
+        monkeypatch.setattr(iso, "_first_failure", recorded)
+        d = FANO_ANTIFLAGS
+        assert is_homogeneous(d, 2).holds and sizes == []
+        verdict = is_homogeneous(d)
+        assert sizes == [3] and len(verdict.counterexample) == 3
+        assert verdict == subset_walk_homogeneous(d)
+
+    def test_last_point_rule_only_saves_searches(self, monkeypatch):
+        # with every set kept, the map search alone keeps one per orbit
+        built = []
+        induced = TwoPartiteDigraph.induced
+
+        def counted(digraph, keep):
+            built.append(digraph)
+            return induced(digraph, keep)
+        monkeypatch.setattr(iso, "_last_point", lambda colours, colour: True)
+        monkeypatch.setattr(TwoPartiteDigraph, "induced", counted)
+        rng = random.Random(29)
+        structures = [FANO_ANTIFLAGS] + [shuffled_copy(random_digraph(rng, max_side=5), rng)
+                                         for _ in range(30)]
+        structures += [matching_digraph(n) for n in range(1, 6)]
+        structures += [matching_complement_pair(n) for n in range(2, 6)]
+        structures += [d for m, n in DESK_PAIRS for _, d in _classes(m, n, _line_symmetric_states(m, n))]
+        for d in structures:
+            self._agree_with_subset_walk(d)
+        assert built
 
     @pytest.mark.parametrize("m,n", [(9, 1), (8, 2), (2, 7), (7, 2)])
     def test_tall_and_wide_structures(self, m, n):
@@ -487,6 +553,11 @@ class TestCountingDecider:
         for d in SIDE_REGULAR_4X4:
             self._agree(d)
 
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
+    def test_line_symmetric_classes(self, m, n):
+        for _, d in _classes(m, n, _line_symmetric_states(m, n)):
+            self._agree(d)
+
     def test_seeded_random_structures(self):
         rng = random.Random(67)
         for _ in range(200):
@@ -496,6 +567,18 @@ class TestCountingDecider:
     def testcycle_structure(self, one, two):
         self._agree(one)
         self._agree(two)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matchings_and_pairs(self, n):
+        # the deciders that listed the group take minutes from n = 6 on
+        agree = self._agree if n <= 5 else self._agree_with_subset_walk
+        rng = random.Random(n)
+        agree(shuffled_copy(matching_digraph(n), rng))
+        if n >= 2:
+            agree(shuffled_copy(matching_complement_pair(n), rng))
+
+    def test_fano_antiflags(self):
+        self._agree(FANO_ANTIFLAGS)
 
     def test_group_is_never_listed(self, monkeypatch):
         def listed(*args, **kwargs):
