@@ -622,8 +622,8 @@ def _decider_inputs(tmp_path) -> dict[str, list[str]]:
     # so each side is one orbit and the first failing domains have size 2
     c = [rng.randrange(3) for _ in range(5)]
     circulant5 = build([f"x{i}" for i in range(5)], [f"y{j}" for j in range(5)],
-                    [(f"x{i}", f"y{j}") if c[(j - i) % 5] == 1 else (f"y{j}", f"x{i}")
-                     for i in range(5) for j in range(5) if c[(j - i) % 5]])
+                       [(f"x{i}", f"y{j}") if c[(j - i) % 5] == 1 else (f"y{j}", f"x{i}")
+                        for i in range(5) for j in range(5) if c[(j - i) % 5]])
     paths = {name: write(tmp_path, f"{name}.json", shuffled_copy(structure, rng))
              for name, structure in (("matching7", matching_digraph(7)),
                                      ("pair6", matching_complement_pair(6)),
